@@ -8,12 +8,8 @@ validation error, 6 refused precondition.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from .errors import PreconditionError, ScenarioFormatError, ScenarioValidationError
 from .lagrangian import legendre_transform
@@ -21,7 +17,7 @@ from .reports import fmt, write_evolution_csv, write_slopes_csv, write_transform
 from .runner import run_check
 from .scenario import load_scenario, paper_counterexample, write_scenario
 from .section import local_slopes
-from .semigroup import evolution_table, evolve_all
+from .semigroup import evolution_table
 from .variational import solve_variational
 
 EXIT_CHECK_FAILED = 1
@@ -29,14 +25,6 @@ EXIT_MISSING_FILE = 3
 EXIT_FORMAT = 4
 EXIT_VALIDATION = 5
 EXIT_PRECONDITION = 6
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("FIBERFLOW_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _parse_times(text: str) -> list[float]:
@@ -49,12 +37,6 @@ def _parse_times(text: str) -> list[float]:
     return times
 
 
-def _evolve_one_time(args):
-    scenario, t = args
-    u, argmins = evolve_all(scenario.section(), scenario.lagrangian(), t, scenario.grids.tau_tie)
-    return [float(v) for v in u], [list(a) for a in argmins]
-
-
 def cmd_validate(ns) -> int:
     scenario = load_scenario(ns.scenario)
     print(f"scenario {scenario.name!r}: {scenario.n_base} base points, kappa={scenario.kappa} — valid")
@@ -64,17 +46,6 @@ def cmd_validate(ns) -> int:
 def cmd_evolve(ns) -> int:
     scenario = load_scenario(ns.scenario)
     times = _parse_times(ns.times) if ns.times else scenario.grids.times
-    if ns.jobs > 1:
-        # fan the per-time minimization out and seed the evolution cache, so
-        # the table assembly below reuses the pooled results (quadratic model)
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            rows = list(pool.map(_evolve_one_time, [(scenario, t) for t in times]))
-        cache = scenario.section().__dict__.setdefault("_evolve_cache", {})
-        for t, (u, argmins) in zip(times, rows):
-            cache[(float(t), float(scenario.grids.tau_tie))] = (
-                np.array(u),
-                [tuple(a) for a in argmins],
-            )
     table = evolution_table(
         scenario.section(),
         scenario.lagrangian(),
@@ -159,12 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evolve sections of fibered subsets of R^k and verify the asserted inequalities.",
     )
     parser.add_argument("--out", default="reports", help="output directory for report files")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=_default_jobs(),
-        help="worker pool size for grid evaluation (default: FIBERFLOW_JOBS or 1)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="geometry and section checks")

@@ -199,8 +199,7 @@ def fiber_min_distance(fa: FiberGeometry, fb: FiberGeometry) -> float:
 class FiberedSpace:
     """Finite sample of a fibered space: base points of Y plus one fiber each.
 
-    Immutable after construction; all operations on it are pure, so instances
-    are safe to share across worker processes.
+    Immutable after construction; all operations on it are pure.
     """
 
     kappa: int

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError
-from .section import Section, bound_K, global_ILS
+from .section import Section, bound_K, global_ILS, max_row_gaps
 
 Array = np.ndarray
 
@@ -140,7 +140,7 @@ def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:
     witness = None
     for t in t_list:
         A = t * L(D / t)
-        lhs = (A[:, None, :] - A[None, :, :]).max(axis=2)  # lhs[y, x] maxed over z
+        lhs = max_row_gaps(A)  # lhs[y, x] maxed over z
         Lvals = L(E / t)
         if np.any(Lvals < 0):
             # sqrt undefined: treat as an axiom failure at this t

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .lagrangian import TransformTable
 from .scenario import Scenario
 from .section import AsymmetryReport, SlopeReport
@@ -36,7 +38,7 @@ def write_evolution_csv(path, scenario: Scenario, table: EvolutionTable) -> Path
     lines = ["base_id,t,u,argmin,iD_minus,iD_plus,hj_residual,hj_no_neighbors"]
     for yi, bid in enumerate(scenario.base_ids):
         for ti, t in enumerate(table.times):
-            argmin = ";".join(scenario.base_ids[z] for z in table.argmins[ti][yi])
+            argmin = ";".join(scenario.base_ids[z] for z in np.flatnonzero(table.argmins[ti, yi]))
             lines.append(
                 ",".join(
                     [

@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PreconditionError
-from .lagrangian import check_axioms
 from .reports import (
     ReportBundle,
     write_asymmetry_csv,
@@ -26,13 +25,7 @@ from .scenario import Scenario
 from .section import asymmetry_probe, global_ILS, g_field, local_slopes, validate_section
 from .geometry import validate_space
 from .lagrangian import legendre_transform
-from .semigroup import (
-    evolution_table,
-    hj_residual,
-    hj_residual_lipschitz,
-    proposition_suite,
-    slope_estimate_check,
-)
+from .semigroup import evolution_table, hj_residuals, proposition_suite, slope_estimate_check
 
 HJ_TOLERANCE = 1e-6
 SLACK_TOLERANCE = 1e-9
@@ -86,8 +79,16 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
         _verdict_from_slack("section", worst_res - grids.tau_sec, 0.0, None, note=f"max residual {worst_res:.3e}")
     )
 
-    # penalty axioms
-    axioms = check_axioms(L, section, grids.times)
+    # proposition suite; its penalty-axiom report gives the axiom verdicts
+    suite = proposition_suite(
+        section,
+        L,
+        grids.times,
+        tau_tie=grids.tau_tie,
+        xi_resolution=grids.xi_resolution,
+        labels=scenario.base_ids,
+    )
+    axioms = suite.axiom_report
     verdicts.append(
         _verdict_from_slack("axiom_convexity", axioms.convexity_worst, axioms.convexity_tol, None)
     )
@@ -168,15 +169,6 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
         )
     )
 
-    # proposition suite
-    suite = proposition_suite(
-        section,
-        L,
-        grids.times,
-        tau_tie=grids.tau_tie,
-        xi_resolution=grids.xi_resolution,
-        labels=scenario.base_ids,
-    )
     for item in suite.items:
         verdicts.append(
             Verdict(
@@ -205,17 +197,23 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
         )
     )
 
-    # Hamilton-Jacobi residual grids
+    # Hamilton-Jacobi residual grids, at every hj_base_stride-th base point
     hj_ids = list(range(0, scenario.n_base, max(1, grids.hj_base_stride)))
     hj_times = grids.effective_hj_times()
     radius = grids.hj_radius if grids.hj_radius is not None else max(grids.radii)
-    worst_hj, loc_hj, flagged = -math.inf, None, 0
-    for t in hj_times:
-        for yi in hj_ids:
-            r = hj_residual(section, yi, float(t), radius=radius, tau_tie=grids.tau_tie)
-            flagged += int(r.no_neighbors)
-            if r.residual > worst_hj:
-                worst_hj, loc_hj = r.residual, f"y={scenario.base_ids[yi]},t={t:g}"
+
+    def worst_residual(lipschitz: bool) -> tuple[float, str | None, int]:
+        worst, loc, no_neighbors = -math.inf, None, 0
+        for t in hj_times:
+            residual, _, _, n_neighbors = hj_residuals(section, float(t), radius, grids.tau_tie, lipschitz)
+            residual = residual[hj_ids]
+            no_neighbors += int(np.count_nonzero(n_neighbors[hj_ids] == 0))
+            k = int(np.argmax(residual))
+            if residual[k] > worst:
+                worst, loc = float(residual[k]), f"y={scenario.base_ids[hj_ids[k]]},t={t:g}"
+        return worst, loc, no_neighbors
+
+    worst_hj, loc_hj, flagged = worst_residual(lipschitz=False)
     verdicts.append(
         _verdict_from_slack(
             "hj_residual_grid", worst_hj, HJ_TOLERANCE, loc_hj, note=f"{flagged} nodes had no neighbors in radius"
@@ -223,12 +221,7 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
     )
     ils = global_ILS(section)
     if math.isfinite(ils) and ils > 0:
-        worst_hl, loc_hl = -math.inf, None
-        for t in hj_times:
-            for yi in hj_ids:
-                r = hj_residual_lipschitz(section, yi, float(t), radius=radius, tau_tie=grids.tau_tie)
-                if r.residual > worst_hl:
-                    worst_hl, loc_hl = r.residual, f"y={scenario.base_ids[yi]},t={t:g}"
+        worst_hl, loc_hl, _ = worst_residual(lipschitz=True)
         verdicts.append(_verdict_from_slack("hj_residual_lipschitz_grid", worst_hl, HJ_TOLERANCE, loc_hl))
     else:
         verdicts.append(

@@ -8,7 +8,6 @@ asymmetry is what the probe at the bottom of this module quantifies.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,14 +25,16 @@ DEFAULT_TAU_SEC = 1e-9
 class Section:
     """Tabulated section f: one value per base point, values[i] on fiber i.
 
-    Derived matrices are cached on first use; instances are otherwise
-    immutable and safe for concurrent read-only use.
+    The distance matrices D and E and the global ILS estimate are computed on
+    first use and cached in the private fields; `values` must not change
+    after construction.
     """
 
     space: FiberedSpace
     values: Array
     _fiber_dist: Array | None = field(default=None, repr=False, compare=False)
     _value_dist: Array | None = field(default=None, repr=False, compare=False)
+    _ils: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -92,13 +93,19 @@ def validate_section(section: Section, tau_sec: float = DEFAULT_TAU_SEC) -> Sect
     return SectionReport(residuals=res, tau_sec=tau_sec, off_fiber=off)
 
 
-def _ratio(num: float, den: float) -> float | None:
-    """Slope ratio with the supremum conventions: skip 0/0, flag c/0 as inf."""
-    if den == 0.0:
-        if num == 0.0:
-            return None
-        return math.inf
-    return num / den
+def _ratios(section: Section) -> Array:
+    """R[i, j] = d(f(y_i), f(y_j)) / d(f(y_i), fiber(y_j)) over ordered pairs.
+
+    The supremum conventions live here: c/0 is inf for c > 0, while 0/0 and
+    the diagonal enter as 0, neutral for a supremum of nonnegative ratios
+    that starts at 0.
+    """
+    E = section.value_distances()
+    D = section.fiber_distances()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = np.where(E == 0.0, 0.0, E / D)
+    np.fill_diagonal(R, 0.0)
+    return R
 
 
 def global_ILS(section: Section) -> float:
@@ -107,27 +114,14 @@ def global_ILS(section: Section) -> float:
 
     Returns inf when some pair has zero fiber distance but distinct values;
     a single-point base set has no pairs and yields 0 with a warning.
-    The value is memoized on the section.
+    The value is cached on the section.
     """
-    m = section.n_base
-    if m < 2:
+    if section.n_base < 2:
         warnings.warn("global_ILS is undefined on a single-point base set; returning 0")
         return 0.0
-    cached = section.__dict__.get("_global_ils")
-    if cached is not None:
-        return cached
-    E = section.value_distances()
-    D = section.fiber_distances()
-    best = 0.0
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            r = _ratio(E[i, j], D[i, j])
-            if r is not None:
-                best = max(best, r)
-    section.__dict__["_global_ils"] = best
-    return best
+    if section._ils is None:
+        section._ils = float(_ratios(section).max())
+    return section._ils
 
 
 def bound_K(section: Section) -> float:
@@ -158,32 +152,14 @@ def local_slopes(section: Section, radii) -> SlopeReport:
         raise PreconditionError("radius schedule must be nonempty")
     if np.any(radii <= 0) or np.any(np.diff(radii) >= 0):
         raise PreconditionError("radii must be positive and strictly decreasing")
-    m = section.n_base
-    E = section.value_distances()
-    D = section.fiber_distances()
-    BD = section.space.base_distance_matrix()
-    ils = np.zeros((radii.size, m))
-    ils_a = np.zeros((radii.size, m))
+    R = _ratios(section)
+    base_dist = section.space.base_distance_matrix()
+    ils = np.zeros((radii.size, section.n_base))
+    ils_a = np.zeros((radii.size, section.n_base))
     for ri, r in enumerate(radii):
-        for z in range(m):
-            ball = np.nonzero(BD[:, z] <= r)[0]
-            anchored = 0.0
-            for y in ball:
-                if y == z:
-                    continue
-                val = _ratio(E[y, z], D[y, z])
-                if val is not None:
-                    anchored = max(anchored, val)
-            ils[ri, z] = anchored
-            both = 0.0
-            for y1 in ball:
-                for y2 in ball:
-                    if y1 == y2:
-                        continue
-                    val = _ratio(E[y1, y2], D[y1, y2])
-                    if val is not None:
-                        both = max(both, val)
-            ils_a[ri, z] = both
+        balls = base_dist <= r  # balls[y, z]: y lies in the ball around z
+        ils[ri] = np.where(balls, R, 0.0).max(axis=0)
+        ils_a[ri] = [R[np.ix_(ball, ball)].max() for ball in balls.T]
     return SlopeReport(
         radii=radii,
         ils=ils,
@@ -221,6 +197,12 @@ class AsymmetryReport:
     violations: list[AsymmetryViolation]
 
 
+def max_row_gaps(A: Array) -> Array:
+    """G[i, j] = max over k of (A[i, k] - A[j, k]), built one anchor row i at a
+    time so that a scan over all triples needs O(m^2) memory."""
+    return np.array([(row - A).max(axis=1) for row in A])
+
+
 def asymmetry_probe(section: Section, excess_tol: float = 1e-9) -> AsymmetryReport:
     m = section.n_base
     if m < 3:
@@ -229,7 +211,7 @@ def asymmetry_probe(section: Section, excess_tol: float = 1e-9) -> AsymmetryRepo
     D = section.fiber_distances()
 
     # first form: max over (y, z) of max_x (D[y,x] - D[z,x]) - E[y,z]
-    gaps = (D[:, None, :] - D[None, :, :]).max(axis=2) - E
+    gaps = max_row_gaps(D) - E
     yz = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
     y, z = int(yz[0]), int(yz[1])
     x = int(np.argmax(D[y] - D[z]))

@@ -54,16 +54,19 @@ def evolve(section: Section, L: Lagrangian, y: int, t: float, tau_tie: float = D
     return EvolveResult(float(branches.min()), _argmin_set(branches, tau_tie))
 
 
-def evolve_all(section: Section, L: Lagrangian, t: float, tau_tie: float = DEFAULT_TAU_TIE):
-    """Evolved values and argmin sets for every base point at one time."""
+def evolve_all(section: Section, L: Lagrangian, t: float, tau_tie: float = DEFAULT_TAU_TIE) -> tuple[Array, Array]:
+    """Evolved values u[y] and argmin masks for every base point at one time;
+    mask[y, z] holds when z attains the minimum at y within `tau_tie`."""
     if t <= 0:
         raise PreconditionError("t must be positive")
-    D = section.fiber_distances()
-    g = g_field(section)
-    B = t * L(D / t) + g[None, :]
+    B = t * L(section.fiber_distances() / t) + g_field(section)[None, :]
     u = B.min(axis=1)
-    argmins = [_argmin_set(B[i], tau_tie) for i in range(section.n_base)]
-    return u, argmins
+    return u, B <= u[:, None] + tau_tie
+
+
+def _speeds(D: Array, argmins: Array) -> tuple[Array, Array]:
+    """(D-, D+): min and max of the fiber distances D[y, z] over each argmin mask."""
+    return np.where(argmins, D, np.inf).min(axis=-1), np.where(argmins, D, -np.inf).max(axis=-1)
 
 
 def evolve_forward(section: Section, y: int, t: float, tau_tie: float = DEFAULT_TAU_TIE) -> EvolveResult:
@@ -136,84 +139,68 @@ def time_derivative(
 
 @dataclass
 class HJResidual:
-    """One Hamilton-Jacobi residual sample: forward time difference plus the
-    squared neighbor slope term.  A nonpositive value certifies the
-    subsolution inequality at this grid node."""
+    """One Hamilton-Jacobi residual sample at a grid node: forward time
+    difference plus the prefactor times the squared neighbor slope.  A
+    nonpositive value certifies the subsolution inequality at this node."""
 
     residual: float
     forward_difference: float
     slope: float
-    slope_by_radius: dict[float, float]
     n_neighbors: int
-    radius: float
-    h: float
-    no_neighbors: bool
+
+    @property
+    def no_neighbors(self) -> bool:
+        return self.n_neighbors == 0
 
 
-def _positive_quotient(num: float, den: float) -> float | None:
-    if num <= 0.0:
-        return 0.0
-    if den == 0.0:
-        return math.inf
-    return num / den
+def _neighbor_slopes(u: Array, den: Array, near: Array) -> Array:
+    """slope[y]: sup over the neighbors p of y (near[p, y]) of the positive part
+    of u[y] - u[p] divided by den[p, y].  A positive rise over a zero
+    denominator is inf; a node without neighbors has slope 0."""
+    rise = u[None, :] - u[:, None]  # rise[p, y] = u[y] - u[p]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = np.where(rise <= 0.0, 0.0, rise / den)
+    return np.where(near, quotient, 0.0).max(axis=0)
 
 
-def _neighbor_slope(u: Array, y: int, denominators: Array, base_dist: Array, radius: float) -> tuple[float, int]:
-    neighbors = np.nonzero((base_dist > 0) & (base_dist <= radius))[0]
-    slope = 0.0
-    for p in neighbors:
-        q = _positive_quotient(u[y] - u[p], denominators[p])
-        if q is not None:
-            slope = max(slope, q)
-    return slope, int(neighbors.size)
-
-
-def _hj_core(
+def hj_residuals(
     section: Section,
-    y: int,
     t: float,
-    h: float | None,
     radius: float,
-    denominators: Array,
-    prefactor: float,
-    tau_tie: float,
-) -> HJResidual:
-    L = model_quadratic()
-    if h is None:
-        h = FD_STEP_SCALE * t
+    tau_tie: float = DEFAULT_TAU_TIE,
+    lipschitz: bool = False,
+) -> tuple[Array, Array, Array, Array]:
+    """Hamilton-Jacobi residuals of the model evolution at every base point at
+    time t, as arrays over y: (residual, forward difference, neighbor slope,
+    neighbor count).  Neighbors are the base points at distance in (0, radius].
+
+    The plain form divides by the distance between section values and uses the
+    prefactor 2; the Lipschitz form divides by the section-to-fiber distance
+    and uses 2 / ILS^2, and needs a finite nonzero global ILS estimate.
+    """
+    if lipschitz:
+        ils = global_ILS(section)
+        if not math.isfinite(ils) or ils == 0.0:
+            raise PreconditionError("hj_residual_lipschitz needs a finite nonzero ILS estimate")
+        den, prefactor = section.fiber_distances(), 2.0 / (ils * ils)
+    else:
+        den, prefactor = section.value_distances(), 2.0
+    h = FD_STEP_SCALE * t
     if not (0 < h < t):
         raise PreconditionError("need 0 < h < t for the forward difference")
-    u_t, _ = evolve_all_cached(section, L, t, tau_tie)
-    u_th, _ = evolve_all_cached(section, L, t + h, tau_tie)
-    fd = (u_th[y] - u_t[y]) / h
-    base_dist = section.space.base_distance_matrix()[:, y]
-    slope, n_neighbors = _neighbor_slope(u_t, y, denominators, base_dist, radius)
-    by_radius = {}
-    for r in (radius, radius / 2.0, radius / 4.0):
-        s, _ = _neighbor_slope(u_t, y, denominators, base_dist, r)
-        by_radius[float(r)] = s
-    return HJResidual(
-        residual=fd + prefactor * slope * slope,
-        forward_difference=fd,
-        slope=slope,
-        slope_by_radius=by_radius,
-        n_neighbors=n_neighbors,
-        radius=radius,
-        h=h,
-        no_neighbors=n_neighbors == 0,
-    )
+    L = model_quadratic()
+    u, _ = evolve_all(section, L, t, tau_tie)
+    u_h, _ = evolve_all(section, L, t + h, tau_tie)
+    fd = (u_h - u) / h
+    base_dist = section.space.base_distance_matrix()
+    near = (base_dist > 0) & (base_dist <= radius)
+    slope = _neighbor_slopes(u, den, near)
+    return fd + prefactor * slope * slope, fd, slope, near.sum(axis=0)
 
 
-# per-section memo for repeated whole-grid evolutions; the model penalty is a
-# fixed function, so (t, tau_tie) identifies the result
-def evolve_all_cached(section: Section, L: Lagrangian, t: float, tau_tie: float):
-    if not L.is_model_quadratic:
-        return evolve_all(section, L, t, tau_tie)
-    cache = section.__dict__.setdefault("_evolve_cache", {})
-    key = (float(t), float(tau_tie))
-    if key not in cache:
-        cache[key] = evolve_all(section, L, t, tau_tie)
-    return cache[key]
+def _node(residuals: tuple[Array, Array, Array, Array], y: int) -> HJResidual:
+    residual, fd, slope, n_neighbors = residuals
+    return HJResidual(float(residual[y]), float(fd[y]), float(slope[y]), int(n_neighbors[y]))
 
 
 def hj_residual(
@@ -221,13 +208,11 @@ def hj_residual(
     y: int,
     t: float,
     radius: float,
-    h: float | None = None,
     tau_tie: float = DEFAULT_TAU_TIE,
 ) -> HJResidual:
     """Residual of  d+/dt u(y,t) + 2 * (sup nearby slope)^2 <= 0  where the
     slope quotient divides by the distance between section values."""
-    E = section.value_distances()
-    return _hj_core(section, y, t, h, radius, E[:, y], 2.0, tau_tie)
+    return _node(hj_residuals(section, t, radius, tau_tie), y)
 
 
 def hj_residual_lipschitz(
@@ -235,18 +220,13 @@ def hj_residual_lipschitz(
     y: int,
     t: float,
     radius: float,
-    h: float | None = None,
     tau_tie: float = DEFAULT_TAU_TIE,
 ) -> HJResidual:
     """Variant with fiber-distance denominators and the 2 / ILS^2 prefactor.
 
     Requires a finite global intrinsic Lipschitz estimate; refused otherwise.
     """
-    ils = global_ILS(section)
-    if not math.isfinite(ils) or ils == 0.0:
-        raise PreconditionError("hj_residual_lipschitz needs a finite nonzero ILS estimate")
-    D = section.fiber_distances()
-    return _hj_core(section, y, t, h, radius, D[:, y], 2.0 / (ils * ils), tau_tie)
+    return _node(hj_residuals(section, t, radius, tau_tie, lipschitz=True), y)
 
 
 @dataclass
@@ -266,11 +246,10 @@ def slope_estimate_check(
     tau_tie: float = DEFAULT_TAU_TIE,
     tol: float = 1e-9,
 ) -> Eq314Report:
-    L = model_quadratic()
-    u, argmins = evolve_all_cached(section, L, t, tau_tie)
+    u, argmins = evolve_all(section, model_quadratic(), t, tau_tie)
     D = section.fiber_distances()
     E = section.value_distances()
-    iDm = np.array([D[y, list(a)].min() for y, a in enumerate(argmins)])
+    iDm, _ = _speeds(D, argmins)
     # slack[z, y] = u(z) - u(y) - (E[z,y]/2t) (iDm[y] + D[z, y])
     slack = u[:, None] - u[None, :] - (E / (2.0 * t)) * (iDm[None, :] + D)
     np.fill_diagonal(slack, -np.inf)
@@ -354,33 +333,6 @@ class SuiteReport:
         raise KeyError(key)
 
 
-@dataclass
-class _Tables:
-    times: Array
-    u: Array  # (T, m)
-    argmins: list[list[tuple[int, ...]]]
-    iDm: Array
-    iDp: Array
-
-
-def _build_tables(section: Section, L: Lagrangian, times: Array, tau_tie: float) -> _Tables:
-    D = section.fiber_distances()
-    u_rows, argmin_rows, iDm_rows, iDp_rows = [], [], [], []
-    for t in times:
-        u, argmins = evolve_all_cached(section, L, float(t), tau_tie)
-        u_rows.append(u)
-        argmin_rows.append(argmins)
-        iDm_rows.append([D[y, list(a)].min() for y, a in enumerate(argmins)])
-        iDp_rows.append([D[y, list(a)].max() for y, a in enumerate(argmins)])
-    return _Tables(
-        times=times,
-        u=np.array(u_rows),
-        argmins=argmin_rows,
-        iDm=np.array(iDm_rows),
-        iDp=np.array(iDp_rows),
-    )
-
-
 def proposition_suite(
     section: Section,
     L: Lagrangian,
@@ -409,8 +361,8 @@ def proposition_suite(
     ils = global_ILS(section)
     axioms = check_axioms(L, section, times)
 
-    scen = _build_tables(section, L, times, tau_tie)
-    model = scen if L.is_model_quadratic else _build_tables(section, model_quadratic(), times, tau_tie)
+    scen = evolution_table(section, L, times, tau_tie)
+    model = scen if L.is_model_quadratic else evolution_table(section, model_quadratic(), times, tau_tie)
 
     items: list[SuiteItem] = []
 
@@ -515,7 +467,7 @@ def proposition_suite(
     worst, loc = -math.inf, ""
     for ti in range(times.size):
         for si in range(ti + 1, times.size):
-            gap = model.iDp[ti] - model.iDm[si] - tau_tie
+            gap = model.iD_plus[ti] - model.iD_minus[si] - tau_tie
             w = float(gap.max())
             if w > worst:
                 worst, loc = w, f"y={lab[int(np.argmax(gap))]},t={times[ti]:g},s={times[si]:g}"
@@ -525,7 +477,7 @@ def proposition_suite(
     if not math.isfinite(ils):
         skip("h_speed_bound", "global ILS estimate is infinite")
     else:
-        gap = model.iDp - 2.0 * times[:, None] * ils
+        gap = model.iD_plus - 2.0 * times[:, None] * ils
         record("h_speed_bound", float(gap.max()), argmax_loc(gap))
 
     # (i) global time-Lipschitz bound |u(t) - u(s)| <= K^2 (s - t) / (2 t s)
@@ -544,11 +496,12 @@ def proposition_suite(
 
 @dataclass
 class EvolutionTable:
-    """Values, argmin sets, extremal speeds and HJ residuals over (y, t)."""
+    """Values, argmin masks, extremal speeds and HJ residuals over (t, y);
+    argmins[ti, y, z] holds when z is in the argmin set of (y, times[ti])."""
 
     times: Array
     u: Array  # (T, m)
-    argmins: list[list[tuple[int, ...]]]
+    argmins: Array  # (T, m, m) bool
     iD_minus: Array
     iD_plus: Array
     hj_residual: Array
@@ -563,27 +516,28 @@ def evolution_table(
     times,
     tau_tie: float = DEFAULT_TAU_TIE,
     hj_radius: float | None = None,
-    hj_h: float | None = None,
 ) -> EvolutionTable:
+    """The evolution at every grid time; HJ residuals (NaN otherwise) when a
+    radius is given and L is the model penalty."""
     times = np.asarray(times, dtype=float)
-    tables = _build_tables(section, L, times, tau_tie)
-    m = section.n_base
-    resid = np.full((times.size, m), np.nan)
-    flags = np.zeros((times.size, m), dtype=bool)
+    rows = [evolve_all(section, L, float(t), tau_tie) for t in times]
+    u = np.array([row[0] for row in rows])
+    argmins = np.array([row[1] for row in rows])
+    iD_minus, iD_plus = _speeds(section.fiber_distances(), argmins)
+    resid = np.full(u.shape, np.nan)
+    flags = np.zeros(u.shape, dtype=bool)
     if hj_radius is not None and L.is_model_quadratic:
         for ti, t in enumerate(times):
-            for y in range(m):
-                r = hj_residual(section, y, float(t), radius=hj_radius, h=hj_h, tau_tie=tau_tie)
-                resid[ti, y] = r.residual
-                flags[ti, y] = r.no_neighbors
-    if not (np.all(np.isfinite(tables.u))):
+            resid[ti], _, _, n_neighbors = hj_residuals(section, float(t), hj_radius, tau_tie)
+            flags[ti] = n_neighbors == 0
+    if not (np.all(np.isfinite(u))):
         raise PreconditionError("evolution produced non-finite values; input data must be bounded")
     return EvolutionTable(
         times=times,
-        u=tables.u,
-        argmins=tables.argmins,
-        iD_minus=tables.iDm,
-        iD_plus=tables.iDp,
+        u=u,
+        argmins=argmins,
+        iD_minus=iD_minus,
+        iD_plus=iD_plus,
         hj_residual=resid,
         hj_no_neighbors=flags,
         tau_tie=tau_tie,
@@ -631,8 +585,7 @@ def differentiability_probe(
 ) -> list[dict]:
     """Diagnostic difference quotients of u against the (2K/t)-scaled section
     quotients, following the smooth-case comparison.  No verdict."""
-    L = model_quadratic()
-    u, _ = evolve_all_cached(section, L, float(t), tau_tie)
+    u, _ = evolve_all(section, model_quadratic(), float(t), tau_tie)
     E = section.value_distances()
     K = bound_K(section)
     base_dist = section.space.base_distance_matrix()[:, y]

@@ -103,7 +103,3 @@ def test_exit_codes(tmp_path):
     noparam = tmp_path / "noparam.json"
     noparam.write_text(json.dumps(doc))
     assert main(["variational", str(noparam), "--y", "b1", "--t", "1.0"]) == 6
-
-
-def test_jobs_flag_smoke(two_point_file, tmp_path):
-    assert main(["--out", str(tmp_path / "rep"), "--jobs", "2", "evolve", two_point_file]) == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from fiberflow.errors import PreconditionError
 from fiberflow.geometry import FiberedSpace, PointSet
+from fiberflow.lagrangian import check_axioms, model_quadratic
 from fiberflow.scenario import random_scenario
 from fiberflow.section import (
     Section,
@@ -33,6 +35,49 @@ def brute_force_ils(section) -> float:
                 return math.inf
             best = max(best, E[i, j] / D[i, j])
     return best
+
+
+def brute_force_local_slopes(section, radii):
+    """Independent loops over each ball: (ils, ils_a) with the 0/0-skip and
+    c/0 = inf conventions."""
+    m = section.n_base
+    E = section.value_distances()
+    D = section.fiber_distances()
+    BD = section.space.base_distance_matrix()
+
+    def ratios(pairs):
+        for i, j in pairs:
+            if i == j or (D[i, j] == 0.0 and E[i, j] == 0.0):
+                continue
+            yield math.inf if D[i, j] == 0.0 else E[i, j] / D[i, j]
+
+    ils = np.zeros((len(radii), m))
+    ils_a = np.zeros((len(radii), m))
+    for ri, r in enumerate(radii):
+        for z in range(m):
+            ball = [y for y in range(m) if BD[y, z] <= r]
+            ils[ri, z] = max(ratios((y, z) for y in ball), default=0.0)
+            ils_a[ri, z] = max(ratios((y1, y2) for y1 in ball for y2 in ball), default=0.0)
+    return ils, ils_a
+
+
+def degenerate_section():
+    """f(y0) sits on the fiber of y1; invalid geometry with an infinite ratio."""
+    space = FiberedSpace(
+        kappa=1,
+        base_points=np.array([[0.0], [1.0]]),
+        fibers=(PointSet(np.array([[0.0]])), PointSet(np.array([[0.0], [5.0]]))),
+    )
+    return Section(space=space, values=np.array([[0.0], [5.0]]))
+
+
+def two_line_section(m):
+    """The bundled counterexample's two-line geometry at m base points, with
+    the section on the lower line."""
+    x = np.linspace(0.0, 8.0, m)
+    fibers = tuple(PointSet(np.array([[xi, 8.0], [xi, 3.0 + xi / 2.0]])) for xi in x)
+    space = FiberedSpace(kappa=2, base_points=np.column_stack([x, np.zeros(m)]), fibers=fibers)
+    return Section(space=space, values=np.column_stack([x, 3.0 + x / 2.0]))
 
 
 def test_g_field_values(paper):
@@ -108,14 +153,29 @@ def test_single_point_ils_warns():
 
 
 def test_infinite_flag_on_degenerate_section():
-    # f(y0) sits on the fiber of y1; invalid geometry, but the flag must fire
-    space = FiberedSpace(
-        kappa=1,
-        base_points=np.array([[0.0], [1.0]]),
-        fibers=(PointSet(np.array([[0.0]])), PointSet(np.array([[0.0], [5.0]]))),
-    )
-    sec = Section(space=space, values=np.array([[0.0], [5.0]]))
-    assert global_ILS(sec) == math.inf
+    # invalid geometry, but the flag must fire
+    assert global_ILS(degenerate_section()) == math.inf
+
+
+def test_local_slopes_match_brute_force(paper, two_point, singleton):
+    cases = [
+        (paper.section(), paper.grids.radii),
+        (two_point.section(), [2.0, math.sqrt(2.0), 1.0]),  # sqrt(2) is the base distance
+        (singleton.section(), [1.5, 0.5]),
+        (degenerate_section(), [2.0, 0.5]),
+    ] + [(random_scenario(seed).section(), [4.0, 2.0, 1.0]) for seed in (2, 9, 17)]
+    for sec, radii in cases:
+        report = local_slopes(sec, radii)
+        ils, ils_a = brute_force_local_slopes(sec, radii)
+        assert np.array_equal(report.ils, ils)
+        assert np.array_equal(report.ils_a, ils_a)
+        assert report.ILS == brute_force_ils(sec)
+    # the degenerate pair reaches inf inside the larger ball only
+    degenerate = local_slopes(degenerate_section(), [2.0, 0.5])
+    assert degenerate.ILS == math.inf
+    assert degenerate.ils[0].tolist() == [1.0, math.inf]
+    assert degenerate.ils_a[0].tolist() == [math.inf, math.inf]
+    assert not degenerate.ils[1].any() and not degenerate.ils_a[1].any()
 
 
 def test_local_slopes_isolated_point_convention(two_point):
@@ -178,6 +238,25 @@ def test_asymmetry_symmetric_case_no_violations(singleton):
     # singleton fibers equal to the section values make both forms coincide
     probe = asymmetry_probe(singleton.section())
     assert probe.violations == []
+
+
+def test_triple_scans_memory_is_quadratic():
+    m = 200
+    sec = two_line_section(m)
+    sec.fiber_distances(), sec.value_distances()  # cached before measuring
+    budget = 32 * m * m * 8  # bytes: 32 m x m float arrays, against 64 MB for one m^3 temporary
+    scans = {
+        "asymmetry_probe": lambda: asymmetry_probe(sec),
+        "check_axioms": lambda: check_axioms(model_quadratic(), sec, [0.01, 0.5, 2.0]),
+    }
+    for name, scan in scans.items():
+        tracemalloc.start()
+        try:
+            scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, (name, peak)
 
 
 def test_asymmetry_needs_three_points(two_point):

@@ -5,10 +5,13 @@ import pytest
 
 from fiberflow.errors import PreconditionError
 from fiberflow.geometry import FiberedSpace, PointSet, dist_to_fiber
-from fiberflow.lagrangian import power_lagrangian
+from fiberflow.lagrangian import model_quadratic, power_lagrangian
 from fiberflow.scenario import random_scenario
-from fiberflow.section import Section, g_field
+from fiberflow.section import Section, g_field, global_ILS
 from fiberflow.semigroup import (
+    DEFAULT_TAU_TIE,
+    FD_STEP_SCALE,
+    _neighbor_slopes,
     differentiability_probe,
     discrete_D,
     evolution_table,
@@ -16,6 +19,7 @@ from fiberflow.semigroup import (
     evolve_forward,
     hj_residual,
     hj_residual_lipschitz,
+    hj_residuals,
     proposition_suite,
     quasi_minimizer_trace,
     semicontinuity_probe,
@@ -32,6 +36,47 @@ def naive_scan(section, L, y, t):
         g = max(section.values[z])
         best = min(best, t * float(L(d / t)) + g)
     return best
+
+
+def reference_slopes(u, den, base_dist, radius):
+    """Independent per-node neighbor scan: [(slope, neighbor count)] for every y."""
+    out = []
+    for y in range(len(u)):
+        slope, count = 0.0, 0
+        for p in range(len(u)):
+            if not 0.0 < base_dist[p, y] <= radius:
+                continue
+            count += 1
+            rise = u[y] - u[p]
+            if rise <= 0.0:
+                q = 0.0
+            elif den[p, y] == 0.0:
+                q = math.inf
+            else:
+                q = rise / den[p, y]
+            slope = max(slope, q)
+        out.append((slope, count))
+    return out
+
+
+def reference_hj(section, t, radius, lipschitz=False, tau_tie=DEFAULT_TAU_TIE):
+    """Per-node HJ residuals from per-node evolutions:
+    [(residual, slope, neighbor count, no-neighbor flag)] for every y."""
+    L = model_quadratic()
+    h = FD_STEP_SCALE * t
+    u = [evolve(section, L, y, t, tau_tie).value for y in range(section.n_base)]
+    u_h = [evolve(section, L, y, t + h, tau_tie).value for y in range(section.n_base)]
+    if lipschitz:
+        ils = global_ILS(section)
+        den, prefactor = section.fiber_distances(), 2.0 / (ils * ils)
+    else:
+        den, prefactor = section.value_distances(), 2.0
+    base_dist = section.space.base_distance_matrix()
+    out = []
+    for y, (slope, count) in enumerate(reference_slopes(u, den, base_dist, radius)):
+        fd = (u_h[y] - u[y]) / h
+        out.append((fd + prefactor * slope * slope, slope, count, count == 0))
+    return out
 
 
 def test_two_point_closed_forms(two_point):
@@ -172,6 +217,47 @@ def test_hj_residual_paper_grid(paper):
             assert r.no_neighbors  # radius below the base gap: flagged, slope 0
 
 
+@pytest.mark.parametrize(
+    "name, times, radius",
+    [
+        ("two_point", [1.0, 1.5, 2.0, 4.0], 2.0),
+        ("two_point", [1.5], math.sqrt(2.0)),  # radius equal to the base distance
+        ("paper", [0.02, 0.5, 4.0], 0.25),
+        ("tie", [1.0, 3.0], 15.0),
+        ("random-3", [0.5, 2.0], 2.0),
+        ("random-8", [0.3, 1.7], 4.0),
+        ("random-21", [1.0, 5.0], 2.0),
+    ],
+)
+def test_hj_arrays_match_per_node_reference(request, name, times, radius):
+    if name.startswith("random-"):
+        sec = random_scenario(int(name.split("-")[1])).section()
+    else:
+        sec = request.getfixturevalue(name).section()
+    for lipschitz in (False, True):
+        per_node = hj_residual_lipschitz if lipschitz else hj_residual
+        for t in times:
+            residual, _, slope, n_neighbors = hj_residuals(sec, t, radius, lipschitz=lipschitz)
+            for y, expected in enumerate(reference_hj(sec, t, radius, lipschitz)):
+                assert (residual[y], slope[y], n_neighbors[y], n_neighbors[y] == 0) == expected
+                node = per_node(sec, y, t, radius)
+                assert (node.residual, node.slope, node.n_neighbors, node.no_neighbors) == expected
+    # every case's radius reaches neighbors, so the slopes are not all vacuous
+    assert np.any(n_neighbors > 0)
+
+
+def test_neighbor_slope_zero_denominator_is_inf():
+    u = np.array([0.0, 1.0, 1.0])
+    den = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    base_dist = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    near = (base_dist > 0) & (base_dist <= 1.0)
+    slopes = _neighbor_slopes(u, den, near)
+    # y=1 rises over p=0 with zero denominator; y=2 rises over p=0 by 1 over 2;
+    # y=0 rises over no neighbor, and the 1 - 1 rise between y=1 and y=2 is skipped
+    assert slopes.tolist() == [0.0, math.inf, 0.5]
+    assert [(s, 2) for s in slopes] == reference_slopes(u, den, base_dist, 1.0)
+
+
 def test_hj_lipschitz_matches_plain_on_singleton(singleton):
     sec = singleton.section()
     for y in range(sec.n_base):
@@ -255,7 +341,8 @@ def test_suite_skips_axiom_items_for_bad_lagrangian(paper):
 def test_evolution_table_invariants(two_point):
     sec, L = two_point.section(), two_point.lagrangian()
     table = evolution_table(sec, L, two_point.grids.times, hj_radius=2.0)
-    assert all(len(a) >= 1 for row in table.argmins for a in row)
+    assert table.argmins.shape == (len(two_point.grids.times), sec.n_base, sec.n_base)
+    assert np.all(table.argmins.any(axis=2))  # every argmin set is nonempty
     assert np.all(table.iD_minus <= table.iD_plus + 1e-15)
     assert np.all(np.isfinite(table.u))
     assert np.all(np.isfinite(table.hj_residual))
