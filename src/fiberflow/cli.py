@@ -93,7 +93,7 @@ def cmd_variational(ns) -> int:
     for k, w in enumerate(result.nodes):
         lines.append(f"{k},{fmt(k * ds)},{fmt(w)}")
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"value={fmt(result.value)} best_z={scenario.base_ids[result.best_z]} gap_vs_evolve={fmt(result.gap)}")
+    print(f"value={fmt(result.value)} best_z={scenario.base_ids[result.best_z]} gap_vs_evolve={fmt(result.gap)} converged={result.converged}")
     print(f"wrote {out}")
     return 0
 

@@ -10,7 +10,7 @@ sampling involved).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -199,12 +199,14 @@ def fiber_min_distance(fa: FiberGeometry, fb: FiberGeometry) -> float:
 class FiberedSpace:
     """Finite sample of a fibered space: base points of Y plus one fiber each.
 
-    Immutable after construction; all operations on it are pure.
+    Immutable after construction; the base-distance matrix is computed on
+    first use and cached in the private field.
     """
 
     kappa: int
     base_points: Array
     fibers: tuple[FiberGeometry, ...]
+    _base_dist: Array | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = _as_float_array(self.base_points, "base_points")
@@ -225,8 +227,12 @@ class FiberedSpace:
         return self.base_points.shape[0]
 
     def base_distance_matrix(self) -> Array:
-        diffs = self.base_points[:, None, :] - self.base_points[None, :, :]
-        return np.linalg.norm(diffs, axis=2)
+        """Matrix of Euclidean distances between base points; the cached
+        array is shared, so callers must not write to it."""
+        if self._base_dist is None:
+            diffs = self.base_points[:, None, :] - self.base_points[None, :, :]
+            object.__setattr__(self, "_base_dist", np.linalg.norm(diffs, axis=2))
+        return self._base_dist
 
 
 @dataclass

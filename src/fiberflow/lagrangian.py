@@ -21,6 +21,8 @@ from .section import Section, bound_K, global_ILS, max_row_gaps
 Array = np.ndarray
 
 MODEL_QUADRATIC = "model-quadratic"
+# the penalty names a scenario may carry; see lagrangian_from_spec
+SPEC_NAMES = (MODEL_QUADRATIC, "power", "zero")
 
 
 @dataclass(eq=False)
@@ -205,6 +207,14 @@ def achievable_speeds(section: Section, y: int, t: float) -> Array:
     return np.sort(section.fiber_distances()[y] / t)
 
 
+def conjugate(xi_grid: Array, w: Array, Lw: Array) -> tuple[Array, Array]:
+    """L*(xi) = max over the speeds w of (xi w - L(w)) at every xi of the grid,
+    with the index of the first maximizing speed; Lw holds L(w)."""
+    scores = xi_grid[:, None] * w[None, :] - Lw[None, :]
+    idx = np.argmax(scores, axis=1)
+    return scores[np.arange(xi_grid.size), idx], idx
+
+
 def legendre_transform(
     L: Lagrangian,
     section: Section,
@@ -230,9 +240,7 @@ def legendre_transform(
         if np.any(xi_grid < 0):
             raise PreconditionError("xi grid must be nonnegative")
     Lw = L(w)
-    scores = xi_grid[:, None] * w[None, :] - Lw[None, :]
-    idx = np.argmax(scores, axis=1)  # first max: smallest maximizing w
-    lstar = scores[np.arange(xi_grid.size), idx]
+    lstar, idx = conjugate(xi_grid, w, Lw)  # w is sorted: idx is the smallest maximizing w
     K = bound_K(section)
     claim = xi_grid * (K / t) - float(Lw.min())
     return TransformTable(

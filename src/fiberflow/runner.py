@@ -23,8 +23,7 @@ from .reports import (
 )
 from .scenario import Scenario
 from .section import asymmetry_probe, global_ILS, g_field, local_slopes, validate_section
-from .geometry import validate_space
-from .lagrangian import legendre_transform
+from .lagrangian import legendre_transform, model_quadratic
 from .semigroup import evolution_table, hj_residuals, proposition_suite, slope_estimate_check
 
 HJ_TOLERANCE = 1e-6
@@ -63,7 +62,7 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
     verdicts: list[Verdict] = []
 
     # geometry and section validity
-    space_report = validate_space(scenario.space(), tau_geo=grids.tau_geo)
+    space_report = scenario.space_report()
     verdicts.append(
         Verdict(
             check="geometry",
@@ -79,14 +78,15 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
         _verdict_from_slack("section", worst_res - grids.tau_sec, 0.0, None, note=f"max residual {worst_res:.3e}")
     )
 
+    # the evolution under L and under the model penalty, read by every check below
+    table = evolution_table(section, L, grids.times, tau_tie=grids.tau_tie, hj_radius=grids.hj_radius)
+    model = table
+    if not L.is_model_quadratic:
+        model = evolution_table(section, model_quadratic(), grids.times, tau_tie=grids.tau_tie)
+
     # proposition suite; its penalty-axiom report gives the axiom verdicts
     suite = proposition_suite(
-        section,
-        L,
-        grids.times,
-        tau_tie=grids.tau_tie,
-        xi_resolution=grids.xi_resolution,
-        labels=scenario.base_ids,
+        section, L, table, model, xi_resolution=grids.xi_resolution, labels=scenario.base_ids
     )
     axioms = suite.axiom_report
     verdicts.append(
@@ -146,17 +146,10 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
             )
         )
 
-    # evolution table and its invariants
-    table = evolution_table(
-        section,
-        L,
-        grids.times,
-        tau_tie=grids.tau_tie,
-        hj_radius=grids.hj_radius,
-    )
+    # invariants of the evolution table
     g = g_field(section)
     L0 = float(L(0.0))
-    upper = table.u - (g[None, :] + np.asarray(grids.times)[:, None] * L0)
+    upper = table.u - (g[None, :] + table.times[:, None] * L0)
     order = table.iD_minus - table.iD_plus
     inv_slack = max(float(upper.max()), float(order.max()))
     verdicts.append(
@@ -184,8 +177,8 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
     worst_314 = -math.inf
     loc_314 = None
     n_viol = 0
-    for t in grids.times:
-        rep = slope_estimate_check(section, float(t), tau_tie=grids.tau_tie)
+    for ti, t in enumerate(model.times):
+        rep = slope_estimate_check(section, model, ti)
         n_viol += len(rep.violations)
         if rep.worst_slack > worst_314:
             worst_314 = rep.worst_slack
@@ -202,27 +195,28 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
     hj_times = grids.effective_hj_times()
     radius = grids.hj_radius if grids.hj_radius is not None else max(grids.radii)
 
-    def worst_residual(lipschitz: bool) -> tuple[float, str | None, int]:
-        worst, loc, no_neighbors = -math.inf, None, 0
-        for t in hj_times:
-            residual, _, _, n_neighbors = hj_residuals(section, float(t), radius, grids.tau_tie, lipschitz)
-            residual = residual[hj_ids]
-            no_neighbors += int(np.count_nonzero(n_neighbors[hj_ids] == 0))
-            k = int(np.argmax(residual))
-            if residual[k] > worst:
-                worst, loc = float(residual[k]), f"y={scenario.base_ids[hj_ids[k]]},t={t:g}"
-        return worst, loc, no_neighbors
+    def worse(worst: tuple[float, str | None], residual, t: float) -> tuple[float, str | None]:
+        residual = residual[hj_ids]
+        k = int(np.argmax(residual))
+        if residual[k] > worst[0]:
+            return float(residual[k]), f"y={scenario.base_ids[hj_ids[k]]},t={t:g}"
+        return worst
 
-    worst_hj, loc_hj, flagged = worst_residual(lipschitz=False)
+    plain, lipschitz, flagged = (-math.inf, None), (-math.inf, None), 0
+    for t in hj_times:
+        hj, hj_lipschitz = hj_residuals(section, float(t), radius, grids.tau_tie)
+        flagged += int(np.count_nonzero(hj.n_neighbors[hj_ids] == 0))
+        plain = worse(plain, hj.residual, t)
+        if hj_lipschitz is not None:
+            lipschitz = worse(lipschitz, hj_lipschitz.residual, t)
     verdicts.append(
         _verdict_from_slack(
-            "hj_residual_grid", worst_hj, HJ_TOLERANCE, loc_hj, note=f"{flagged} nodes had no neighbors in radius"
+            "hj_residual_grid", plain[0], HJ_TOLERANCE, plain[1], note=f"{flagged} nodes had no neighbors in radius"
         )
     )
     ils = global_ILS(section)
     if math.isfinite(ils) and ils > 0:
-        worst_hl, loc_hl, _ = worst_residual(lipschitz=True)
-        verdicts.append(_verdict_from_slack("hj_residual_lipschitz_grid", worst_hl, HJ_TOLERANCE, loc_hl))
+        verdicts.append(_verdict_from_slack("hj_residual_lipschitz_grid", lipschitz[0], HJ_TOLERANCE, lipschitz[1]))
     else:
         verdicts.append(
             Verdict("hj_residual_lipschitz_grid", "SKIPPED", None, None, note="ILS estimate not finite")

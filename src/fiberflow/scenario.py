@@ -12,19 +12,21 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ScenarioFormatError, ScenarioValidationError
-from .geometry import FiberGeometry, FiberedSpace, PointSet, SegmentUnion, validate_space
-from .lagrangian import Lagrangian, lagrangian_from_spec
+from .geometry import FiberGeometry, FiberedSpace, PointSet, SegmentUnion, SpaceReport, validate_space
+from .lagrangian import MODEL_QUADRATIC, SPEC_NAMES, Lagrangian, lagrangian_from_spec
 from .section import Section, validate_section
 
 Array = np.ndarray
 
 SCHEMA_VERSION = 1
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass
@@ -60,6 +62,7 @@ class Scenario:
     reference_triple: dict | None = None
     _space: FiberedSpace | None = field(default=None, repr=False, compare=False)
     _section: Section | None = field(default=None, repr=False, compare=False)
+    _space_report: SpaceReport | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_base(self) -> int:
@@ -81,6 +84,12 @@ class Scenario:
             self._section = Section(space=self.space(), values=self.section_values)
         return self._section
 
+    def space_report(self) -> SpaceReport:
+        """Foliation checks of the space at the scenario's `tau_geo`, run once."""
+        if self._space_report is None:
+            self._space_report = validate_space(self.space(), tau_geo=self.grids.tau_geo)
+        return self._space_report
+
     def lagrangian(self) -> Lagrangian:
         D = self.section().fiber_distances()
         w_max = float(D.max()) / min(self.grids.times) if self.grids.times else 10.0
@@ -93,9 +102,18 @@ def _expect(cond: bool, message: str):
         raise ScenarioFormatError(message)
 
 
+def _is_number(v) -> bool:
+    """A JSON number that is a finite float; booleans are not numbers here."""
+    return type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX
+
+
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 1
+
+
 def _as_point(value, kappa: int, where: str) -> list[float]:
     _expect(isinstance(value, list) and len(value) == kappa, f"{where}: expected a list of {kappa} numbers")
-    _expect(all(isinstance(v, (int, float)) and math.isfinite(v) for v in value), f"{where}: coordinates must be finite numbers")
+    _expect(all(_is_number(v) for v in value), f"{where}: coordinates must be finite numbers")
     return [float(v) for v in value]
 
 
@@ -121,7 +139,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     meta = doc.get("meta", {})
     _expect(isinstance(meta, dict), "meta: expected an object")
     kappa = doc.get("kappa")
-    _expect(isinstance(kappa, int) and kappa >= 1, "kappa: expected a positive integer")
+    _expect(_is_count(kappa), "kappa: expected a positive integer")
 
     base = doc.get("base")
     _expect(isinstance(base, list) and base, "base: expected a nonempty list")
@@ -137,7 +155,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         points.append(_as_point(rec.get("point"), kappa, f"base[{i}].point"))
         p = rec.get("param")
         if p is not None:
-            _expect(isinstance(p, (int, float)) and math.isfinite(p), f"base[{i}].param: expected a finite number")
+            _expect(_is_number(p), f"base[{i}].param: expected a finite number")
         params.append(None if p is None else float(p))
 
     fibers_raw = doc.get("fibers")
@@ -158,34 +176,48 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _expect(bid in section_raw, f"section: missing value for base id {bid!r}")
         values.append(_as_point(section_raw[bid], kappa, f"section[{bid!r}]"))
 
-    lag = doc.get("lagrangian", {"name": "model-quadratic", "params": {}})
-    _expect(isinstance(lag, dict) and isinstance(lag.get("name"), str), "lagrangian: expected {name, params}")
+    lag = doc.get("lagrangian", {"name": MODEL_QUADRATIC, "params": {}})
+    _expect(isinstance(lag, dict), "lagrangian: expected {name, params}")
+    _expect(lag.get("name") in SPEC_NAMES, f"lagrangian.name: expected one of {', '.join(SPEC_NAMES)}")
+    lag_params = lag.get("params", {}) or {}
+    _expect(isinstance(lag_params, dict), "lagrangian.params: expected an object")
+    if lag["name"] == "power":
+        for key in ("exponent", "scale"):
+            _expect(_is_number(lag_params.get(key, 1.0)), f"lagrangian.params.{key}: expected a finite number")
+        _expect(lag_params.get("exponent", 2.0) >= 1, "lagrangian.params.exponent: expected a number >= 1")
 
     grids_raw = doc.get("grids")
     _expect(isinstance(grids_raw, dict), "grids: expected an object")
     times = grids_raw.get("times")
     _expect(isinstance(times, list) and len(times) > 0, "grids.times: expected a nonempty list")
-    _expect(all(isinstance(t, (int, float)) and t > 0 for t in times), "grids.times: times must be positive numbers")
+    _expect(all(_is_number(t) and t > 0 for t in times), "grids.times: times must be positive finite numbers")
     radii = grids_raw.get("radii", [1.0])
     _expect(isinstance(radii, list) and radii, "grids.radii: expected a nonempty list")
-    _expect(all(isinstance(r, (int, float)) and r > 0 for r in radii), "grids.radii: radii must be positive")
+    _expect(all(_is_number(r) and r > 0 for r in radii), "grids.radii: radii must be positive finite numbers")
     _expect(all(radii[i] > radii[i + 1] for i in range(len(radii) - 1)), "grids.radii: must be strictly decreasing")
     tol = grids_raw.get("tolerances", {})
     _expect(isinstance(tol, dict), "grids.tolerances: expected an object")
     hj_times = grids_raw.get("hj_times")
     if hj_times is not None:
-        _expect(isinstance(hj_times, list) and all(isinstance(t, (int, float)) and t > 0 for t in hj_times), "grids.hj_times: expected positive numbers")
+        _expect(isinstance(hj_times, list) and all(_is_number(t) and t > 0 for t in hj_times), "grids.hj_times: expected positive finite numbers")
         hj_times = [float(t) for t in hj_times]
     hj_radius = grids_raw.get("hj_radius")
     if hj_radius is not None:
-        _expect(isinstance(hj_radius, (int, float)) and hj_radius > 0, "grids.hj_radius: expected a positive number")
+        _expect(_is_number(hj_radius) and hj_radius > 0, "grids.hj_radius: expected a positive finite number")
+    xi_resolution = grids_raw.get("xi_resolution", 101)
+    _expect(_is_count(xi_resolution), "grids.xi_resolution: expected an integer >= 1")
+    hj_base_stride = grids_raw.get("hj_base_stride", 1)
+    _expect(_is_count(hj_base_stride), "grids.hj_base_stride: expected an integer >= 1")
+    for key in ("tau_geo", "tau_sec", "tau_tie"):
+        value = tol.get(key, 1e-9)
+        _expect(_is_number(value) and value >= 0, f"grids.tolerances.{key}: expected a finite number >= 0")
     grids = GridSpec(
         times=[float(t) for t in times],
-        xi_resolution=int(grids_raw.get("xi_resolution", 101)),
+        xi_resolution=xi_resolution,
         radii=[float(r) for r in radii],
         hj_radius=None if hj_radius is None else float(hj_radius),
         hj_times=hj_times,
-        hj_base_stride=int(grids_raw.get("hj_base_stride", 1)),
+        hj_base_stride=hj_base_stride,
         tau_geo=float(tol.get("tau_geo", 1e-9)),
         tau_sec=float(tol.get("tau_sec", 1e-9)),
         tau_tie=float(tol.get("tau_tie", 1e-9)),
@@ -207,7 +239,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         params=np.array(params, dtype=float) if has_params else None,
         fibers=tuple(fibers),
         section_values=np.array(values, dtype=float),
-        lagrangian_spec={"name": lag["name"], "params": lag.get("params", {}) or {}},
+        lagrangian_spec={"name": lag["name"], "params": lag_params},
         grids=grids,
         reference_triple=dict(ref) if ref is not None else None,
     )
@@ -215,7 +247,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 def validate_scenario(scenario: Scenario) -> None:
     """Geometry and section validation; raises with offending base ids."""
-    space_report = validate_space(scenario.space(), tau_geo=scenario.grids.tau_geo)
+    space_report = scenario.space_report()
     if not space_report.ok:
         parts = []
         if not space_report.bounded:

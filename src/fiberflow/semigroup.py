@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError
-from .lagrangian import AxiomReport, Lagrangian, check_axioms, legendre_transform, model_quadratic
+from .lagrangian import MODEL_QUADRATIC, AxiomReport, Lagrangian, check_axioms, conjugate, model_quadratic
 from .section import Section, bound_K, g_field, global_ILS
 
 Array = np.ndarray
@@ -163,28 +163,30 @@ def _neighbor_slopes(u: Array, den: Array, near: Array) -> Array:
     return np.where(near, quotient, 0.0).max(axis=0)
 
 
+class HJArrays(NamedTuple):
+    """One form of the Hamilton-Jacobi residuals at one time, as arrays over y."""
+
+    residual: Array
+    forward_difference: Array
+    slope: Array
+    n_neighbors: Array
+
+
 def hj_residuals(
     section: Section,
     t: float,
     radius: float,
     tau_tie: float = DEFAULT_TAU_TIE,
-    lipschitz: bool = False,
-) -> tuple[Array, Array, Array, Array]:
+) -> tuple[HJArrays, HJArrays | None]:
     """Hamilton-Jacobi residuals of the model evolution at every base point at
-    time t, as arrays over y: (residual, forward difference, neighbor slope,
-    neighbor count).  Neighbors are the base points at distance in (0, radius].
+    time t, in the plain and the Lipschitz form.  Neighbors are the base
+    points at distance in (0, radius].
 
     The plain form divides by the distance between section values and uses the
     prefactor 2; the Lipschitz form divides by the section-to-fiber distance
-    and uses 2 / ILS^2, and needs a finite nonzero global ILS estimate.
+    and uses 2 / ILS^2, and is None unless the global ILS estimate is finite
+    and nonzero.
     """
-    if lipschitz:
-        ils = global_ILS(section)
-        if not math.isfinite(ils) or ils == 0.0:
-            raise PreconditionError("hj_residual_lipschitz needs a finite nonzero ILS estimate")
-        den, prefactor = section.fiber_distances(), 2.0 / (ils * ils)
-    else:
-        den, prefactor = section.value_distances(), 2.0
     h = FD_STEP_SCALE * t
     if not (0 < h < t):
         raise PreconditionError("need 0 < h < t for the forward difference")
@@ -194,13 +196,21 @@ def hj_residuals(
     fd = (u_h - u) / h
     base_dist = section.space.base_distance_matrix()
     near = (base_dist > 0) & (base_dist <= radius)
-    slope = _neighbor_slopes(u, den, near)
-    return fd + prefactor * slope * slope, fd, slope, near.sum(axis=0)
+    n_neighbors = near.sum(axis=0)
+
+    def form(den: Array, prefactor: float) -> HJArrays:
+        slope = _neighbor_slopes(u, den, near)
+        return HJArrays(fd + prefactor * slope * slope, fd, slope, n_neighbors)
+
+    ils = global_ILS(section)
+    lipschitz = None
+    if math.isfinite(ils) and ils != 0.0:
+        lipschitz = form(section.fiber_distances(), 2.0 / (ils * ils))
+    return form(section.value_distances(), 2.0), lipschitz
 
 
-def _node(residuals: tuple[Array, Array, Array, Array], y: int) -> HJResidual:
-    residual, fd, slope, n_neighbors = residuals
-    return HJResidual(float(residual[y]), float(fd[y]), float(slope[y]), int(n_neighbors[y]))
+def _node(hj: HJArrays, y: int) -> HJResidual:
+    return HJResidual(float(hj.residual[y]), float(hj.forward_difference[y]), float(hj.slope[y]), int(hj.n_neighbors[y]))
 
 
 def hj_residual(
@@ -212,7 +222,7 @@ def hj_residual(
 ) -> HJResidual:
     """Residual of  d+/dt u(y,t) + 2 * (sup nearby slope)^2 <= 0  where the
     slope quotient divides by the distance between section values."""
-    return _node(hj_residuals(section, t, radius, tau_tie), y)
+    return _node(hj_residuals(section, t, radius, tau_tie)[0], y)
 
 
 def hj_residual_lipschitz(
@@ -224,9 +234,12 @@ def hj_residual_lipschitz(
 ) -> HJResidual:
     """Variant with fiber-distance denominators and the 2 / ILS^2 prefactor.
 
-    Requires a finite global intrinsic Lipschitz estimate; refused otherwise.
+    Requires a finite nonzero global intrinsic Lipschitz estimate; refused otherwise.
     """
-    return _node(hj_residuals(section, t, radius, tau_tie, lipschitz=True), y)
+    lipschitz = hj_residuals(section, t, radius, tau_tie)[1]
+    if lipschitz is None:
+        raise PreconditionError("hj_residual_lipschitz needs a finite nonzero ILS estimate")
+    return _node(lipschitz, y)
 
 
 @dataclass
@@ -240,16 +253,13 @@ class Eq314Report:
     violations: list[tuple[int, int, float]]
 
 
-def slope_estimate_check(
-    section: Section,
-    t: float,
-    tau_tie: float = DEFAULT_TAU_TIE,
-    tol: float = 1e-9,
-) -> Eq314Report:
-    u, argmins = evolve_all(section, model_quadratic(), t, tau_tie)
+def slope_estimate_check(section: Section, table: EvolutionTable, ti: int, tol: float = 1e-9) -> Eq314Report:
+    """The pair scan at the grid time table.times[ti] of the model evolution."""
+    if table.penalty != MODEL_QUADRATIC:
+        raise PreconditionError("the slope estimate is defined for the quadratic model penalty only")
+    t, u, iDm = table.times[ti], table.u[ti], table.iD_minus[ti]
     D = section.fiber_distances()
     E = section.value_distances()
-    iDm, _ = _speeds(D, argmins)
     # slack[z, y] = u(z) - u(y) - (E[z,y]/2t) (iDm[y] + D[z, y])
     slack = u[:, None] - u[None, :] - (E / (2.0 * t)) * (iDm[None, :] + D)
     np.fill_diagonal(slack, -np.inf)
@@ -336,23 +346,29 @@ class SuiteReport:
 def proposition_suite(
     section: Section,
     L: Lagrangian,
-    times,
-    tau_tie: float = DEFAULT_TAU_TIE,
+    table: EvolutionTable,
+    model: EvolutionTable | None = None,
     tol: float = 1e-9,
     xi_resolution: int = 101,
     quasi_levels: int = 20,
     labels: list[str] | None = None,
 ) -> SuiteReport:
-    """Run the full battery of evolution properties and report per-item verdicts.
+    """Run the full battery of evolution properties over `table`, the
+    evolution under `L`, and report per-item verdicts in sorted time order.
 
     Items whose hypotheses fail (penalty axioms, finite ILS) are SKIPPED, not
-    failed.  Items tied to the quadratic-penalty theory (quasi-minimizers,
-    D+- monotonicity and bounds, the time-Lipschitz estimate) always evaluate
-    the model evolution, whatever `L` is.
+    failed.  Items tied to the quadratic-penalty theory always evaluate the
+    model evolution, whatever `L` is: the quasi-minimizer traces compute it,
+    and D+- monotonicity and bounds and the time-Lipschitz estimate read
+    `model`, the model penalty's table on the same times.  `model` defaults
+    to `table`, which must then be the model's.
     """
-    times = np.sort(np.asarray(times, dtype=float))
-    if times.size == 0 or np.any(times <= 0):
-        raise PreconditionError("times must be nonempty and positive")
+    model = table if model is None else model
+    if model.penalty != MODEL_QUADRATIC or not np.array_equal(model.times, table.times):
+        raise PreconditionError("the suite needs the model penalty's evolution on the same times")
+    order = np.argsort(table.times, kind="stable")
+    times, u = table.times[order], table.u[order]
+    tau_tie = table.tau_tie
     lab = labels if labels is not None else [str(i) for i in range(section.n_base)]
 
     g = g_field(section)
@@ -360,9 +376,6 @@ def proposition_suite(
     K = bound_K(section)
     ils = global_ILS(section)
     axioms = check_axioms(L, section, times)
-
-    scen = evolution_table(section, L, times, tau_tie)
-    model = scen if L.is_model_quadratic else evolution_table(section, model_quadratic(), times, tau_tie)
 
     items: list[SuiteItem] = []
 
@@ -376,9 +389,18 @@ def proposition_suite(
     def skip(key: str, why: str):
         items.append(SuiteItem(key=key, status="SKIPPED", worst_slack=None, location=None, note=why))
 
-    def argmax_loc(arr: Array) -> str:
-        ti, yi = np.unravel_index(int(np.argmax(arr)), arr.shape)
-        return f"y={lab[yi]},t={times[ti]:g}"
+    def worst_case(cases) -> tuple[float, str]:
+        """Largest entry over the (gap, axis names, suffix) cases and its
+        location; the first case and the first index attaining it win."""
+        worst, loc = -math.inf, ""
+        for gap, axes, suffix in cases:
+            w = float(gap.max())
+            if w > worst:
+                idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
+                worst, loc = w, ",".join([f"{a}={lab[i]}" for a, i in zip(axes, idx)] + [suffix])
+        return worst, loc
+
+    pairs = [(i, j) for i in range(times.size) for j in range(i + 1, times.size)]
 
     # (a) pointwise bounds: min of all coordinates <= u <= g + t L(0)
     L0 = float(L(0.0))
@@ -387,10 +409,10 @@ def proposition_suite(
         skip("a_bounds", "penalty takes negative values; the lower bound does not apply")
     else:
         lower = float(section.values.min())
-        slack_low = lower - scen.u
-        slack_high = scen.u - (g[None, :] + times[:, None] * L0)
+        slack_low = lower - u
+        slack_high = u - (g[None, :] + times[:, None] * L0)
         both = np.maximum(slack_low, slack_high)
-        record("a_bounds", float(both.max()), argmax_loc(both))
+        record("a_bounds", *worst_case((row, "y", f"t={t:g}") for t, row in zip(times, both)))
 
     # (b) quasi-minimizing sequences collapse onto the fiber of y as t -> 0
     worst_final = -math.inf
@@ -409,87 +431,56 @@ def proposition_suite(
         note=f"final argmin fiber distance {worst_final:.3e}",
     )
 
-    # (c) spatial estimate |u(x,t) - u(y,t)| <= 2 K sqrt(L(d(f(x),f(y))/t))
-    if not axioms.passed:
-        skip("c_spatial_estimate", "penalty axioms failed on this scenario")
-    else:
-        worst, loc = -math.inf, ""
-        for ti, t in enumerate(times):
-            rhs = 2.0 * K * np.sqrt(np.maximum(L(E / t), 0.0))
-            gap = np.abs(scen.u[ti][:, None] - scen.u[ti][None, :]) - rhs
-            w = float(gap.max())
-            if w > worst:
-                xi, yi = np.unravel_index(int(np.argmax(gap)), gap.shape)
-                worst, loc = w, f"x={lab[xi]},y={lab[yi]},t={t:g}"
-        record("c_spatial_estimate", worst, loc)
+    def spatial_rhs(t: float) -> Array:
+        return 2.0 * K * np.sqrt(np.maximum(L(E / t), 0.0))
 
+    # (c) spatial estimate |u(x,t) - u(y,t)| <= 2 K sqrt(L(d(f(x),f(y))/t))
     # (d) cross-time estimate u(y,t) <= 2 K sqrt(L(d/t)) + u(x,s) for s < t
     if not axioms.passed:
+        skip("c_spatial_estimate", "penalty axioms failed on this scenario")
         skip("d_cross_time_estimate", "penalty axioms failed on this scenario")
     else:
-        worst, loc = -math.inf, ""
-        for si in range(times.size):
-            for ti in range(si + 1, times.size):
-                t = times[ti]
-                rhs = 2.0 * K * np.sqrt(np.maximum(L(E / t), 0.0))
-                gap = scen.u[ti][None, :] - (rhs + scen.u[si][:, None])
-                w = float(gap.max())
-                if w > worst:
-                    xi, yi = np.unravel_index(int(np.argmax(gap)), gap.shape)
-                    worst, loc = w, f"x={lab[xi]},y={lab[yi]},s={times[si]:g},t={t:g}"
-        record("d_cross_time_estimate", worst, loc)
+        gaps = ((np.abs(ut[:, None] - ut[None, :]) - spatial_rhs(t), "xy", f"t={t:g}") for t, ut in zip(times, u))
+        record("c_spatial_estimate", *worst_case(gaps))
+        gaps = (
+            (u[ti][None, :] - (spatial_rhs(times[ti]) + u[si][:, None]), "xy", f"s={times[si]:g},t={times[ti]:g}")
+            for si, ti in pairs
+        )
+        record("d_cross_time_estimate", *worst_case(gaps))
 
     # (e) boundary behavior |u - g| <= C t with C = max(|L(0)|, max |H|)
     if not math.isfinite(ils):
         skip("e_boundary_rate", "global ILS estimate is infinite")
     else:
-        worst, loc = -math.inf, ""
-        for ti, t in enumerate(times):
-            for y in range(section.n_base):
-                table = legendre_transform(L, section, y, float(t), xi_resolution=xi_resolution)
-                C = max(abs(L0), float(np.abs(table.lstar).max()))
-                gap = abs(scen.u[ti, y] - g[y]) - C * t
-                if gap > worst:
-                    worst, loc = float(gap), f"y={lab[y]},t={t:g}"
-        record("e_boundary_rate", worst, loc)
+        xi_grid = np.linspace(0.0, ils, xi_resolution)
+        D = section.fiber_distances()
+        gaps = []
+        for t, ut in zip(times, u):
+            C = [max(abs(L0), float(np.abs(conjugate(xi_grid, w, L(w))[0]).max())) for w in D / t]
+            gaps.append((np.abs(ut - g) - np.array(C) * t, "y", f"t={t:g}"))
+        record("e_boundary_rate", *worst_case(gaps))
 
     # (f) u(y, .) nonincreasing in t
-    worst, loc = -math.inf, ""
-    for si in range(times.size):
-        for ti in range(si + 1, times.size):
-            gap = scen.u[ti] - scen.u[si]
-            w = float(gap.max())
-            if w > worst:
-                worst, loc = w, f"y={lab[int(np.argmax(gap))]},s={times[si]:g},t={times[ti]:g}"
-    record("f_time_monotone", worst, loc)
+    gaps = ((u[ti] - u[si], "y", f"s={times[si]:g},t={times[ti]:g}") for si, ti in pairs)
+    record("f_time_monotone", *worst_case(gaps))
 
     # (g) D+(y,t) <= D-(y,s) for t < s (quadratic model)
-    worst, loc = -math.inf, ""
-    for ti in range(times.size):
-        for si in range(ti + 1, times.size):
-            gap = model.iD_plus[ti] - model.iD_minus[si] - tau_tie
-            w = float(gap.max())
-            if w > worst:
-                worst, loc = w, f"y={lab[int(np.argmax(gap))]},t={times[ti]:g},s={times[si]:g}"
-    record("g_speed_monotone", worst, loc)
+    iD_minus, iD_plus, model_u = model.iD_minus[order], model.iD_plus[order], model.u[order]
+    gaps = ((iD_plus[ti] - iD_minus[si] - tau_tie, "y", f"t={times[ti]:g},s={times[si]:g}") for ti, si in pairs)
+    record("g_speed_monotone", *worst_case(gaps))
 
     # (h) 2 t ILS >= D+(y,t) for intrinsically Lipschitz sections
     if not math.isfinite(ils):
         skip("h_speed_bound", "global ILS estimate is infinite")
     else:
-        gap = model.iD_plus - 2.0 * times[:, None] * ils
-        record("h_speed_bound", float(gap.max()), argmax_loc(gap))
+        record("h_speed_bound", *worst_case((dp - 2.0 * t * ils, "y", f"t={t:g}") for t, dp in zip(times, iD_plus)))
 
     # (i) global time-Lipschitz bound |u(t) - u(s)| <= K^2 (s - t) / (2 t s)
-    worst, loc = -math.inf, ""
-    for ti in range(times.size):
-        for si in range(ti + 1, times.size):
-            t, s = times[ti], times[si]
-            gap = np.abs(model.u[ti] - model.u[si]) - K * K * (s - t) / (2.0 * t * s)
-            w = float(gap.max())
-            if w > worst:
-                worst, loc = w, f"y={lab[int(np.argmax(gap))]},t={t:g},s={s:g}"
-    record("i_time_lipschitz", worst, loc)
+    gaps = []
+    for ti, si in pairs:
+        t, s = times[ti], times[si]
+        gaps.append((np.abs(model_u[ti] - model_u[si]) - K * K * (s - t) / (2.0 * t * s), "y", f"t={t:g},s={s:g}"))
+    record("i_time_lipschitz", *worst_case(gaps))
 
     return SuiteReport(items=items, axiom_report=axioms)
 
@@ -507,7 +498,7 @@ class EvolutionTable:
     hj_residual: Array
     hj_no_neighbors: np.ndarray
     tau_tie: float
-    hj_radius: float | None
+    penalty: str  # the name of the evolving penalty
 
 
 def evolution_table(
@@ -528,8 +519,8 @@ def evolution_table(
     flags = np.zeros(u.shape, dtype=bool)
     if hj_radius is not None and L.is_model_quadratic:
         for ti, t in enumerate(times):
-            resid[ti], _, _, n_neighbors = hj_residuals(section, float(t), hj_radius, tau_tie)
-            flags[ti] = n_neighbors == 0
+            plain, _ = hj_residuals(section, float(t), hj_radius, tau_tie)
+            resid[ti], flags[ti] = plain.residual, plain.n_neighbors == 0
     if not (np.all(np.isfinite(u))):
         raise PreconditionError("evolution produced non-finite values; input data must be bounded")
     return EvolutionTable(
@@ -541,7 +532,7 @@ def evolution_table(
         hj_residual=resid,
         hj_no_neighbors=flags,
         tau_tie=tau_tie,
-        hj_radius=hj_radius,
+        penalty=L.name,
     )
 
 

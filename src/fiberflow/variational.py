@@ -147,6 +147,7 @@ class VariationalResult:
     evolve_value: float
     gap: float
     max_linearity_deviation: float
+    converged: bool  # every candidate's descent stopped before max_sweeps
 
 
 def solve_variational(
@@ -173,9 +174,11 @@ def solve_variational(
     if params.shape != (section.n_base,):
         raise PreconditionError("need exactly one scalar parameter per base point")
     best: tuple[float, int, Array] | None = None
+    converged = True
     for z in range(section.n_base):
         problem = make_curve_problem(section, params, y, t, m, z)
-        nodes, _ = minimize_interior(problem, L, tol=tol, max_sweeps=max_sweeps)
+        nodes, sweeps = minimize_interior(problem, L, tol=tol, max_sweeps=max_sweeps)
+        converged = converged and sweeps < max_sweeps
         problem.nodes = nodes
         val = action(problem, L, section, params)
         if best is None or val < best[0]:
@@ -192,4 +195,5 @@ def solve_variational(
         evolve_value=ev,
         gap=value - ev,
         max_linearity_deviation=float(np.abs(nodes - linear).max()),
+        converged=converged,
     )

@@ -11,11 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from fiberflow.lagrangian import biconjugate, legendre_transform
+from fiberflow.lagrangian import biconjugate, legendre_transform, model_quadratic
 from fiberflow.runner import run_check
 from fiberflow.scenario import paper_counterexample, random_scenario, two_point_scenario
 from fiberflow.section import asymmetry_probe
 from fiberflow.semigroup import (
+    evolution_table,
     hj_residual,
     hj_residual_lipschitz,
     proposition_suite,
@@ -87,12 +88,9 @@ def test_criterion_2_variational_equivalence(paper, two_point):
 def test_criterion_3_proposition_suite_green(paper, two_point):
     scenarios = [paper, two_point] + [random_scenario(seed) for seed in range(50)]
     for scenario in scenarios:
-        suite = proposition_suite(
-            scenario.section(),
-            scenario.lagrangian(),
-            scenario.grids.times,
-            xi_resolution=scenario.grids.xi_resolution,
-        )
+        sec, L = scenario.section(), scenario.lagrangian()
+        table = evolution_table(sec, L, scenario.grids.times)
+        suite = proposition_suite(sec, L, table, xi_resolution=scenario.grids.xi_resolution)
         for item in suite.items:
             assert item.status == "PASS", (scenario.name, item)
     _report(3, "proposition suite on shipped + 50 random scenarios")
@@ -161,8 +159,9 @@ def test_criterion_6_legendre_properties(paper, two_point):
 def test_criterion_7_pair_scan(paper, two_point):
     for scenario in (paper, two_point):
         sec = scenario.section()
-        for t in scenario.grids.times:
-            rep = slope_estimate_check(sec, t, tau_tie=scenario.grids.tau_tie)
+        table = evolution_table(sec, model_quadratic(), scenario.grids.times, tau_tie=scenario.grids.tau_tie)
+        for ti, t in enumerate(table.times):
+            rep = slope_estimate_check(sec, table, ti)
             assert rep.violations == [], (scenario.name, t, rep.violations[:3])
     _report(7, "pair scan of the slope estimate")
 

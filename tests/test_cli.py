@@ -54,6 +54,7 @@ def test_variational_command(two_point_file, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "value=0.5" in printed
     assert "best_z=b0" in printed
+    assert "converged=True" in printed
 
 
 def test_check_singleton_all_pass(tmp_path, capsys):
@@ -103,3 +104,38 @@ def test_exit_codes(tmp_path):
     noparam = tmp_path / "noparam.json"
     noparam.write_text(json.dumps(doc))
     assert main(["variational", str(noparam), "--y", "b1", "--t", "1.0"]) == 6
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        pytest.param(("grids", "xi_resolution"), "x", "grids.xi_resolution", id="xi_resolution-string"),
+        pytest.param(("grids", "hj_base_stride"), "x", "grids.hj_base_stride", id="hj_base_stride-string"),
+        pytest.param(("grids", "tolerances", "tau_tie"), "x", "grids.tolerances.tau_tie", id="tau_tie-string"),
+        pytest.param(("grids", "xi_resolution"), 0, "grids.xi_resolution", id="xi_resolution-zero"),
+        pytest.param(("grids", "tolerances", "tau_tie"), -1, "grids.tolerances.tau_tie", id="tau_tie-negative"),
+        pytest.param(
+            ("lagrangian",), {"name": "power", "params": {"exponent": "x"}}, "lagrangian.params.exponent",
+            id="exponent-string",
+        ),
+        pytest.param(("lagrangian", "params"), [1], "lagrangian.params", id="params-list"),
+        pytest.param(("lagrangian", "name"), "cubic", "lagrangian.name", id="unknown-lagrangian"),
+        pytest.param(
+            ("lagrangian",), {"name": "power", "params": {"exponent": 0.5}}, "lagrangian.params.exponent",
+            id="exponent-below-one",
+        ),
+        pytest.param(("grids", "times"), [True, 2.0], "grids.times", id="times-boolean"),
+        pytest.param(("base", 0, "point"), [True, 0.0], "base[0].point", id="point-boolean"),
+    ],
+)
+def test_bad_scenario_field_is_a_format_error(tmp_path, capsys, path, value, field):
+    doc = scenario_to_dict(two_point_scenario())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    scenario_file = tmp_path / "bad.json"
+    scenario_file.write_text(json.dumps(doc))
+    for command in ("validate", "check"):
+        assert main(["--out", str(tmp_path / "rep"), command, str(scenario_file)]) == 4, command
+        assert f"error: {field}:" in capsys.readouterr().err, command

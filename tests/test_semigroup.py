@@ -237,7 +237,7 @@ def test_hj_arrays_match_per_node_reference(request, name, times, radius):
     for lipschitz in (False, True):
         per_node = hj_residual_lipschitz if lipschitz else hj_residual
         for t in times:
-            residual, _, slope, n_neighbors = hj_residuals(sec, t, radius, lipschitz=lipschitz)
+            residual, _, slope, n_neighbors = hj_residuals(sec, t, radius)[int(lipschitz)]
             for y, expected in enumerate(reference_hj(sec, t, radius, lipschitz)):
                 assert (residual[y], slope[y], n_neighbors[y], n_neighbors[y] == 0) == expected
                 node = per_node(sec, y, t, radius)
@@ -286,17 +286,32 @@ def test_hj_lipschitz_refuses_infinite_ils():
 
 def test_slope_estimate_two_point(two_point):
     sec = two_point.section()
-    for t in (1.0, 1.5, 2.0, 4.0):
-        rep = slope_estimate_check(sec, t)
+    table = evolution_table(sec, model_quadratic(), [1.0, 1.5, 2.0, 4.0])
+    for ti in range(table.times.size):
+        rep = slope_estimate_check(sec, table, ti)
         assert rep.violations == []
         assert rep.worst_slack <= 1e-9
 
 
 def test_slope_estimate_paper_grid(paper):
     sec = paper.section()
-    for t in paper.grids.times:
-        rep = slope_estimate_check(sec, t)
+    table = evolution_table(sec, model_quadratic(), paper.grids.times)
+    for ti in range(table.times.size):
+        rep = slope_estimate_check(sec, table, ti)
         assert rep.violations == []
+
+
+def test_table_readers_refuse_another_penalty(two_point):
+    sec = two_point.section()
+    quartic = power_lagrangian(4.0)
+    table = evolution_table(sec, quartic, two_point.grids.times)
+    with pytest.raises(PreconditionError):
+        slope_estimate_check(sec, table, 0)
+    with pytest.raises(PreconditionError):
+        proposition_suite(sec, quartic, table)  # no model-penalty table given
+    model = evolution_table(sec, model_quadratic(), two_point.grids.times[:2])
+    with pytest.raises(PreconditionError):
+        proposition_suite(sec, quartic, table, model)  # on other times
 
 
 def test_quasi_minimizer_trace(paper):
@@ -308,7 +323,8 @@ def test_quasi_minimizer_trace(paper):
 
 
 def test_suite_singleton_zero_slack(singleton):
-    suite = proposition_suite(singleton.section(), singleton.lagrangian(), singleton.grids.times)
+    sec, L = singleton.section(), singleton.lagrangian()
+    suite = proposition_suite(sec, L, evolution_table(sec, L, singleton.grids.times))
     for item in suite.items:
         assert item.status == "PASS", item
         assert item.worst_slack <= 1e-9
@@ -316,16 +332,15 @@ def test_suite_singleton_zero_slack(singleton):
 
 def test_suite_two_point_passes_and_monotone_strict(two_point):
     sec, L = two_point.section(), two_point.lagrangian()
-    suite = proposition_suite(sec, L, two_point.grids.times)
+    suite = proposition_suite(sec, L, evolution_table(sec, L, two_point.grids.times))
     assert all(item.status == "PASS" for item in suite.items)
     # strictly decreasing past the kink
     assert evolve(sec, L, 1, 1.5).value < evolve(sec, L, 1, 1.0).value - 1e-3
 
 
 def test_suite_paper_passes(paper):
-    suite = proposition_suite(
-        paper.section(), paper.lagrangian(), paper.grids.times, labels=paper.base_ids
-    )
+    sec, L = paper.section(), paper.lagrangian()
+    suite = proposition_suite(sec, L, evolution_table(sec, L, paper.grids.times), labels=paper.base_ids)
     assert all(item.status == "PASS" for item in suite.items)
 
 
@@ -333,7 +348,9 @@ def test_suite_skips_axiom_items_for_bad_lagrangian(paper):
     from fiberflow.lagrangian import Lagrangian
 
     L = Lagrangian(fn=np.exp, name="exp", cert_grid=np.linspace(0, 5, 64))
-    suite = proposition_suite(paper.section(), L, [0.02])
+    sec = paper.section()
+    table, model = evolution_table(sec, L, [0.02]), evolution_table(sec, model_quadratic(), [0.02])
+    suite = proposition_suite(sec, L, table, model)
     assert suite.item("c_spatial_estimate").status == "SKIPPED"
     assert suite.item("d_cross_time_estimate").status == "SKIPPED"
 

@@ -51,6 +51,12 @@ def test_two_point_variational_solution(two_point):
     assert r.value == pytest.approx(0.5, abs=1e-8)
     assert r.best_z == 0
     assert r.max_linearity_deviation <= 1e-8
+    assert r.converged is True
+
+
+def test_sweep_cap_reports_not_converged(two_point):
+    r = solve_variational(two_point.section(), power_lagrangian(4.0), y=1, t=2.0, m=6, params=two_point.params, max_sweeps=1)
+    assert r.converged is False
 
 
 def test_descent_recovers_line_from_perturbed_start(two_point):
