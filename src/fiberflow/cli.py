@@ -53,7 +53,7 @@ def cmd_evolve(ns) -> int:
         tau_tie=scenario.grids.tau_tie,
         hj_radius=scenario.grids.hj_radius,
     )
-    out = Path(ns.out) / f"{scenario.name.replace(' ', '-')}_evolution.csv"
+    out = Path(ns.out) / f"{scenario.report_prefix}_evolution.csv"
     write_evolution_csv(out, scenario, table)
     print(f"wrote {out}")
     return 0
@@ -62,7 +62,7 @@ def cmd_evolve(ns) -> int:
 def cmd_slopes(ns) -> int:
     scenario = load_scenario(ns.scenario)
     report = local_slopes(scenario.section(), scenario.grids.radii)
-    out = Path(ns.out) / f"{scenario.name.replace(' ', '-')}_slopes.csv"
+    out = Path(ns.out) / f"{scenario.report_prefix}_slopes.csv"
     write_slopes_csv(out, scenario, report)
     print(f"wrote {out}")
     return 0
@@ -74,7 +74,7 @@ def cmd_transform(ns) -> int:
     table = legendre_transform(
         scenario.lagrangian(), scenario.section(), y, ns.t, xi_resolution=scenario.grids.xi_resolution
     )
-    out = Path(ns.out) / f"{scenario.name.replace(' ', '-')}_transform.csv"
+    out = Path(ns.out) / f"{scenario.report_prefix}_transform.csv"
     write_transform_csv(out, scenario, [table])
     print(f"wrote {out}")
     return 0
@@ -86,7 +86,7 @@ def cmd_variational(ns) -> int:
     result = solve_variational(
         scenario.section(), scenario.lagrangian(), y, ns.t, ns.steps, scenario.params
     )
-    out = Path(ns.out) / f"{scenario.name.replace(' ', '-')}_variational.csv"
+    out = Path(ns.out) / f"{scenario.report_prefix}_variational.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["k,s,w"]
     ds = result.t / result.m

@@ -49,9 +49,6 @@ class PointSet:
     def is_empty(self) -> bool:
         return self.points.shape[0] == 0
 
-    def sample_points(self) -> Array:
-        return self.points
-
 
 @dataclass(frozen=True, eq=False)
 class SegmentUnion:
@@ -79,9 +76,6 @@ class SegmentUnion:
             return []
         gaps = np.linalg.norm(self.segments[:, 0] - self.segments[:, 1], axis=1)
         return [int(i) for i in np.nonzero(gaps == 0.0)[0]]
-
-    def sample_points(self) -> Array:
-        return self.segments.reshape(-1, self.kappa)
 
 
 FiberGeometry = Union[PointSet, SegmentUnion]

@@ -55,7 +55,7 @@ def _verdict_from_slack(name: str, slack: float, tol: float, location: str | Non
 def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], int]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    prefix = scenario.name.replace(" ", "-")
+    prefix = scenario.report_prefix
     section = scenario.section()
     L = scenario.lagrangian()
     grids = scenario.grids

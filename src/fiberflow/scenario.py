@@ -68,6 +68,11 @@ class Scenario:
     def n_base(self) -> int:
         return len(self.base_ids)
 
+    @property
+    def report_prefix(self) -> str:
+        """Prefix of the scenario's report file names."""
+        return self.name.replace(" ", "-")
+
     def id_index(self, base_id: str) -> int:
         try:
             return self.base_ids.index(base_id)
@@ -138,6 +143,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _expect(doc.get("schema_version") == SCHEMA_VERSION, f"schema_version: expected {SCHEMA_VERSION}")
     meta = doc.get("meta", {})
     _expect(isinstance(meta, dict), "meta: expected an object")
+    name = str(meta.get("name", "unnamed"))
+    # the name prefixes the report files, so it must stay a single path component
+    _expect(
+        name not in ("", ".", "..") and not any(c in name for c in "/\\\0"),
+        "meta.name: expected a file name (not empty, '.' or '..', and no '/', '\\' or NUL)",
+    )
     kappa = doc.get("kappa")
     _expect(_is_count(kappa), "kappa: expected a positive integer")
 
@@ -228,10 +239,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _expect(isinstance(ref, dict), "reference_triple: expected an object")
         for k in ("x", "y", "z"):
             _expect(ref.get(k) in ids, f"reference_triple.{k}: unknown base id")
+        if "stated_constant" in ref:
+            _expect(_is_number(ref["stated_constant"]), "reference_triple.stated_constant: expected a finite number")
 
     has_params = all(p is not None for p in params)
     return Scenario(
-        name=str(meta.get("name", "unnamed")),
+        name=name,
         description=str(meta.get("description", "")),
         kappa=kappa,
         base_ids=ids,

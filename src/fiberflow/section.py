@@ -217,15 +217,15 @@ def asymmetry_probe(section: Section, excess_tol: float = 1e-9) -> AsymmetryRepo
     x = int(np.argmax(D[y] - D[z]))
     worst = float(gaps[y, z])
 
+    # reverse form: max over x of (D[x,y] - D[x,z]) - E[y,z]; subtraction is
+    # monotone, so a pair exceeds the tolerance exactly when one of its anchors does
+    bound = max_row_gaps(D.T) - E
     violations: list[AsymmetryViolation] = []
-    for xi in range(m):
-        lhs = D[xi][:, None] - D[xi][None, :]
-        bad = np.argwhere(lhs - E > excess_tol)
-        for yi, zi in bad:
+    for yi, zi in np.argwhere(bound > excess_tol):
+        lhs = D[:, yi] - D[:, zi]
+        for xi in np.nonzero(lhs - E[yi, zi] > excess_tol)[0]:
             violations.append(
-                AsymmetryViolation(
-                    x=xi, y=int(yi), z=int(zi), lhs=float(lhs[yi, zi]), rhs=float(E[yi, zi])
-                )
+                AsymmetryViolation(x=int(xi), y=int(yi), z=int(zi), lhs=float(lhs[xi]), rhs=float(E[yi, zi]))
             )
     violations.sort(key=lambda v: (v.x, v.y, v.z))
     return AsymmetryReport(first_form_worst=worst, first_form_argmax=(x, y, z), violations=violations)

@@ -54,12 +54,17 @@ def evolve(section: Section, L: Lagrangian, y: int, t: float, tau_tie: float = D
     return EvolveResult(float(branches.min()), _argmin_set(branches, tau_tie))
 
 
+def _branches(section: Section, L: Lagrangian, t: float) -> Array:
+    """B[y, z] = t L(d(f(y), fiber(z)) / t) + g(z), every branch at one time."""
+    if t <= 0:
+        raise PreconditionError("t must be positive")
+    return t * L(section.fiber_distances() / t) + g_field(section)[None, :]
+
+
 def evolve_all(section: Section, L: Lagrangian, t: float, tau_tie: float = DEFAULT_TAU_TIE) -> tuple[Array, Array]:
     """Evolved values u[y] and argmin masks for every base point at one time;
     mask[y, z] holds when z attains the minimum at y within `tau_tie`."""
-    if t <= 0:
-        raise PreconditionError("t must be positive")
-    B = t * L(section.fiber_distances() / t) + g_field(section)[None, :]
+    B = _branches(section, L, t)
     u = B.min(axis=1)
     return u, B <= u[:, None] + tau_tie
 
@@ -275,46 +280,41 @@ def slope_estimate_check(section: Section, table: EvolutionTable, ti: int, tol: 
 
 @dataclass
 class QuasiMinimizerTrace:
-    """Fiber distances along the shrinking-time schedule t_n = scale * 2^-n.
+    """Fiber distances of every base point along the shrinking-time schedule
+    t_n = scale * 2^-n.
 
-    `argmin_dist[n]` uses the tie-tolerance argmin set; `quasi_dist[n]` allows
-    the 1/n slack of a quasi-minimizing sequence and `quasi_bound[n]` is the
-    a-priori bound 2 t_n (2 ||f||_inf + 1/n) on its squared distance.
+    `argmin_dist[n, y]` uses the tie-tolerance argmin set; `quasi_dist[n, y]`
+    allows the 1/n slack of a quasi-minimizing sequence and `quasi_bound[n]`
+    is the a-priori bound 2 t_n (2 ||f||_inf + 1/n) on its squared distance.
     """
 
     times: Array
-    argmin_dist: Array
-    quasi_dist: Array
-    quasi_bound: Array
+    argmin_dist: Array  # (levels + 1, m)
+    quasi_dist: Array  # (levels + 1, m)
+    quasi_bound: Array  # (levels + 1,)
 
 
 def quasi_minimizer_trace(
     section: Section,
-    y: int,
     levels: int = 20,
     tau_tie: float = DEFAULT_TAU_TIE,
 ) -> QuasiMinimizerTrace:
     L = model_quadratic()
-    scale = max(1.0, section.sup_norm())
+    sup = section.sup_norm()
     D = section.fiber_distances()
-    g = g_field(section)
-    times, a_dist, q_dist, q_bound = [], [], [], []
-    for n in range(levels + 1):
-        t_n = scale * 2.0 ** (-n)
-        branches = t_n * L(D[y] / t_n) + g
-        u = float(branches.min())
-        tie = np.nonzero(branches <= u + tau_tie)[0]
-        slack = 1.0 / max(n, 1)
-        quasi = np.nonzero(branches <= u + slack)[0]
-        times.append(t_n)
-        a_dist.append(float(D[y, tie].max()))
-        q_dist.append(float(D[y, quasi].max()))
-        q_bound.append(2.0 * t_n * (2.0 * section.sup_norm() + slack))
+    times = max(1.0, sup) * 2.0 ** -np.arange(levels + 1.0)
+    slacks = 1.0 / np.maximum(np.arange(levels + 1.0), 1.0)
+    a_dist, q_dist = [], []
+    for t_n, slack in zip(times, slacks):
+        B = _branches(section, L, float(t_n))
+        u = B.min(axis=1)[:, None]
+        a_dist.append(_speeds(D, B <= u + tau_tie)[1])
+        q_dist.append(_speeds(D, B <= u + slack)[1])
     return QuasiMinimizerTrace(
-        times=np.array(times),
+        times=times,
         argmin_dist=np.array(a_dist),
         quasi_dist=np.array(q_dist),
-        quasi_bound=np.array(q_bound),
+        quasi_bound=2.0 * times * (2.0 * sup + slacks),
     )
 
 
@@ -415,15 +415,9 @@ def proposition_suite(
         record("a_bounds", *worst_case((row, "y", f"t={t:g}") for t, row in zip(times, both)))
 
     # (b) quasi-minimizing sequences collapse onto the fiber of y as t -> 0
-    worst_final = -math.inf
-    worst_bound = -math.inf
-    loc_final = ""
-    for y in range(section.n_base):
-        trace = quasi_minimizer_trace(section, y, levels=quasi_levels, tau_tie=tau_tie)
-        final = float(trace.argmin_dist[-1])
-        if final > worst_final:
-            worst_final, loc_final = final, f"y={lab[y]},t={trace.times[-1]:g}"
-        worst_bound = max(worst_bound, float((trace.quasi_dist**2 - trace.quasi_bound).max()))
+    trace = quasi_minimizer_trace(section, levels=quasi_levels, tau_tie=tau_tie)
+    worst_final, loc_final = worst_case([(trace.argmin_dist[-1], "y", f"t={trace.times[-1]:g}")])
+    worst_bound = float((trace.quasi_dist**2 - trace.quasi_bound[:, None]).max())
     record(
         "b_quasi_minimizer",
         max(worst_final - 1e-6, worst_bound),

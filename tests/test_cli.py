@@ -126,6 +126,20 @@ def test_exit_codes(tmp_path):
         ),
         pytest.param(("grids", "times"), [True, 2.0], "grids.times", id="times-boolean"),
         pytest.param(("base", 0, "point"), [True, 0.0], "base[0].point", id="point-boolean"),
+        pytest.param(
+            ("reference_triple",), {"x": "b0", "y": "b1", "z": "b0", "stated_constant": "x"},
+            "reference_triple.stated_constant", id="stated_constant-string",
+        ),
+        pytest.param(
+            ("reference_triple",), {"x": "b0", "y": "b1", "z": "b0", "stated_constant": None},
+            "reference_triple.stated_constant", id="stated_constant-null",
+        ),
+        pytest.param(("meta", "name"), "../x", "meta.name", id="name-parent-path"),
+        pytest.param(("meta", "name"), "..", "meta.name", id="name-dot-dot"),
+        pytest.param(("meta", "name"), ".", "meta.name", id="name-dot"),
+        pytest.param(("meta", "name"), "", "meta.name", id="name-empty"),
+        pytest.param(("meta", "name"), "a\\b", "meta.name", id="name-backslash"),
+        pytest.param(("meta", "name"), "a\0b", "meta.name", id="name-nul"),
     ],
 )
 def test_bad_scenario_field_is_a_format_error(tmp_path, capsys, path, value, field):
@@ -139,3 +153,5 @@ def test_bad_scenario_field_is_a_format_error(tmp_path, capsys, path, value, fie
     for command in ("validate", "check"):
         assert main(["--out", str(tmp_path / "rep"), command, str(scenario_file)]) == 4, command
         assert f"error: {field}:" in capsys.readouterr().err, command
+    assert list(tmp_path.rglob("*")) == [scenario_file]  # nothing written, inside --out or out of it
+

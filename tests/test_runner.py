@@ -32,9 +32,10 @@ def _record_everywhere(monkeypatch, fn, results: list) -> None:
 @pytest.mark.parametrize("build", [two_point_scenario, paper_counterexample])
 def test_check_builds_each_array_once(tmp_path, monkeypatch, build):
     path = write_scenario(build(), tmp_path / "scenario.json")
-    validations, evolutions, base_distances = [], [], []
+    validations, evolutions, base_distances, traces = [], [], [], []
     _record_everywhere(monkeypatch, geometry.validate_space, validations)
     _record_everywhere(monkeypatch, semigroup.evolve_all, evolutions)
+    _record_everywhere(monkeypatch, semigroup.quasi_minimizer_trace, traces)
     monkeypatch.setattr(
         FiberedSpace, "base_distance_matrix", _recording(FiberedSpace.base_distance_matrix, base_distances)
     )
@@ -43,6 +44,7 @@ def test_check_builds_each_array_once(tmp_path, monkeypatch, build):
     run_check(scenario, tmp_path / "reports")
 
     assert len(validations) == 1
+    assert len(traces) == 1  # one trace holds every base point
     # the results stay referenced, so distinct ids are distinct builds
     assert len({id(matrix) for matrix in base_distances}) == 1
     n_times, n_hj_times = len(scenario.grids.times), len(scenario.grids.effective_hj_times())

@@ -80,6 +80,19 @@ def two_line_section(m):
     return Section(space=space, values=np.column_stack([x, 3.0 + x / 2.0]))
 
 
+def reference_asymmetry_violations(section, excess_tol=1e-9):
+    """The reverse-form scan one anchor x at a time: every (x, y, z) with
+    D[x,y] - D[x,z] - E[y,z] > excess_tol, as (x, y, z, lhs, rhs) in order."""
+    E = section.value_distances()
+    D = section.fiber_distances()
+    out = []
+    for x in range(section.n_base):
+        lhs = D[x][:, None] - D[x][None, :]
+        for y, z in np.argwhere(lhs - E > excess_tol):
+            out.append((x, int(y), int(z), float(lhs[y, z]), float(E[y, z])))
+    return sorted(out)
+
+
 def test_g_field_values(paper):
     sec = paper.section()
     g = g_field(sec)
@@ -232,6 +245,18 @@ def test_asymmetry_pinned_violation(paper):
     assert v.lhs == pytest.approx(6.5 - math.sqrt(29.0), abs=1e-12)
     assert v.rhs == pytest.approx(1.0, abs=1e-12)
     assert v.lhs > v.rhs
+
+
+def test_asymmetry_violations_match_per_anchor_reference(paper, tie, singleton):
+    sections = [paper.section(), tie.section(), singleton.section(), two_line_section(60)]
+    sections += [random_scenario(seed).section() for seed in (0, 9, 14, 16)]
+    found = 0
+    for sec in sections:
+        probe = asymmetry_probe(sec)
+        got = [(v.x, v.y, v.z, v.lhs, v.rhs) for v in probe.violations]
+        assert got == reference_asymmetry_violations(sec)
+        found += len(got)
+    assert found > 0  # the comparison covers nonempty violation lists
 
 
 def test_asymmetry_symmetric_case_no_violations(singleton):

@@ -26,6 +26,7 @@ from fiberflow.semigroup import (
     slope_estimate_check,
     time_derivative,
 )
+from test_section import two_line_section
 
 
 def naive_scan(section, L, y, t):
@@ -77,6 +78,28 @@ def reference_hj(section, t, radius, lipschitz=False, tau_tie=DEFAULT_TAU_TIE):
         fd = (u_h[y] - u[y]) / h
         out.append((fd + prefactor * slope * slope, slope, count, count == 0))
     return out
+
+
+def reference_trace(section, y, levels=20, tau_tie=DEFAULT_TAU_TIE):
+    """The quasi-minimizer trace of one base point, one branch row per level:
+    (times, argmin_dist, quasi_dist, quasi_bound) as arrays over the levels."""
+    L = model_quadratic()
+    scale = max(1.0, section.sup_norm())
+    D = section.fiber_distances()
+    g = g_field(section)
+    times, a_dist, q_dist, q_bound = [], [], [], []
+    for n in range(levels + 1):
+        t_n = scale * 2.0 ** (-n)
+        branches = t_n * L(D[y] / t_n) + g
+        u = float(branches.min())
+        tie = np.nonzero(branches <= u + tau_tie)[0]
+        slack = 1.0 / max(n, 1)
+        quasi = np.nonzero(branches <= u + slack)[0]
+        times.append(t_n)
+        a_dist.append(float(D[y, tie].max()))
+        q_dist.append(float(D[y, quasi].max()))
+        q_bound.append(2.0 * t_n * (2.0 * section.sup_norm() + slack))
+    return np.array(times), np.array(a_dist), np.array(q_dist), np.array(q_bound)
 
 
 def test_two_point_closed_forms(two_point):
@@ -315,11 +338,24 @@ def test_table_readers_refuse_another_penalty(two_point):
 
 
 def test_quasi_minimizer_trace(paper):
-    sec = paper.section()
+    trace = quasi_minimizer_trace(paper.section())
     for y in (0, paper.id_index("y010"), 80):
-        trace = quasi_minimizer_trace(sec, y)
-        assert trace.argmin_dist[-1] <= 1e-6
-        assert np.all(trace.quasi_dist**2 <= trace.quasi_bound + 1e-9)
+        assert trace.argmin_dist[-1, y] <= 1e-6
+        assert np.all(trace.quasi_dist[:, y] ** 2 <= trace.quasi_bound + 1e-9)
+
+
+def test_quasi_minimizer_trace_matches_per_point_reference(paper, tie, singleton, two_point):
+    sections = [paper.section(), tie.section(), singleton.section(), two_point.section(), two_line_section(60)]
+    sections += [random_scenario(seed).section() for seed in (0, 9, 14, 16)]
+    for sec in sections:
+        for levels, tau_tie in ((20, DEFAULT_TAU_TIE), (6, 0.5)):
+            trace = quasi_minimizer_trace(sec, levels=levels, tau_tie=tau_tie)
+            for y in range(sec.n_base):
+                times, a_dist, q_dist, q_bound = reference_trace(sec, y, levels, tau_tie)
+                assert np.array_equal(trace.times, times)
+                assert np.array_equal(trace.argmin_dist[:, y], a_dist)
+                assert np.array_equal(trace.quasi_dist[:, y], q_dist)
+                assert np.array_equal(trace.quasi_bound, q_bound)
 
 
 def test_suite_singleton_zero_slack(singleton):
