@@ -23,7 +23,6 @@ from .lagrangian import (
     TransformTable,
     biconjugate,
     check_axioms,
-    hamiltonian,
     legendre_transform,
     model_quadratic,
     power_lagrangian,
@@ -50,16 +49,13 @@ from .section import (
 )
 from .semigroup import (
     EvolutionTable,
-    discrete_D,
     evolution_table,
-    evolve,
-    evolve_forward,
+    evolve_all,
     hj_residual,
     hj_residual_lipschitz,
     proposition_suite,
     quasi_minimizer_trace,
     slope_estimate_check,
-    time_derivative,
 )
 from .variational import CurveProblem, action, make_curve_problem, solve_variational
 
@@ -81,7 +77,6 @@ __all__ = [
     "TransformTable",
     "biconjugate",
     "check_axioms",
-    "hamiltonian",
     "legendre_transform",
     "model_quadratic",
     "power_lagrangian",
@@ -102,16 +97,13 @@ __all__ = [
     "local_slopes",
     "validate_section",
     "EvolutionTable",
-    "discrete_D",
     "evolution_table",
-    "evolve",
-    "evolve_forward",
+    "evolve_all",
     "hj_residual",
     "hj_residual_lipschitz",
     "proposition_suite",
     "quasi_minimizer_trace",
     "slope_estimate_check",
-    "time_derivative",
     "CurveProblem",
     "action",
     "make_curve_problem",

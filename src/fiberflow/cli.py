@@ -1,13 +1,14 @@
 """Command-line surface.
 
 Exit codes: 0 success (and every non-skipped check PASSed), 1 a check FAILed,
-2 usage error, 3 scenario file missing, 4 scenario format error, 5 scenario
-validation error, 6 refused precondition.
+2 usage error (also an --out that cannot be written), 3 scenario file missing,
+4 scenario format error, 5 scenario validation error, 6 refused precondition.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -21,10 +22,17 @@ from .semigroup import evolution_table
 from .variational import solve_variational
 
 EXIT_CHECK_FAILED = 1
+EXIT_USAGE = 2
 EXIT_MISSING_FILE = 3
 EXIT_FORMAT = 4
 EXIT_VALIDATION = 5
 EXIT_PRECONDITION = 6
+
+
+def _checked_time(t: float) -> float:
+    if not (math.isfinite(t) and t > 0):
+        raise PreconditionError(f"time {t!r} must be a finite number > 0")
+    return t
 
 
 def _parse_times(text: str) -> list[float]:
@@ -32,9 +40,9 @@ def _parse_times(text: str) -> list[float]:
         times = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise PreconditionError(f"bad time list {text!r}: {exc}") from exc
-    if not times or any(t <= 0 for t in times):
-        raise PreconditionError("times must be positive")
-    return times
+    if not times:
+        raise PreconditionError(f"bad time list {text!r}: no times")
+    return [_checked_time(t) for t in times]
 
 
 def cmd_validate(ns) -> int:
@@ -72,7 +80,7 @@ def cmd_transform(ns) -> int:
     scenario = load_scenario(ns.scenario)
     y = scenario.id_index(ns.y)
     table = legendre_transform(
-        scenario.lagrangian(), scenario.section(), y, ns.t, xi_resolution=scenario.grids.xi_resolution
+        scenario.lagrangian(), scenario.section(), y, _checked_time(ns.t), xi_resolution=scenario.grids.xi_resolution
     )
     out = Path(ns.out) / f"{scenario.report_prefix}_transform.csv"
     write_transform_csv(out, scenario, [table])
@@ -84,7 +92,7 @@ def cmd_variational(ns) -> int:
     scenario = load_scenario(ns.scenario)
     y = scenario.id_index(ns.y)
     result = solve_variational(
-        scenario.section(), scenario.lagrangian(), y, ns.t, ns.steps, scenario.params
+        scenario.section(), scenario.lagrangian(), y, _checked_time(ns.t), ns.steps, scenario.params
     )
     out = Path(ns.out) / f"{scenario.report_prefix}_variational.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -176,6 +184,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
+    except OSError as exc:  # scenario reads raise FileNotFoundError, so this is the output path
+        print(f"error: cannot write under --out {ns.out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ScenarioFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -255,18 +255,6 @@ def legendre_transform(
     )
 
 
-def hamiltonian(
-    L: Lagrangian,
-    section: Section,
-    y: int,
-    t: float,
-    xi_grid: Array | None = None,
-    xi_resolution: int = 101,
-) -> TransformTable:
-    """The Hamiltonian associated with L: by definition, the same transform."""
-    return legendre_transform(L, section, y, t, xi_grid=xi_grid, xi_resolution=xi_resolution)
-
-
 @dataclass
 class BiconjugateTable:
     w_grid: Array
@@ -288,7 +276,7 @@ def biconjugate(
     Only achievable speeds are allowed in `w_grid`; the one-sided inequality
     H* <= L is grid-exact, while equality appears only under refinement.
     """
-    table = hamiltonian(L, section, y, t, xi_grid=xi_grid, xi_resolution=xi_resolution)
+    table = legendre_transform(L, section, y, t, xi_grid=xi_grid, xi_resolution=xi_resolution)
     w_grid = np.asarray(w_grid, dtype=float)
     ach = table.achievable_w
     for w in w_grid:

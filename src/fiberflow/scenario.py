@@ -291,6 +291,8 @@ def load_scenario(path) -> Scenario:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise FileNotFoundError(f"cannot read scenario file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -71,11 +71,6 @@ def g_field(section: Section) -> Array:
     return section.values.max(axis=1)
 
 
-def section_residuals(section: Section) -> Array:
-    """Distance from each section value to its own fiber (0 for a true section)."""
-    return np.diagonal(section.fiber_distances()).copy()
-
-
 @dataclass
 class SectionReport:
     residuals: Array
@@ -88,7 +83,7 @@ class SectionReport:
 
 
 def validate_section(section: Section, tau_sec: float = DEFAULT_TAU_SEC) -> SectionReport:
-    res = section_residuals(section)
+    res = np.diagonal(section.fiber_distances()).copy()  # each value's distance to its own fiber
     off = [int(i) for i in np.nonzero(res > tau_sec)[0]]
     return SectionReport(residuals=res, tau_sec=tau_sec, off_fiber=off)
 

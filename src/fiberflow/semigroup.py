@@ -1,14 +1,15 @@
-"""Hopf-Lax style evolution of a section's scalar field, in both orientations.
+"""Hopf-Lax style evolution of a section's scalar field.
 
 The evolved value at (y, t) is
 
     u(y, t) = min over z of [ t L(d(f(y), fiber(z)) / t) + g(z) ],
 
-an exact minimum over the finite base set.  Minimizing sequences collapse to
-the argmin set (up to a tie tolerance); the extremal fiber distances over
-that set play the role of the one-sided speed indicators D- and D+, drive
-closed-form one-sided time derivatives for the quadratic penalty, and feed
-the Hamilton-Jacobi residual checks.
+an exact minimum over the finite base set, computed for every y at once by
+`evolve_all`.  Minimizing sequences collapse to the argmin set (up to a tie
+tolerance); the extremal fiber distances over that set play the role of the
+one-sided speed indicators D- and D+, which the proposition suite and the
+slope estimate read.  Forward differences of u in t feed the Hamilton-Jacobi
+residual checks.
 """
 
 from __future__ import annotations
@@ -30,30 +31,6 @@ DEFAULT_TAU_TIE = 1e-9
 FD_STEP_SCALE = float(np.sqrt(np.finfo(float).eps))
 
 
-class EvolveResult(NamedTuple):
-    value: float
-    argmin: tuple[int, ...]
-
-
-def _branch_values(section: Section, L: Lagrangian, y: int, t: float) -> Array:
-    if t <= 0:
-        raise PreconditionError("t must be positive")
-    D = section.fiber_distances()
-    g = g_field(section)
-    return t * L(D[y] / t) + g
-
-
-def _argmin_set(branches: Array, tau_tie: float) -> tuple[int, ...]:
-    u = float(branches.min())
-    return tuple(int(i) for i in np.nonzero(branches <= u + tau_tie)[0])
-
-
-def evolve(section: Section, L: Lagrangian, y: int, t: float, tau_tie: float = DEFAULT_TAU_TIE) -> EvolveResult:
-    """Exact minimum of the evolved field at (y, t) plus its argmin set."""
-    branches = _branch_values(section, L, y, t)
-    return EvolveResult(float(branches.min()), _argmin_set(branches, tau_tie))
-
-
 def _branches(section: Section, L: Lagrangian, t: float) -> Array:
     """B[y, z] = t L(d(f(y), fiber(z)) / t) + g(z), every branch at one time."""
     if t <= 0:
@@ -72,74 +49,6 @@ def evolve_all(section: Section, L: Lagrangian, t: float, tau_tie: float = DEFAU
 def _speeds(D: Array, argmins: Array) -> tuple[Array, Array]:
     """(D-, D+): min and max of the fiber distances D[y, z] over each argmin mask."""
     return np.where(argmins, D, np.inf).min(axis=-1), np.where(argmins, D, -np.inf).max(axis=-1)
-
-
-def evolve_forward(section: Section, y: int, t: float, tau_tie: float = DEFAULT_TAU_TIE) -> EvolveResult:
-    """Original orientation with the fixed quadratic penalty:
-    min over z of [ g(z) + d(f(z), fiber(y))^2 / (2t) ].
-
-    Kept for side-by-side comparison with the symmetrized operator.
-    """
-    if t <= 0:
-        raise PreconditionError("t must be positive")
-    D = section.fiber_distances()
-    g = g_field(section)
-    branches = g + D[:, y] ** 2 / (2.0 * t)
-    return EvolveResult(float(branches.min()), _argmin_set(branches, tau_tie))
-
-
-def discrete_D(
-    section: Section, L: Lagrangian, y: int, t: float, tau_tie: float = DEFAULT_TAU_TIE
-) -> tuple[float, float]:
-    """(D-, D+): min and max fiber distance d(f(y), fiber(z)) over the argmin set."""
-    _, argmin = evolve(section, L, y, t, tau_tie)
-    dists = section.fiber_distances()[y, list(argmin)]
-    return float(dists.min()), float(dists.max())
-
-
-def _require_model(L: Lagrangian | None) -> Lagrangian:
-    if L is None:
-        return model_quadratic()
-    if not L.is_model_quadratic:
-        raise PreconditionError("this operation is defined for the quadratic model penalty only")
-    return L
-
-
-@dataclass
-class TimeDerivative:
-    forward: float
-    backward: float
-    predicted_plus: float
-    predicted_minus: float
-    h: float
-
-
-def time_derivative(
-    section: Section,
-    y: int,
-    t: float,
-    h: float | None = None,
-    L: Lagrangian | None = None,
-    tau_tie: float = DEFAULT_TAU_TIE,
-) -> TimeDerivative:
-    """One-sided difference quotients of t -> u(y, t) and their predictions
-    -(D+-)^2 / (2 t^2) from the argmin set (quadratic penalty only)."""
-    L = _require_model(L)
-    if h is None:
-        h = 0.01 * t
-    if not (0 < h < t):
-        raise PreconditionError("need 0 < h < t for one-sided differences")
-    u0 = evolve(section, L, y, t, tau_tie).value
-    up = evolve(section, L, y, t + h, tau_tie).value
-    um = evolve(section, L, y, t - h, tau_tie).value
-    dm, dp = discrete_D(section, L, y, t, tau_tie)
-    return TimeDerivative(
-        forward=(up - u0) / h,
-        backward=(u0 - um) / h,
-        predicted_plus=-(dp * dp) / (2.0 * t * t),
-        predicted_minus=-(dm * dm) / (2.0 * t * t),
-        h=h,
-    )
 
 
 @dataclass
@@ -528,63 +437,3 @@ def evolution_table(
         tau_tie=tau_tie,
         penalty=L.name,
     )
-
-
-def semicontinuity_probe(
-    section: Section,
-    y: int,
-    t: float,
-    n_neighbors: int = 3,
-    time_factor: float = 0.05,
-    tau_tie: float = DEFAULT_TAU_TIE,
-) -> list[dict]:
-    """Diagnostic table of D+- at base points near y and times near t.
-
-    Emits raw values only; the semicontinuity statement is a limit property
-    and gets no pass/fail verdict here.
-    """
-    L = model_quadratic()
-    base_dist = section.space.base_distance_matrix()[:, y]
-    order = np.argsort(base_dist)
-    rows = []
-    for idx in order[: n_neighbors + 1]:
-        for t_n in (t * (1 - time_factor), t, t * (1 + time_factor)):
-            dm, dp = discrete_D(section, L, int(idx), float(t_n), tau_tie)
-            rows.append(
-                {
-                    "y_index": int(idx),
-                    "base_distance": float(base_dist[idx]),
-                    "t": float(t_n),
-                    "iD_minus": dm,
-                    "iD_plus": dp,
-                }
-            )
-    return rows
-
-
-def differentiability_probe(
-    section: Section,
-    y: int,
-    t: float,
-    tau_tie: float = DEFAULT_TAU_TIE,
-) -> list[dict]:
-    """Diagnostic difference quotients of u against the (2K/t)-scaled section
-    quotients, following the smooth-case comparison.  No verdict."""
-    u, _ = evolve_all(section, model_quadratic(), float(t), tau_tie)
-    E = section.value_distances()
-    K = bound_K(section)
-    base_dist = section.space.base_distance_matrix()[:, y]
-    rows = []
-    for z in range(section.n_base):
-        if z == y or base_dist[z] == 0.0:
-            continue
-        rows.append(
-            {
-                "z_index": int(z),
-                "base_distance": float(base_dist[z]),
-                "u_quotient": float((u[y] - u[z]) / base_dist[z]),
-                "bound": float((2.0 * K / t) * E[y, z] / base_dist[z]),
-            }
-        )
-    rows.sort(key=lambda r: r["base_distance"])
-    return rows

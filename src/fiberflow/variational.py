@@ -18,7 +18,7 @@ import numpy as np
 from .errors import PreconditionError
 from .lagrangian import Lagrangian
 from .section import Section, g_field
-from .semigroup import evolve
+from .semigroup import evolve_all
 
 Array = np.ndarray
 
@@ -185,7 +185,7 @@ def solve_variational(
             best = (val, z, nodes)
     value, z, nodes = best
     linear = nodes[0] + np.linspace(0.0, 1.0, m + 1) * (nodes[-1] - nodes[0])
-    ev = evolve(section, L, y, t).value
+    ev = float(evolve_all(section, L, t)[0][y])
     return VariationalResult(
         value=value,
         best_z=z,

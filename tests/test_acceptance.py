@@ -21,9 +21,9 @@ from fiberflow.semigroup import (
     hj_residual_lipschitz,
     proposition_suite,
     slope_estimate_check,
-    time_derivative,
 )
 from fiberflow.variational import solve_variational
+from test_semigroup import time_derivative
 
 
 def _report(n: int, name: str):

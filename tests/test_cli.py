@@ -107,6 +107,44 @@ def test_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "args, value",
+    [
+        pytest.param(["evolve", "--times", "nan"], "nan", id="evolve-nan"),
+        pytest.param(["evolve", "--times", "0.5,inf"], "inf", id="evolve-inf"),
+        pytest.param(["evolve", "--times", "-1"], "-1.0", id="evolve-negative"),
+        pytest.param(["transform", "--y", "b1", "--t", "nan"], "nan", id="transform-nan"),
+        pytest.param(["transform", "--y", "b1", "--t", "inf"], "inf", id="transform-inf"),
+        pytest.param(["variational", "--y", "b1", "--t", "nan"], "nan", id="variational-nan"),
+        pytest.param(["variational", "--y", "b1", "--t=-inf"], "-inf", id="variational-minus-inf"),
+    ],
+)
+def test_non_finite_or_nonpositive_time_is_refused(two_point_file, tmp_path, capsys, args, value):
+    out = tmp_path / "rep"
+    assert main(["--out", str(out), args[0], two_point_file, *args[1:]]) == 6
+    assert f"error: time {value} must be a finite number > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_utf8_scenario_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe")
+    for command in ("validate", "check"):
+        assert main(["--out", str(tmp_path / "rep"), command, str(path)]) == 4, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text") and err.count("\n") == 1, command
+
+
+def test_out_naming_a_file_is_a_usage_error(two_point_file, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    for command in ("check", "evolve"):
+        assert main(["--out", str(taken), command, two_point_file]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write under --out {taken}:") and err.count("\n") == 1, command
+    assert taken.read_text() == "keep"
+
+
+@pytest.mark.parametrize(
     "path, value, field",
     [
         pytest.param(("grids", "xi_resolution"), "x", "grids.xi_resolution", id="xi_resolution-string"),

@@ -9,7 +9,6 @@ from fiberflow.lagrangian import (
     Lagrangian,
     biconjugate,
     check_axioms,
-    hamiltonian,
     legendre_transform,
     model_quadratic,
     power_lagrangian,
@@ -99,15 +98,6 @@ def test_lstar_midpoint_convex(paper, two_point):
         ls = table.lstar
         mid = (ls[:-2] + ls[2:]) / 2.0  # uniform grid: xi[i+1] is the midpoint
         assert np.all(ls[1:-1] <= mid + 1e-12)
-
-
-def test_hamiltonian_is_the_transform(two_point):
-    sec = two_point.section()
-    L = two_point.lagrangian()
-    a = legendre_transform(L, sec, 1, 1.5)
-    b = hamiltonian(L, sec, 1, 1.5)
-    assert np.array_equal(a.lstar, b.lstar)
-    assert np.array_equal(a.xi_grid, b.xi_grid)
 
 
 def test_biconjugate_one_sided(two_point):

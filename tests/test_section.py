@@ -16,7 +16,6 @@ from fiberflow.section import (
     g_field,
     global_ILS,
     local_slopes,
-    section_residuals,
     validate_section,
 )
 
@@ -217,8 +216,8 @@ def test_local_slopes_bad_radii(two_point):
 
 def test_section_residuals_and_validation(paper):
     sec = paper.section()
-    assert np.all(section_residuals(sec) <= 1e-12)
     report = validate_section(sec)
+    assert np.all(report.residuals <= 1e-12)
     assert report.ok
 
 

@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,19 +13,15 @@ from fiberflow.semigroup import (
     DEFAULT_TAU_TIE,
     FD_STEP_SCALE,
     _neighbor_slopes,
-    differentiability_probe,
-    discrete_D,
+    _speeds,
     evolution_table,
-    evolve,
-    evolve_forward,
+    evolve_all,
     hj_residual,
     hj_residual_lipschitz,
     hj_residuals,
     proposition_suite,
     quasi_minimizer_trace,
-    semicontinuity_probe,
     slope_estimate_check,
-    time_derivative,
 )
 from test_section import two_line_section
 
@@ -37,6 +34,56 @@ def naive_scan(section, L, y, t):
         g = max(section.values[z])
         best = min(best, t * float(L(d / t)) + g)
     return best
+
+
+class EvolveResult(NamedTuple):
+    value: float
+    argmin: tuple[int, ...]
+
+
+def _minimum(branches, tau_tie):
+    u = float(branches.min())
+    return EvolveResult(u, tuple(int(i) for i in np.nonzero(branches <= u + tau_tie)[0]))
+
+
+def evolve(section, L, y, t, tau_tie=DEFAULT_TAU_TIE):
+    """Per-point reference: the exact minimum at (y, t) from one branch row,
+    t L(d(f(y), fiber(z)) / t) + g(z) over z, and its argmin set."""
+    return _minimum(t * L(section.fiber_distances()[y] / t) + g_field(section), tau_tie)
+
+
+def discrete_D(section, L, y, t, tau_tie=DEFAULT_TAU_TIE):
+    """Per-point reference (D-, D+): extremal fiber distances over the argmin set."""
+    dists = section.fiber_distances()[y, list(evolve(section, L, y, t, tau_tie).argmin)]
+    return float(dists.min()), float(dists.max())
+
+
+def evolve_forward(section, y, t, tau_tie=DEFAULT_TAU_TIE):
+    """The original orientation with the quadratic penalty, for comparison with
+    the symmetrized evolution: min over z of [ g(z) + d(f(z), fiber(y))^2 / (2t) ]."""
+    return _minimum(g_field(section) + section.fiber_distances()[:, y] ** 2 / (2.0 * t), tau_tie)
+
+
+class TimeDerivative(NamedTuple):
+    forward: float
+    backward: float
+    predicted_plus: float
+    predicted_minus: float
+
+
+def time_derivative(section, y, t, h):
+    """One-sided difference quotients of t -> u(y, t) under the quadratic
+    penalty, read from the evolution table at t, t + h and t - h, and their
+    predictions -(D+-)^2 / (2 t^2) from the argmin set at t."""
+    table = evolution_table(section, model_quadratic(), [t, t + h, t - h])
+    u0, up, um = table.u[:, y]
+    dm, dp = table.iD_minus[0, y], table.iD_plus[0, y]
+    return TimeDerivative(
+        forward=(up - u0) / h,
+        backward=(u0 - um) / h,
+        predicted_plus=-(dp * dp) / (2.0 * t * t),
+        predicted_minus=-(dm * dm) / (2.0 * t * t),
+    )
 
 
 def reference_slopes(u, den, base_dist, radius):
@@ -102,34 +149,58 @@ def reference_trace(section, y, levels=20, tau_tie=DEFAULT_TAU_TIE):
     return np.array(times), np.array(a_dist), np.array(q_dist), np.array(q_bound)
 
 
+def argmin_set(mask_row):
+    return tuple(int(z) for z in np.flatnonzero(mask_row))
+
+
+def test_evolve_all_matches_per_point_reference(paper, tie, singleton, two_point):
+    scenarios = [paper, tie, singleton, two_point] + [random_scenario(seed) for seed in (0, 3, 9, 14, 16, 21)]
+    for scenario in scenarios:
+        sec = scenario.section()
+        D = sec.fiber_distances()
+        penalties = [scenario.lagrangian(), model_quadratic()]
+        penalties += [power_lagrangian(4.0), power_lagrangian(3.0, scale=2.0), power_lagrangian(1.5)]
+        for L in penalties:
+            for t in (0.01, 0.03, 0.5, 1.0, 1.7, 2.0, 7.0, 1e6):
+                u, mask = evolve_all(sec, L, t)
+                iD_minus, iD_plus = _speeds(D, mask)
+                for y in range(sec.n_base):
+                    value, argmin = evolve(sec, L, y, t)
+                    assert (u[y], argmin_set(mask[y])) == (value, argmin)
+                    assert (iD_minus[y], iD_plus[y]) == discrete_D(sec, L, y, t)
+
+
 def test_two_point_closed_forms(two_point):
     sec, L = two_point.section(), two_point.lagrangian()
     for t in (0.5, 1.0, 2.0, 7.0):
-        assert evolve(sec, L, 0, t).value == pytest.approx(0.0, abs=1e-12)
-    r = evolve(sec, L, 1, 2.0)
-    assert r.value == pytest.approx(0.5, abs=1e-12)
-    assert r.argmin == (0,)
+        assert evolve_all(sec, L, t)[0][0] == pytest.approx(0.0, abs=1e-12)
+    u, mask = evolve_all(sec, L, 2.0)
+    assert u[1] == pytest.approx(0.5, abs=1e-12)
+    assert argmin_set(mask[1]) == (0,)
     for t in (0.5, 1.0, 2.0):
-        assert evolve(sec, L, 1, t).value == pytest.approx(min(1.0, 1.0 / t), abs=1e-12)
+        assert evolve_all(sec, L, t)[0][1] == pytest.approx(min(1.0, 1.0 / t), abs=1e-12)
 
 
 def test_evolve_matches_naive_scan(paper):
     sec, L = paper.section(), paper.lagrangian()
     for t in (0.03, 1.0):
+        u, _ = evolve_all(sec, L, t)
         for y in range(0, sec.n_base, 9):
-            assert evolve(sec, L, y, t).value == pytest.approx(naive_scan(sec, L, y, t), abs=1e-12)
+            assert u[y] == pytest.approx(naive_scan(sec, L, y, t), abs=1e-12)
     rnd = random_scenario(5)
     sec, L = rnd.section(), rnd.lagrangian()
+    u, _ = evolve_all(sec, L, 1.7)
     for y in range(sec.n_base):
-        assert evolve(sec, L, y, 1.7).value == pytest.approx(naive_scan(sec, L, y, 1.7), abs=1e-12)
+        assert u[y] == pytest.approx(naive_scan(sec, L, y, 1.7), abs=1e-12)
 
 
 def test_self_competitor_bound(paper):
     sec, L = paper.section(), paper.lagrangian()
     g = g_field(sec)
     for t in paper.grids.times + [1.0, 5.0]:
+        u, _ = evolve_all(sec, L, t)
         for y in range(0, sec.n_base, 7):
-            assert evolve(sec, L, y, t).value <= g[y] + 1e-12
+            assert u[y] <= g[y] + 1e-12
 
 
 def test_pointwise_bounds_on_paper(paper):
@@ -137,42 +208,46 @@ def test_pointwise_bounds_on_paper(paper):
     lower = float(sec.values.min())
     g = g_field(sec)
     for t in (0.02, 0.5, 2.0):
+        u, _ = evolve_all(sec, L, t)
         for y in range(0, sec.n_base, 5):
-            u = evolve(sec, L, y, t).value
-            assert lower - 1e-12 <= u <= g[y] + 1e-12
+            assert lower - 1e-12 <= u[y] <= g[y] + 1e-12
 
 
 def test_forward_equals_symmetrized_on_singleton(singleton):
     sec, L = singleton.section(), singleton.lagrangian()
     for t in singleton.grids.times:
+        u, _ = evolve_all(sec, L, t)
         for y in range(sec.n_base):
-            assert evolve_forward(sec, y, t).value == pytest.approx(evolve(sec, L, y, t).value, abs=1e-12)
+            assert evolve_forward(sec, y, t).value == pytest.approx(u[y], abs=1e-12)
 
 
 def test_forward_differs_on_paper_scenario(paper):
     sec, L = paper.section(), paper.lagrangian()
     x = paper.id_index("y010")
-    assert evolve_forward(sec, x, 1.0).value != pytest.approx(evolve(sec, L, x, 1.0).value, abs=1e-9)
+    assert evolve_forward(sec, x, 1.0).value != pytest.approx(evolve_all(sec, L, 1.0)[0][x], abs=1e-9)
 
 
 def test_both_operators_reach_min_g_for_large_t(paper):
     sec, L = paper.section(), paper.lagrangian()
     gmin = float(g_field(sec).min())
+    u, _ = evolve_all(sec, L, 1e6)
     for y in (0, 40, 80):
-        assert evolve(sec, L, y, 1e6).value == pytest.approx(gmin, abs=1e-4)
+        assert u[y] == pytest.approx(gmin, abs=1e-4)
         assert evolve_forward(sec, y, 1e6).value == pytest.approx(gmin, abs=1e-4)
 
 
 def test_discrete_D_cases(two_point, tie):
     sec, L = two_point.section(), two_point.lagrangian()
-    assert discrete_D(sec, L, 0, 1.0) == (0.0, 0.0)  # argmin is {y} itself
-    dm, dp = discrete_D(sec, L, 1, 2.0)
+    table = evolution_table(sec, L, [1.0, 2.0])
+    assert (table.iD_minus[0, 0], table.iD_plus[0, 0]) == (0.0, 0.0)  # argmin is {y} itself
+    dm, dp = table.iD_minus[1, 1], table.iD_plus[1, 1]
     assert dm == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert dp == pytest.approx(math.sqrt(2.0), abs=1e-12)
     # engineered exact tie at fiber distances 1 and 2
     sec, L = tie.section(), tie.lagrangian()
-    assert evolve(sec, L, 0, 1.0).argmin == (1, 2)
-    assert discrete_D(sec, L, 0, 1.0) == (1.0, 2.0)
+    table = evolution_table(sec, L, [1.0])
+    assert argmin_set(table.argmins[0, 0]) == (1, 2)
+    assert (table.iD_minus[0, 0], table.iD_plus[0, 0]) == (1.0, 2.0)
 
 
 def test_time_derivative_frozen_argmin(two_point):
@@ -201,16 +276,6 @@ def test_time_derivative_kink(two_point):
     assert td.backward == pytest.approx(0.0, abs=1e-12)
     assert td.predicted_plus == pytest.approx(-1.0, abs=1e-12)
     assert td.predicted_minus == pytest.approx(0.0, abs=1e-12)
-
-
-def test_time_derivative_domain_error(two_point):
-    with pytest.raises(PreconditionError):
-        time_derivative(two_point.section(), 1, 1.0, h=1.5)
-
-
-def test_time_derivative_requires_model(two_point):
-    with pytest.raises(PreconditionError):
-        time_derivative(two_point.section(), 1, 1.0, h=0.01, L=power_lagrangian(4.0))
 
 
 def test_hj_residual_constant_field(singleton):
@@ -371,7 +436,7 @@ def test_suite_two_point_passes_and_monotone_strict(two_point):
     suite = proposition_suite(sec, L, evolution_table(sec, L, two_point.grids.times))
     assert all(item.status == "PASS" for item in suite.items)
     # strictly decreasing past the kink
-    assert evolve(sec, L, 1, 1.5).value < evolve(sec, L, 1, 1.0).value - 1e-3
+    assert evolve_all(sec, L, 1.5)[0][1] < evolve_all(sec, L, 1.0)[0][1] - 1e-3
 
 
 def test_suite_paper_passes(paper):
@@ -399,10 +464,3 @@ def test_evolution_table_invariants(two_point):
     assert np.all(table.iD_minus <= table.iD_plus + 1e-15)
     assert np.all(np.isfinite(table.u))
     assert np.all(np.isfinite(table.hj_residual))
-
-
-def test_diagnostics_smoke(two_point):
-    rows = semicontinuity_probe(two_point.section(), 1, 1.5, n_neighbors=1)
-    assert rows and {"y_index", "t", "iD_minus", "iD_plus"} <= set(rows[0])
-    rows = differentiability_probe(two_point.section(), 1, 1.5)
-    assert rows and rows[0]["u_quotient"] <= rows[0]["bound"] + 1e-9
