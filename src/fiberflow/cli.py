@@ -91,11 +91,10 @@ def cmd_transform(ns) -> int:
 def cmd_variational(ns) -> int:
     scenario = load_scenario(ns.scenario)
     y = scenario.id_index(ns.y)
-    result = solve_variational(
-        scenario.section(), scenario.lagrangian(), y, _checked_time(ns.t), ns.steps, scenario.params
-    )
+    t = _checked_time(ns.t)
     out = Path(ns.out) / f"{scenario.report_prefix}_variational.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before the solve
+    result = solve_variational(scenario.section(), scenario.lagrangian(), y, t, ns.steps, scenario.params)
     lines = ["k,s,w"]
     ds = result.t / result.m
     for k, w in enumerate(result.nodes):

@@ -20,6 +20,10 @@ from .errors import GeometryError
 Array = np.ndarray
 
 DEFAULT_TAU_GEO = 1e-9
+# Relative margin (4096 ulps) by which a pruning bound must clear its
+# threshold before a pair is skipped; it covers the rounding of the computed
+# distances, a few ulps of the magnitudes involved.
+PRUNE_MARGIN = 2.0**-40
 
 
 def _as_float_array(data, name: str) -> Array:
@@ -251,37 +255,65 @@ class SpaceReport:
         )
 
 
+def _box_candidates(fibers: list[FiberGeometry], tau_geo: float) -> list[tuple[int, int]]:
+    """Sorted index pairs (i < j) of nonempty fibers whose axis-aligned boxes
+    lie closer than `tau_geo` plus PRUNE_MARGIN times the largest coordinate
+    magnitude, by a sort-and-sweep of the boxes along the axis where their
+    lower corners spread most (Cohen et al., I-COLLIDE, 1995).  The boxes
+    are plain lists: per-call numpy overhead would dominate few-fiber loads."""
+    lo, hi = [], []
+    for f in fibers:
+        rows = (f.points if isinstance(f, PointSet) else f.segments.reshape(-1, f.kappa)).tolist()
+        lo.append(list(map(min, *rows)) if len(rows) > 1 else rows[0])  # per-axis minimum
+        hi.append(list(map(max, *rows)) if len(rows) > 1 else rows[0])
+    reach = tau_geo + PRUNE_MARGIN * max(-min(map(min, lo)), max(map(max, hi)), tau_geo)
+    spreads = [top - bottom for bottom, top in zip(map(min, *lo), map(max, *lo))]
+    axis = spreads.index(max(spreads))
+    keys = [box[axis] for box in lo]
+    order = sorted(range(len(fibers)), key=keys.__getitem__)
+    pairs = []
+    for p, i in enumerate(order):
+        stop = hi[i][axis] + reach
+        for q in range(p + 1, len(order)):
+            j = order[q]
+            if keys[j] > stop:
+                break
+            gap2 = 0.0
+            for lo_i, hi_i, lo_j, hi_j in zip(lo[i], hi[i], lo[j], hi[j]):
+                gap = max(lo_j - hi_i, lo_i - hi_j, 0.0)
+                gap2 += gap * gap
+            if gap2 < reach * reach:
+                pairs.append((min(i, j), max(i, j)))
+    return sorted(pairs)
+
+
 def validate_space(space: FiberedSpace, tau_geo: float = DEFAULT_TAU_GEO) -> SpaceReport:
     """Check boundedness, base-point distinctness and fiber disjointness.
 
     Two fibers closer than `tau_geo` count as overlapping: the sampled
-    quotient map would not foliate the ambient space.
+    quotient map would not foliate the ambient space.  The distance between
+    two fibers is at least the distance between their axis-aligned boxes, so
+    `fiber_min_distance` runs only on the pairs whose boxes lie closer than
+    `tau_geo` plus a margin of PRUNE_MARGIN times the largest coordinate
+    magnitude; the margin covers the rounding of the computed distances, whose
+    closest points may stray a few ulps outside the boxes.  The overlaps are
+    the same, in the same (i, j) order, as with a scan over all pairs.
     """
-    bounded = bool(np.all(np.isfinite(space.base_points)))
-    duplicates = []
-    bd = space.base_distance_matrix()
-    m = space.n_base
-    for i in range(m):
-        for j in range(i + 1, m):
-            if bd[i, j] == 0.0:
-                duplicates.append((i, j))
+    bounded = bool(np.isfinite(space.base_points).all())
+    rows, cols = np.nonzero(space.base_distance_matrix() == 0.0)
+    duplicates = [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < j]
     empty = [i for i, fib in enumerate(space.fibers) if fib.is_empty]
-    degenerate = []
-    for i, fib in enumerate(space.fibers):
-        if isinstance(fib, SegmentUnion):
-            degenerate.extend((i, k) for k in fib.degenerate_segments())
-        elif not fib.is_empty and not np.all(np.isfinite(fib.points)):
-            bounded = False
+    degenerate = [
+        (i, k) for i, fib in enumerate(space.fibers) if isinstance(fib, SegmentUnion) for k in fib.degenerate_segments()
+    ]
+    live = [i for i, fib in enumerate(space.fibers) if not fib.is_empty]
     overlaps = []
-    for i in range(m):
-        if space.fibers[i].is_empty:
-            continue
-        for j in range(i + 1, m):
-            if space.fibers[j].is_empty:
-                continue
-            d = fiber_min_distance(space.fibers[i], space.fibers[j])
+    if len(live) > 1:
+        fibers = [space.fibers[i] for i in live]
+        for a, b in _box_candidates(fibers, tau_geo):
+            d = fiber_min_distance(fibers[a], fibers[b])
             if d < tau_geo:
-                overlaps.append((i, j, d))
+                overlaps.append((live[a], live[b], d))
     return SpaceReport(
         bounded=bounded,
         duplicate_base_pairs=duplicates,

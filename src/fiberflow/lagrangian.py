@@ -16,13 +16,17 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError
-from .section import Section, bound_K, global_ILS, max_row_gaps
+from .section import Section, bound_K, global_ILS, pair_row_differences
 
 Array = np.ndarray
 
 MODEL_QUADRATIC = "model-quadratic"
 # the penalty names a scenario may carry; see lagrangian_from_spec
 SPEC_NAMES = (MODEL_QUADRATIC, "power", "zero")
+# Relative margin of the compatibility bound (see check_axioms): about 10^6
+# ulps of the larger penalty term, above the rounding of t L(D/t), which grows
+# with the elasticity v L'(v) / L(v) of L (p for a power v^p).
+COMPAT_MARGIN = 2.0**-32
 
 
 @dataclass(eq=False)
@@ -32,11 +36,15 @@ class Lagrangian:
     The certification grid records where the convexity and time-scaling
     properties were checked (see `check_axioms`); it is not used in
     evaluation.  `fn` must accept numpy arrays elementwise.
+    `nondecreasing_convex` declares, from L's closed form, that L is
+    nondecreasing and convex on R+; only the factories below set it, and
+    `check_axioms` prunes its compatibility scan only for such penalties.
     """
 
     fn: Callable[[Array], Array]
     name: str
     cert_grid: Array
+    nondecreasing_convex: bool = False
 
     def __post_init__(self):
         self.cert_grid = np.asarray(self.cert_grid, dtype=float)
@@ -56,7 +64,7 @@ def default_cert_grid(w_max: float = 10.0, n: int = 257) -> Array:
 def model_quadratic(cert_grid: Array | None = None) -> Lagrangian:
     """The model penalty L(v) = v^2 / 2, normalized so that t L(d/t) = d^2/(2t)."""
     grid = default_cert_grid() if cert_grid is None else cert_grid
-    return Lagrangian(fn=lambda v: 0.5 * v * v, name=MODEL_QUADRATIC, cert_grid=grid)
+    return Lagrangian(fn=lambda v: 0.5 * v * v, name=MODEL_QUADRATIC, cert_grid=grid, nondecreasing_convex=True)
 
 
 def power_lagrangian(exponent: float, scale: float = 1.0, cert_grid: Array | None = None) -> Lagrangian:
@@ -65,12 +73,19 @@ def power_lagrangian(exponent: float, scale: float = 1.0, cert_grid: Array | Non
         raise PreconditionError("power_lagrangian needs exponent >= 1 for convexity")
     grid = default_cert_grid() if cert_grid is None else cert_grid
     name = MODEL_QUADRATIC if (exponent == 2.0 and scale == 1.0) else f"power-{exponent:g}"
-    return Lagrangian(fn=lambda v: scale * np.power(v, exponent) / exponent, name=name, cert_grid=grid)
+    return Lagrangian(
+        fn=lambda v: scale * np.power(v, exponent) / exponent,
+        name=name,
+        cert_grid=grid,
+        nondecreasing_convex=scale >= 0,
+    )
 
 
 def zero_lagrangian(cert_grid: Array | None = None) -> Lagrangian:
     grid = default_cert_grid() if cert_grid is None else cert_grid
-    return Lagrangian(fn=lambda v: np.zeros_like(np.asarray(v, dtype=float)), name="zero", cert_grid=grid)
+    return Lagrangian(
+        fn=lambda v: np.zeros_like(np.asarray(v, dtype=float)), name="zero", cert_grid=grid, nondecreasing_convex=True
+    )
 
 
 def lagrangian_from_spec(spec: dict, cert_grid: Array | None = None) -> Lagrangian:
@@ -125,6 +140,25 @@ def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:
 
     A failed axiom does not raise; proposition checks that rely on the axiom
     are expected to skip when `passed` is false.
+
+    The compatibility scan is cubic, lhs[y, x] = max over z of
+    A[y, z] - A[x, z] with A = t L(D / t).  For a penalty declared
+    `nondecreasing_convex` it skips the pairs that cannot reach the slack of
+    the diagonal (y = x, where lhs is exactly 0), a lower bound of the
+    maximum at every t.  Distance to a set is 1-Lipschitz, so
+    D[y, z] <= D[x, z] + E[y, x], and the increments of a nondecreasing
+    convex L grow with their base point, so with Dmax[x] = max over z of
+    D[x, z]
+
+        lhs[y, x] <= ub[y, x] = T[y, x] - t L(Dmax[x] / t),
+        T[y, x] = t L((Dmax[x] + E[y, x]) / t).
+
+    A pair is scanned unless ub + COMPAT_MARGIN * T - rhs lies below the
+    diagonal's slack or the worst slack of the earlier times, which only a
+    strictly larger slack replaces.  A skipped pair cannot attain or replace
+    the maximum, so the worst slack and its first-wins witness (x, y, z, t)
+    are those of the full scan.  Any other penalty is scanned in full,
+    whatever its name.
     """
     t_list = np.asarray(t_list, dtype=float)
     if t_list.size == 0 or np.any(t_list <= 0):
@@ -138,23 +172,37 @@ def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:
     D = section.fiber_distances()
     E = section.value_distances()
     K = bound_K(section)
+    Dmax = D.max(axis=1)
     compat_worst = -math.inf
     witness = None
     for t in t_list:
         A = t * L(D / t)
-        lhs = max_row_gaps(A)  # lhs[y, x] maxed over z
-        Lvals = L(E / t)
-        if np.any(Lvals < 0):
+        rhs = L(E / t)  # 2 K sqrt(L(E / t)) below, in place
+        if np.any(rhs < 0):
             # sqrt undefined: treat as an axiom failure at this t
             compat_worst = math.inf
             witness = None
             continue
-        rhs = 2.0 * K * np.sqrt(Lvals)
-        slack = lhs - rhs
-        pos = np.unravel_index(int(np.argmax(slack)), slack.shape)
-        if slack[pos] > compat_worst:
-            compat_worst = float(slack[pos])
-            y, x = int(pos[0]), int(pos[1])
+        np.sqrt(rhs, out=rhs)
+        rhs *= 2.0 * K
+        if L.nondecreasing_convex:
+            bound = L((E + Dmax) / t)  # built in place into ub + margin - rhs
+            bound *= t * (1.0 + COMPAT_MARGIN)
+            bound -= t * L(Dmax / t)
+            bound -= rhs
+            scan = ~(bound < max(-rhs.diagonal().min(), compat_worst))
+            del bound
+        else:
+            scan = np.ones(A.shape, dtype=bool)
+        ys, xs = np.nonzero(scan)
+        if ys.size == 0:
+            continue
+        lhs = np.concatenate([G.max(axis=1) for _, G in pair_row_differences(A, ys, xs)])
+        slack = lhs - rhs[ys, xs]  # row-major over the scanned pairs: the first maximum wins
+        k = int(np.argmax(slack))
+        if slack[k] > compat_worst:
+            compat_worst = float(slack[k])
+            y, x = int(ys[k]), int(xs[k])
             z = int(np.argmax(A[y] - A[x]))
             witness = (x, y, z, float(t))
 

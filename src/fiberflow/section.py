@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, PreconditionError
-from .geometry import FiberedSpace, fiber_distances_to_points
+from .geometry import PRUNE_MARGIN, FiberedSpace, PointSet, fiber_distances_to_points
 
 Array = np.ndarray
 
@@ -198,7 +198,69 @@ def max_row_gaps(A: Array) -> Array:
     return np.array([(row - A).max(axis=1) for row in A])
 
 
+def pair_row_differences(A: Array, rows: Array, others: Array):
+    """Yield (start, A[rows[start]] - A[others[start:stop]]) for each run
+    start:stop of equal entries of `rows`: a scan of selected row pairs of
+    the m x m matrix A in O(m^2) memory.  The pairs come in row-major order,
+    as `np.nonzero` gives them."""
+    cuts = np.flatnonzero(np.diff(rows, prepend=-1, append=-1)).tolist()
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        full = stop - start == A.shape[0]  # a whole row of pairs: others[start:stop] is 0..m-1
+        yield start, A[rows[start]] - (A if full else A[others[start:stop]])
+
+
+def fiber_excess_bound(section: Section) -> Array:
+    """H[y, z] >= sup over p in F_z of d(p, F_y), plus a rounding margin, so
+    that the computed D[x, y] - D[x, z] is at most H[y, z] for every anchor x
+    (the point of F_z nearest f(x) lies within that supremum of F_y).
+
+    A point fiber F_z gives the supremum itself.  A segment [a, b] of F_z
+    gives min over the segments s of F_y of max(d(a, s), d(b, s)), since the
+    distance to a segment is convex along [a, b]; points enter as segments
+    with a = b.  The distances from all pieces' endpoints to the pieces of
+    a block of fibers F_y are one array pass.  The margin is PRUNE_MARGIN
+    times the largest distance or coordinate magnitude; it covers the
+    rounding of D and of the bound.
+    """
+    fibers = section.space.fibers
+    pieces = [np.stack([f.points, f.points], axis=1) if isinstance(f, PointSet) else f.segments for f in fibers]
+    counts = [len(piece) for piece in pieces]
+    starts = np.cumsum([0] + counts)  # fiber y owns the pieces starts[y]:starts[y + 1]
+    ends = np.concatenate(pieces)
+    a, b = ends[:, 0], ends[:, 1]
+    ab = b - a
+    denom = (ab * ab).sum(axis=1)
+    m = section.n_base
+    H = np.empty((m, m))
+    step = max(1, m * m // (8 * len(ends) * max(counts)))  # fibers F_y per block: temporaries of m^2 / 8
+    for y0 in range(0, m, step):
+        y1 = min(m, y0 + step)
+        k0, k1 = starts[y0], starts[y1]
+        seg_a, seg_ab, seg_denom = a[k0:k1].T, ab[k0:k1].T, denom[k0:k1]
+        d = None
+        for p in (a,) if np.array_equal(a, b) else (a, b):  # the endpoints of every piece of every F_z
+            rel = [p[:, k, None] - seg_a[k] for k in range(p.shape[1])]  # rel[k][n, q]: axis k of p[n] - a[q]
+            if seg_denom.any():  # project onto the segments of the block, clamped
+                s = sum(r * u for r, u in zip(rel, seg_ab))
+                s = np.clip(np.divide(s, seg_denom, out=np.zeros_like(s), where=seg_denom > 0), 0.0, 1.0)
+                rel = [r - s * u for r, u in zip(rel, seg_ab)]
+            dist = np.sqrt(sum(r * r for r in rel))
+            d = dist if d is None else np.maximum(d, dist)
+        # min over the pieces of each F_y, then max over the pieces of each F_z
+        nearest = np.minimum.reduceat(d, starts[y0:y1] - k0, axis=1)
+        H[y0:y1] = np.maximum.reduceat(nearest, starts[:-1], axis=0).T
+    magnitudes = (np.abs(ends).max(), np.abs(section.values).max(), H.max(), section.fiber_distances().max())
+    H += PRUNE_MARGIN * float(max(magnitudes))
+    return H
+
+
 def asymmetry_probe(section: Section, excess_tol: float = 1e-9) -> AsymmetryReport:
+    """The section-anchored form scans every triple.  The reverse form lists
+    every (x, y, z) with D[x, y] - D[x, z] - E[y, z] > excess_tol, and scans
+    the anchors x of a pair (y, z) only when H[y, z] - E[y, z] > excess_tol,
+    H being `fiber_excess_bound`.  A skipped pair has no violating anchor,
+    so the violations are those of a scan over all triples.
+    """
     m = section.n_base
     if m < 3:
         raise PreconditionError("asymmetry_probe needs at least 3 base points")
@@ -212,15 +274,17 @@ def asymmetry_probe(section: Section, excess_tol: float = 1e-9) -> AsymmetryRepo
     x = int(np.argmax(D[y] - D[z]))
     worst = float(gaps[y, z])
 
-    # reverse form: max over x of (D[x,y] - D[x,z]) - E[y,z]; subtraction is
-    # monotone, so a pair exceeds the tolerance exactly when one of its anchors does
-    bound = max_row_gaps(D.T) - E
+    # reverse form: anchors x of the pairs (y, z) that the bound H does not clear
+    excess = fiber_excess_bound(section)
+    excess -= E
+    ys, zs = np.nonzero(excess > excess_tol)
     violations: list[AsymmetryViolation] = []
-    for yi, zi in np.argwhere(bound > excess_tol):
-        lhs = D[:, yi] - D[:, zi]
-        for xi in np.nonzero(lhs - E[yi, zi] > excess_tol)[0]:
+    for start, lhs in pair_row_differences(D.T, ys, zs):  # lhs[k, x] = D[x, yi] - D[x, run[k]]
+        yi, run = int(ys[start]), zs[start : start + len(lhs)]
+        rhs = E[yi, run]
+        for k, xi in zip(*np.nonzero(lhs - rhs[:, None] > excess_tol)):
             violations.append(
-                AsymmetryViolation(x=int(xi), y=int(yi), z=int(zi), lhs=float(lhs[xi]), rhs=float(E[yi, zi]))
+                AsymmetryViolation(x=int(xi), y=yi, z=int(run[k]), lhs=float(lhs[k, xi]), rhs=float(rhs[k]))
             )
     violations.sort(key=lambda v: (v.x, v.y, v.z))
     return AsymmetryReport(first_form_worst=worst, first_form_argmax=(x, y, z), violations=violations)

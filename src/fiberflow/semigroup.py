@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError
-from .lagrangian import MODEL_QUADRATIC, AxiomReport, Lagrangian, check_axioms, conjugate, model_quadratic
+from .lagrangian import MODEL_QUADRATIC, AxiomReport, Lagrangian, check_axioms, model_quadratic
 from .section import Section, bound_K, g_field, global_ILS
 
 Array = np.ndarray
@@ -355,12 +355,18 @@ def proposition_suite(
     if not math.isfinite(ils):
         skip("e_boundary_rate", "global ILS estimate is infinite")
     else:
+        # for speeds w >= 0 the computed L*(xi) = max over w of (xi w - L(w)) is
+        # nondecreasing along the grid (products and differences round
+        # monotonically), so max |L*| is attained at the grid's two ends
         xi_grid = np.linspace(0.0, ils, xi_resolution)
         D = section.fiber_distances()
         gaps = []
         for t, ut in zip(times, u):
-            C = [max(abs(L0), float(np.abs(conjugate(xi_grid, w, L(w))[0]).max())) for w in D / t]
-            gaps.append((np.abs(ut - g) - np.array(C) * t, "y", f"t={t:g}"))
+            W = D / t
+            LW = L(W)
+            ends = [np.abs((xi * W - LW).max(axis=1)) for xi in xi_grid[[0, -1]]]
+            C = np.fmax(abs(L0), np.maximum(*ends))
+            gaps.append((np.abs(ut - g) - C * t, "y", f"t={t:g}"))
         record("e_boundary_rate", *worst_case(gaps))
 
     # (f) u(y, .) nonincreasing in t

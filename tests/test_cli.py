@@ -144,6 +144,19 @@ def test_out_naming_a_file_is_a_usage_error(two_point_file, tmp_path, capsys):
     assert taken.read_text() == "keep"
 
 
+def test_variational_out_naming_a_file_fails_before_the_solve(two_point_file, tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+
+    def solve(*args, **kwargs):
+        raise AssertionError("the curve solve ran before --out was checked")
+
+    monkeypatch.setattr("fiberflow.cli.solve_variational", solve)
+    assert main(["--out", str(taken), "variational", two_point_file, "--y", "b1", "--t", "2.0"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write under --out {taken}:")
+    assert taken.read_text() == "keep"
+
+
 @pytest.mark.parametrize(
     "path, value, field",
     [

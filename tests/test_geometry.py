@@ -16,6 +16,13 @@ from fiberflow.geometry import (
     segment_segment_distance,
     validate_space,
 )
+from fiberflow.scenario import (
+    paper_counterexample,
+    random_scenario,
+    singleton_constant_scenario,
+    tie_scenario,
+    two_point_scenario,
+)
 
 SLICE_AT_7 = PointSet(np.array([[7.0, 8.0], [7.0, 6.5]]))
 SLICE_AT_6 = PointSet(np.array([[6.0, 8.0], [6.0, 6.0]]))
@@ -141,3 +148,67 @@ def test_degenerate_segment_reported():
     )
     report = validate_space(space)
     assert report.degenerate_segments == [(0, 0)]
+
+
+def reference_overlaps(space, tau_geo):
+    """Every pair of nonempty fibers closer than tau_geo, from a scan over all pairs."""
+    fibers = space.fibers
+    out = []
+    for i in range(len(fibers)):
+        for j in range(i + 1, len(fibers)):
+            if not (fibers[i].is_empty or fibers[j].is_empty):
+                d = fiber_min_distance(fibers[i], fibers[j])
+                if d < tau_geo:
+                    out.append((i, j, d))
+    return out
+
+
+def _space(kappa, fibers):
+    base = np.arange(len(fibers) * kappa, dtype=float).reshape(len(fibers), kappa)
+    return FiberedSpace(kappa=kappa, base_points=base, fibers=tuple(fibers))
+
+
+def _segments(*segs):
+    return SegmentUnion(np.array(segs, dtype=float))
+
+
+def test_box_pruned_overlaps_equal_all_pairs_scan():
+    bundled = [b() for b in (paper_counterexample, singleton_constant_scenario, tie_scenario, two_point_scenario)]
+    spaces = [sc.space() for sc in bundled + [random_scenario(seed) for seed in range(40)]]
+    spaces += [
+        # crossing segments, and a point on one of them: real overlaps inside overlapping boxes
+        _space(2, [_segments([[0, 0], [2, 2]]), _segments([[0, 2], [2, 0]]), PointSet(np.array([[1.5, 1.5]]))]),
+        # boxes that overlap or touch while the fibers stay apart
+        _space(2, [_segments([[0, 0], [2, 2]]), _segments([[1, 0], [2, 0.5]]), PointSet(np.array([[2.0, -1.0]]))]),
+        # identical point fibers, an empty fiber between them, a degenerate segment
+        _space(2, [PointSet(np.array([[5.0, 5.0]])), PointSet(np.empty((0, 2))), PointSet(np.array([[5.0, 5.0]]))]),
+        _space(
+            3,
+            [_segments([[0, 0, 0], [0, 0, 1]]), PointSet(np.array([[0.0, 0.0, 1.0]])), _segments([[1, 1, 1], [1, 1, 1]])],
+        ),
+        # boxes spread along the second axis only
+        _space(2, [_segments([[0, k], [8, k]]) for k in (0.0, 0.5, 0.7, 3.0)]),
+    ]
+    found = 0
+    for space in spaces:
+        for tau in (1e-9, 0.25, 0.5, 1.5, 3.0):
+            overlaps = validate_space(space, tau_geo=tau).overlaps
+            assert overlaps == reference_overlaps(space, tau), tau
+            found += len(overlaps)
+    assert found > 100  # the comparison covers many real overlaps
+
+
+def test_box_margin_covers_a_segment_end_rounded_outside_its_box():
+    # a + (b - a) rounds to 7.290000000000001 > b, so the computed distance to
+    # the point at 7.79 is below the box gap 0.5 that tau_geo equals
+    space = _space(1, [_segments([[1.15], [7.29]]), PointSet(np.array([[7.79]]))])
+    overlaps = validate_space(space, tau_geo=0.5).overlaps
+    assert overlaps == reference_overlaps(space, 0.5)
+    assert overlaps and overlaps[0][2] < 0.5
+
+
+def test_duplicate_base_points_in_order():
+    fibers = [PointSet(np.array([[float(k), 9.0]])) for k in range(4)]
+    base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    report = validate_space(FiberedSpace(kappa=2, base_points=base, fibers=tuple(fibers)))
+    assert report.duplicate_base_pairs == [(0, 2), (1, 3)]

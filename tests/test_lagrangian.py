@@ -14,7 +14,9 @@ from fiberflow.lagrangian import (
     power_lagrangian,
     zero_lagrangian,
 )
-from fiberflow.section import Section
+from fiberflow.scenario import random_scenario
+from fiberflow.section import Section, bound_K, max_row_gaps
+from test_section import segments_section, two_line_section
 
 
 def test_model_normalization():
@@ -159,3 +161,90 @@ def test_default_grid_needs_finite_ils():
 def test_negative_xi_rejected(two_point):
     with pytest.raises(PreconditionError):
         legendre_transform(two_point.lagrangian(), two_point.section(), 0, 1.0, xi_grid=np.array([-0.1]))
+
+
+def reference_compatibility(L, section, t_list):
+    """The compatibility scan over all triples, one time at a time:
+    (worst slack, witness (x, y, z, t)), the first maximum winning."""
+    D, E, K = section.fiber_distances(), section.value_distances(), bound_K(section)
+    worst, witness = -math.inf, None
+    for t in t_list:
+        A = t * L(D / t)
+        Lvals = L(E / t)
+        if np.any(Lvals < 0):
+            worst, witness = math.inf, None
+            continue
+        slack = max_row_gaps(A) - 2.0 * K * np.sqrt(Lvals)
+        y, x = np.unravel_index(int(np.argmax(slack)), slack.shape)
+        if slack[y, x] > worst:
+            worst, witness = float(slack[y, x]), (int(x), int(y), int(np.argmax(A[y] - A[x])), float(t))
+    return worst, witness
+
+
+def _compatibility(L, section, t_list):
+    report = check_axioms(L, section, t_list)
+    return report.compatibility_worst, report.compatibility_witness
+
+
+def test_factories_declare_nondecreasing_convex():
+    assert model_quadratic().nondecreasing_convex and zero_lagrangian().nondecreasing_convex
+    assert power_lagrangian(4.0).nondecreasing_convex and power_lagrangian(1.0, 0.0).nondecreasing_convex
+    assert not power_lagrangian(2.0, -1.0).nondecreasing_convex
+    assert not Lagrangian(fn=np.square, name="power-2", cert_grid=np.linspace(0, 1, 5)).nondecreasing_convex
+
+
+def test_pruned_compatibility_equals_full_scan(paper, two_point, singleton, tie):
+    sections = [sc.section() for sc in (paper, two_point, singleton, tie)]
+    sections += [random_scenario(seed).section() for seed in range(40)]
+    sections += [two_line_section(40), segments_section(30)]
+    grid = np.linspace(0.0, 1.0, 3)
+    penalties = [model_quadratic(grid), power_lagrangian(4.0, cert_grid=grid), power_lagrangian(1.5, 0.3, grid)]
+    penalties.append(zero_lagrangian(grid))
+    positive = 0
+    for sec in sections:
+        for L in penalties:
+            for times in ([0.01, 0.5, 2.0], [2.0, 0.04, 0.3]):
+                got = _compatibility(L, sec, times)
+                assert got == reference_compatibility(L, sec, times), (L.name, times)
+                positive += got[0] > 0
+    assert positive > 50  # failing verdicts are covered, not only the diagonal's zero
+
+
+def test_compatibility_bound_margin_on_near_ties():
+    # the scale puts the worst slack of a small section within a few ulps of
+    # the diagonal's 0, where the computed bound can fall below the computed slack
+    rng = np.random.default_rng(0)
+    cases = 0
+    for _ in range(100):
+        kappa, n = int(rng.integers(1, 3)), int(rng.integers(3, 5))
+        values = rng.uniform(-5, 5, (n, kappa))
+        fibers = tuple(
+            PointSet(np.vstack([v, v + rng.uniform(-3, 3, (int(rng.integers(0, 2)), kappa))])) for v in values
+        )
+        base = np.arange(n * kappa, dtype=float).reshape(n, kappa)
+        space = FiberedSpace(kappa=kappa, base_points=base, fibers=fibers)
+        sec = Section(space=space, values=values)
+        p = float(rng.choice([1.0, 1.5, 2.0, 3.0, 4.0]))
+        L1 = power_lagrangian(p)
+        lhs = max_row_gaps(L1(sec.fiber_distances()))
+        rhs = 2.0 * bound_K(sec) * np.sqrt(L1(sec.value_distances()))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(lhs > 0, rhs / lhs, np.inf)
+        np.fill_diagonal(ratio, np.inf)
+        scale = float(ratio.min()) ** 2  # slack = scale lhs - sqrt(scale) rhs crosses 0 here
+        if not 0 < scale < math.inf:
+            continue
+        for k in range(-4, 5):
+            L = power_lagrangian(p, scale * (1 + k * 2.0**-52), cert_grid=np.array([0.0, 1.0]))
+            assert _compatibility(L, sec, [1.0]) == reference_compatibility(L, sec, [1.0]), (p, k)
+            cases += 1
+    assert cases > 500
+
+
+def test_hand_built_penalty_keeps_the_full_scan(paper):
+    # decreasing, so the bound does not hold; the name does not turn pruning on
+    L = Lagrangian(fn=lambda v: np.exp(-v), name="power-4", cert_grid=np.linspace(0, 5, 64))
+    sec = paper.section()
+    expected = reference_compatibility(L, sec, [0.05, 1.0])
+    assert _compatibility(L, sec, [0.05, 1.0]) == expected
+    assert expected[0] > 0

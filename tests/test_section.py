@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from fiberflow.errors import PreconditionError
-from fiberflow.geometry import FiberedSpace, PointSet
-from fiberflow.lagrangian import check_axioms, model_quadratic
+from fiberflow.geometry import FiberedSpace, PointSet, SegmentUnion
+from fiberflow.lagrangian import check_axioms, model_quadratic, power_lagrangian
 from fiberflow.scenario import random_scenario
 from fiberflow.section import (
     Section,
     asymmetry_probe,
     bound_K,
+    fiber_excess_bound,
     g_field,
     global_ILS,
     local_slopes,
@@ -77,6 +78,18 @@ def two_line_section(m):
     fibers = tuple(PointSet(np.array([[xi, 8.0], [xi, 3.0 + xi / 2.0]])) for xi in x)
     space = FiberedSpace(kappa=2, base_points=np.column_stack([x, np.zeros(m)]), fibers=fibers)
     return Section(space=space, values=np.column_stack([x, 3.0 + x / 2.0]))
+
+
+def segments_section(m):
+    """Two vertical segments per base point, (x, 7.75)-(x, 8.25) and
+    (x, y - 0.2)-(x, y + 0.2) with y = 3 + x/2, and the section at (x, y)."""
+    x = np.linspace(0.0, 8.0, m)
+    y = 3.0 + x / 2.0
+    fibers = tuple(
+        SegmentUnion(np.array([[[xi, 7.75], [xi, 8.25]], [[xi, yi - 0.2], [xi, yi + 0.2]]])) for xi, yi in zip(x, y)
+    )
+    space = FiberedSpace(kappa=2, base_points=np.column_stack([x, np.zeros(m)]), fibers=fibers)
+    return Section(space=space, values=np.column_stack([x, y]))
 
 
 def reference_asymmetry_violations(section, excess_tol=1e-9):
@@ -258,6 +271,43 @@ def test_asymmetry_violations_match_per_anchor_reference(paper, tie, singleton):
     assert found > 0  # the comparison covers nonempty violation lists
 
 
+def test_pruned_reverse_form_equals_all_triples(paper, tie, singleton):
+    sections = [paper.section(), tie.section(), singleton.section(), segments_section(12)]
+    sections += [random_scenario(seed).section() for seed in range(40)]
+    mixed = FiberedSpace(
+        kappa=2,
+        base_points=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),
+        fibers=(
+            SegmentUnion(np.array([[[0.0, 0.0], [0.0, 2.0]], [[0.0, 5.0], [1.0, 6.0]]])),
+            PointSet(np.array([[3.0, 1.0], [4.0, 4.0]])),
+            SegmentUnion(np.array([[[6.0, 0.0], [6.0, 0.0]]])),
+            PointSet(np.array([[2.0, 7.0]])),
+        ),
+    )
+    sections.append(Section(space=mixed, values=np.array([[0.0, 1.0], [3.0, 1.0], [6.0, 0.0], [2.0, 7.0]])))
+    found = 0
+    for sec in sections:
+        for tol in (1e-9, 0.0, -0.5):
+            got = [(v.x, v.y, v.z, v.lhs, v.rhs) for v in asymmetry_probe(sec, excess_tol=tol).violations]
+            assert got == reference_asymmetry_violations(sec, tol)
+            found += len(got)
+    assert found > 1000
+    # the paper's reverse form: 93 pairs (y, z) pass the bound, 92 of them with violations
+    sec = paper.section()
+    assert int((fiber_excess_bound(sec) - sec.value_distances() > 1e-9).sum()) == 93
+    assert len({(v.y, v.z) for v in asymmetry_probe(sec).violations}) == 92
+
+
+def test_reverse_form_bound_margin_keeps_rounding_violations():
+    # on the two-line geometry sup over F_z of d(p, F_y) equals E[y, z] exactly,
+    # so every violation at excess_tol 0 is rounding that the margin must keep
+    sec = two_line_section(20)
+    for tol in (0.0, 1e-15):
+        got = [(v.x, v.y, v.z, v.lhs, v.rhs) for v in asymmetry_probe(sec, excess_tol=tol).violations]
+        ref = reference_asymmetry_violations(sec, tol)
+        assert got == ref and ref
+
+
 def test_asymmetry_symmetric_case_no_violations(singleton):
     # singleton fibers equal to the section values make both forms coincide
     probe = asymmetry_probe(singleton.section())
@@ -281,6 +331,25 @@ def test_triple_scans_memory_is_quadratic():
         finally:
             tracemalloc.stop()
         assert peak < budget, (name, peak)
+
+
+def test_compatibility_scan_memory_when_every_pair_is_scanned():
+    # the quartic penalty on segment fibers: the bound clears no pair at the first time
+    m = 200
+    sec = segments_section(m)
+    D, E = sec.fiber_distances(), sec.value_distances()
+    L, t = power_lagrangian(4.0), 0.01
+    Dmax = D.max(axis=1)
+    ub = t * L((E + Dmax) / t) - t * L(Dmax / t)
+    assert np.all(ub - 2.0 * bound_K(sec) * np.sqrt(L(E / t)) >= 0)
+    budget = 32 * m * m * 8  # bytes: 32 m x m float arrays
+    tracemalloc.start()
+    try:
+        check_axioms(L, sec, [t, 0.5, 2.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget, peak
 
 
 def test_asymmetry_needs_three_points(two_point):

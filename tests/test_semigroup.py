@@ -6,7 +6,7 @@ import pytest
 
 from fiberflow.errors import PreconditionError
 from fiberflow.geometry import FiberedSpace, PointSet, dist_to_fiber
-from fiberflow.lagrangian import model_quadratic, power_lagrangian
+from fiberflow.lagrangian import conjugate, model_quadratic, power_lagrangian
 from fiberflow.scenario import random_scenario
 from fiberflow.section import Section, g_field, global_ILS
 from fiberflow.semigroup import (
@@ -443,6 +443,34 @@ def test_suite_paper_passes(paper):
     sec, L = paper.section(), paper.lagrangian()
     suite = proposition_suite(sec, L, evolution_table(sec, L, paper.grids.times), labels=paper.base_ids)
     assert all(item.status == "PASS" for item in suite.items)
+
+
+def reference_boundary_rate(section, L, table, xi_resolution=101):
+    """Suite item e over every xi of the grid: the worst |u - g| - C t with
+    C = max(|L(0)|, max |L*|) per (t, y), and its location (first wins)."""
+    xi = np.linspace(0.0, global_ILS(section), xi_resolution)
+    g, L0, D = g_field(section), float(L(0.0)), section.fiber_distances()
+    worst, loc = -math.inf, None
+    order = np.argsort(table.times, kind="stable")
+    for t, ut in zip(table.times[order], table.u[order]):
+        C = np.array([max(abs(L0), float(np.abs(conjugate(xi, w, L(w))[0]).max())) for w in D / t])
+        gap = np.abs(ut - g) - C * t
+        if gap.max() > worst:
+            worst, loc = float(gap.max()), f"y={int(np.argmax(gap))},t={t:g}"
+    return worst, loc
+
+
+def test_boundary_rate_from_the_transform_ends_equals_full_grid(paper, two_point, tie):
+    sections = [sc.section() for sc in (paper, two_point, tie)]
+    sections += [random_scenario(seed).section() for seed in range(10)] + [two_line_section(30)]
+    model = model_quadratic()
+    for sec in sections:
+        for L in (model, power_lagrangian(4.0), power_lagrangian(1.5, 0.2)):
+            times = [0.05, 0.5, 2.0, 0.2]
+            table = evolution_table(sec, L, times)
+            suite = proposition_suite(sec, L, table, evolution_table(sec, model, times))
+            item = suite.item("e_boundary_rate")
+            assert (item.worst_slack, item.location) == reference_boundary_rate(sec, L, table), L.name
 
 
 def test_suite_skips_axiom_items_for_bad_lagrangian(paper):
