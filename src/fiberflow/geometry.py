@@ -10,6 +10,7 @@ sampling involved).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
@@ -287,6 +288,21 @@ def _box_candidates(fibers: list[FiberGeometry], tau_geo: float) -> list[tuple[i
     return sorted(pairs)
 
 
+def _duplicate_pairs(points: Array) -> list[tuple[int, int]]:
+    """Sorted index pairs (i < j) of base points with equal coordinates, -0.0
+    counting equal to 0.0, from one sort of the rows (plain lists, as in
+    `_box_candidates`).  The coordinates are finite (`FiberedSpace` refuses
+    others), so these are the pairs at computed distance 0, except rows that
+    differ only by less than 2^-537 per coordinate, whose squared differences
+    underflow to 0."""
+    rows = points.tolist()
+    order = sorted(range(len(rows)), key=rows.__getitem__)  # stable: each run of equal rows ascends
+    pairs = []
+    for _, run in itertools.groupby(order, key=rows.__getitem__):
+        pairs.extend(itertools.combinations(run, 2))
+    return sorted(pairs)
+
+
 def validate_space(space: FiberedSpace, tau_geo: float = DEFAULT_TAU_GEO) -> SpaceReport:
     """Check boundedness, base-point distinctness and fiber disjointness.
 
@@ -300,8 +316,7 @@ def validate_space(space: FiberedSpace, tau_geo: float = DEFAULT_TAU_GEO) -> Spa
     the same, in the same (i, j) order, as with a scan over all pairs.
     """
     bounded = bool(np.isfinite(space.base_points).all())
-    rows, cols = np.nonzero(space.base_distance_matrix() == 0.0)
-    duplicates = [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < j]
+    duplicates = _duplicate_pairs(space.base_points)
     empty = [i for i, fib in enumerate(space.fibers) if fib.is_empty]
     degenerate = [
         (i, k) for i, fib in enumerate(space.fibers) if isinstance(fib, SegmentUnion) for k in fib.degenerate_segments()

@@ -8,7 +8,6 @@ files.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,11 +20,8 @@ from .semigroup import EvolutionTable
 
 
 def fmt(x) -> str:
-    """12 significant digits; inf and integers render naturally."""
-    x = float(x)
-    if math.isinf(x) or math.isnan(x):
-        return str(x)
-    return format(x, ".12g")
+    """12 significant digits; inf, -inf, nan and integers render naturally."""
+    return format(float(x), ".12g")
 
 
 def _write_lines(path: Path, lines: list[str]) -> Path:

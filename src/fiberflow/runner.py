@@ -196,7 +196,6 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
     radius = grids.hj_radius if grids.hj_radius is not None else max(grids.radii)
 
     def worse(worst: tuple[float, str | None], residual, t: float) -> tuple[float, str | None]:
-        residual = residual[hj_ids]
         k = int(np.argmax(residual))
         if residual[k] > worst[0]:
             return float(residual[k]), f"y={scenario.base_ids[hj_ids[k]]},t={t:g}"
@@ -204,8 +203,8 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
 
     plain, lipschitz, flagged = (-math.inf, None), (-math.inf, None), 0
     for t in hj_times:
-        hj, hj_lipschitz = hj_residuals(section, float(t), radius, grids.tau_tie)
-        flagged += int(np.count_nonzero(hj.n_neighbors[hj_ids] == 0))
+        hj, hj_lipschitz = hj_residuals(section, float(t), radius, hj_ids)
+        flagged += int(np.count_nonzero(hj.n_neighbors == 0))
         plain = worse(plain, hj.residual, t)
         if hj_lipschitz is not None:
             lipschitz = worse(lipschitz, hj_lipschitz.residual, t)

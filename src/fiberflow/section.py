@@ -19,6 +19,8 @@ from .geometry import PRUNE_MARGIN, FiberedSpace, PointSet, fiber_distances_to_p
 Array = np.ndarray
 
 DEFAULT_TAU_SEC = 1e-9
+# floats in one difference block of `max_row_gaps`: 256 KB, a cache-sized block
+GAP_BLOCK_FLOATS = 1 << 15
 
 
 @dataclass(eq=False)
@@ -193,9 +195,39 @@ class AsymmetryReport:
 
 
 def max_row_gaps(A: Array) -> Array:
-    """G[i, j] = max over k of (A[i, k] - A[j, k]), built one anchor row i at a
-    time so that a scan over all triples needs O(m^2) memory."""
-    return np.array([(row - A).max(axis=1) for row in A])
+    """G[i, j] = max over k of (A[i, k] - A[j, k]) in O(m^2) memory, equal bit
+    for bit to a scan of every ordered pair of rows.
+
+    IEEE subtraction rounds symmetrically: fl(a - b) = -fl(b - a) for every
+    nonzero, non-NaN difference (Goldberg, "What every computer scientist
+    should know about floating-point arithmetic", ACM Comput. Surv. 1991).
+    So one difference block A[i] - A[j] over the rows j > i gives both
+    orientations: its row maxima are G[i, j], and its negated row minima are
+    G[j, i].  The lower-triangle entries that come out zero or NaN, where the
+    sign of zero or the NaN payload depends on the orientation, are
+    recomputed as A[j] - A[i].  The diagonal is computed, not assumed: the
+    blocks start at j = i, and G[i, i] is NaN on a row holding inf or NaN.
+    The rows j of one block fill GAP_BLOCK_FLOATS floats, so the block stays
+    in cache between its minima and maxima.
+    """
+    A = np.ascontiguousarray(A, dtype=float)
+    m, n = A.shape
+    G = np.empty((m, m))
+    step = max(1, min(m, GAP_BLOCK_FLOATS // max(1, n)))  # rows j per block
+    buf = np.empty((step, n))
+    for i in range(m):
+        for j0 in range(i, m, step):
+            j1 = min(m, j0 + step)
+            block = np.subtract(A[i], A[j0:j1], out=buf[: j1 - j0])
+            np.negative(block.min(axis=1), out=G[j0:j1, i])
+            block.max(axis=1, out=G[i, j0:j1])  # last, so that G[i, i] is the maximum of A[i] - A[i]
+    j, i = np.nonzero((G == 0.0) | (G != G))
+    below = j > i  # the lower-triangle zeros and NaNs, recomputed in their own orientation
+    j, i = j[below], i[below]
+    for k in range(0, j.size, step):
+        jk, ik = j[k : k + step], i[k : k + step]
+        G[jk, ik] = (A[jk] - A[ik]).max(axis=1)
+    return G
 
 
 def pair_row_differences(A: Array, rows: Array, others: Array):

@@ -31,11 +31,12 @@ DEFAULT_TAU_TIE = 1e-9
 FD_STEP_SCALE = float(np.sqrt(np.finfo(float).eps))
 
 
-def _branches(section: Section, L: Lagrangian, t: float) -> Array:
-    """B[y, z] = t L(d(f(y), fiber(z)) / t) + g(z), every branch at one time."""
+def _branches(section: Section, L: Lagrangian, t: float, rows=slice(None)) -> Array:
+    """B[k, z] = t L(d(f(y), fiber(z)) / t) + g(z) for the k-th base point y
+    of `rows` (default: all), every branch at one time."""
     if t <= 0:
         raise PreconditionError("t must be positive")
-    return t * L(section.fiber_distances() / t) + g_field(section)[None, :]
+    return t * L(section.fiber_distances()[rows] / t) + g_field(section)[None, :]
 
 
 def evolve_all(section: Section, L: Lagrangian, t: float, tau_tie: float = DEFAULT_TAU_TIE) -> tuple[Array, Array]:
@@ -67,14 +68,20 @@ class HJResidual:
         return self.n_neighbors == 0
 
 
-def _neighbor_slopes(u: Array, den: Array, near: Array) -> Array:
-    """slope[y]: sup over the neighbors p of y (near[p, y]) of the positive part
-    of u[y] - u[p] divided by den[p, y].  A positive rise over a zero
-    denominator is inf; a node without neighbors has slope 0."""
-    rise = u[None, :] - u[:, None]  # rise[p, y] = u[y] - u[p]
+def _neighbor_slopes(u: Array, den: Array, near: Array, nodes=None) -> Array:
+    """slope[k]: sup over the base points p with near[p, k], the neighbors of
+    the k-th node y = nodes[k] (default: y = k), of the positive part of
+    u[y] - u[p] divided by den[p, y].  Only the neighbor pairs are read.  A
+    positive rise over a zero denominator is inf; a node without neighbors
+    has slope 0."""
+    p, k = np.nonzero(near)
+    y = k if nodes is None else nodes[k]
+    rise = u[y] - u[p]
     with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = np.where(rise <= 0.0, 0.0, rise / den)
-    return np.where(near, quotient, 0.0).max(axis=0)
+        quotient = np.where(rise <= 0.0, 0.0, rise / den[p, y])
+    slope = np.zeros(near.shape[1])
+    np.maximum.at(slope, k, quotient)
+    return slope
 
 
 class HJArrays(NamedTuple):
@@ -86,15 +93,15 @@ class HJArrays(NamedTuple):
     n_neighbors: Array
 
 
-def hj_residuals(
-    section: Section,
-    t: float,
-    radius: float,
-    tau_tie: float = DEFAULT_TAU_TIE,
-) -> tuple[HJArrays, HJArrays | None]:
-    """Hamilton-Jacobi residuals of the model evolution at every base point at
-    time t, in the plain and the Lipschitz form.  Neighbors are the base
-    points at distance in (0, radius].
+def hj_residuals(section: Section, t: float, radius: float, nodes=None) -> tuple[HJArrays, HJArrays | None]:
+    """Hamilton-Jacobi residuals of the model evolution at time t, in the
+    plain and the Lipschitz form, at the base points `nodes` (default: every
+    base point); the arrays follow the order of `nodes`.  Neighbors are the
+    base points at distance in (0, radius].
+
+    Only the branch rows of the nodes and of their neighbors are built, and
+    the slopes read only the neighbor pairs, so the values at a node do not
+    depend on which other nodes are asked for.
 
     The plain form divides by the distance between section values and uses the
     prefactor 2; the Lipschitz form divides by the section-to-fiber distance
@@ -104,16 +111,20 @@ def hj_residuals(
     h = FD_STEP_SCALE * t
     if not (0 < h < t):
         raise PreconditionError("need 0 < h < t for the forward difference")
+    nodes = np.arange(section.n_base) if nodes is None else np.asarray(nodes, dtype=int)
+    near = section.space.base_distance_matrix()[:, nodes]
+    near = (near > 0) & (near <= radius)  # near[p, k]: p is a neighbor of nodes[k]
+    rows = np.union1d(np.flatnonzero(near.any(axis=1)), nodes)
+    if rows.size == section.n_base:
+        rows = slice(None)  # every row: a view of D, not a copy
     L = model_quadratic()
-    u, _ = evolve_all(section, L, t, tau_tie)
-    u_h, _ = evolve_all(section, L, t + h, tau_tie)
-    fd = (u_h - u) / h
-    base_dist = section.space.base_distance_matrix()
-    near = (base_dist > 0) & (base_dist <= radius)
+    u = np.empty(section.n_base)  # read at the rows only
+    u[rows] = _branches(section, L, t, rows).min(axis=1)
+    fd = (_branches(section, L, t + h, nodes).min(axis=1) - u[nodes]) / h
     n_neighbors = near.sum(axis=0)
 
     def form(den: Array, prefactor: float) -> HJArrays:
-        slope = _neighbor_slopes(u, den, near)
+        slope = _neighbor_slopes(u, den, near, nodes)
         return HJArrays(fd + prefactor * slope * slope, fd, slope, n_neighbors)
 
     ils = global_ILS(section)
@@ -123,37 +134,25 @@ def hj_residuals(
     return form(section.value_distances(), 2.0), lipschitz
 
 
-def _node(hj: HJArrays, y: int) -> HJResidual:
-    return HJResidual(float(hj.residual[y]), float(hj.forward_difference[y]), float(hj.slope[y]), int(hj.n_neighbors[y]))
+def _node(hj: HJArrays) -> HJResidual:
+    return HJResidual(float(hj.residual[0]), float(hj.forward_difference[0]), float(hj.slope[0]), int(hj.n_neighbors[0]))
 
 
-def hj_residual(
-    section: Section,
-    y: int,
-    t: float,
-    radius: float,
-    tau_tie: float = DEFAULT_TAU_TIE,
-) -> HJResidual:
+def hj_residual(section: Section, y: int, t: float, radius: float) -> HJResidual:
     """Residual of  d+/dt u(y,t) + 2 * (sup nearby slope)^2 <= 0  where the
     slope quotient divides by the distance between section values."""
-    return _node(hj_residuals(section, t, radius, tau_tie)[0], y)
+    return _node(hj_residuals(section, t, radius, [y])[0])
 
 
-def hj_residual_lipschitz(
-    section: Section,
-    y: int,
-    t: float,
-    radius: float,
-    tau_tie: float = DEFAULT_TAU_TIE,
-) -> HJResidual:
+def hj_residual_lipschitz(section: Section, y: int, t: float, radius: float) -> HJResidual:
     """Variant with fiber-distance denominators and the 2 / ILS^2 prefactor.
 
     Requires a finite nonzero global intrinsic Lipschitz estimate; refused otherwise.
     """
-    lipschitz = hj_residuals(section, t, radius, tau_tie)[1]
+    lipschitz = hj_residuals(section, t, radius, [y])[1]
     if lipschitz is None:
         raise PreconditionError("hj_residual_lipschitz needs a finite nonzero ILS estimate")
-    return _node(lipschitz, y)
+    return _node(lipschitz)
 
 
 @dataclass
@@ -217,8 +216,9 @@ def quasi_minimizer_trace(
     for t_n, slack in zip(times, slacks):
         B = _branches(section, L, float(t_n))
         u = B.min(axis=1)[:, None]
-        a_dist.append(_speeds(D, B <= u + tau_tie)[1])
-        q_dist.append(_speeds(D, B <= u + slack)[1])
+        # D+ over the argmin and the quasi-argmin sets
+        a_dist.append(np.where(B <= u + tau_tie, D, -np.inf).max(axis=1))
+        q_dist.append(np.where(B <= u + slack, D, -np.inf).max(axis=1))
     return QuasiMinimizerTrace(
         times=times,
         argmin_dist=np.array(a_dist),
@@ -428,7 +428,7 @@ def evolution_table(
     flags = np.zeros(u.shape, dtype=bool)
     if hj_radius is not None and L.is_model_quadratic:
         for ti, t in enumerate(times):
-            plain, _ = hj_residuals(section, float(t), hj_radius, tau_tie)
+            plain, _ = hj_residuals(section, float(t), hj_radius)
             resid[ti], flags[ti] = plain.residual, plain.n_neighbors == 0
     if not (np.all(np.isfinite(u))):
         raise PreconditionError("evolution produced non-finite values; input data must be bounded")

@@ -17,11 +17,13 @@ from fiberflow.geometry import (
     validate_space,
 )
 from fiberflow.scenario import (
+    load_scenario,
     paper_counterexample,
     random_scenario,
     singleton_constant_scenario,
     tie_scenario,
     two_point_scenario,
+    write_scenario,
 )
 
 SLICE_AT_7 = PointSet(np.array([[7.0, 8.0], [7.0, 6.5]]))
@@ -205,6 +207,35 @@ def test_box_margin_covers_a_segment_end_rounded_outside_its_box():
     overlaps = validate_space(space, tau_geo=0.5).overlaps
     assert overlaps == reference_overlaps(space, 0.5)
     assert overlaps and overlaps[0][2] < 0.5
+
+
+def reference_duplicates(space):
+    """The pairs (i < j) at base distance 0, in order."""
+    rows, cols = np.nonzero(space.base_distance_matrix() == 0.0)
+    return [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < j]
+
+
+def test_duplicate_base_points_equal_the_zero_distance_pairs():
+    rng = np.random.default_rng(5)
+    spaces = [sc.space() for sc in (paper_counterexample(), tie_scenario(), two_point_scenario())]
+    spaces += [random_scenario(seed).space() for seed in range(40)]
+    for kappa, m in ((1, 1), (1, 9), (2, 30), (3, 60)):
+        for _ in range(5):
+            # few distinct coordinates, -0.0 among them: many duplicates, in any order
+            base = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(m, kappa))
+            fibers = tuple(PointSet(np.array([[float(k)] * kappa])) for k in range(m))
+            spaces.append(FiberedSpace(kappa=kappa, base_points=base, fibers=fibers))
+    found = 0
+    for space in spaces:
+        pairs = validate_space(space).duplicate_base_pairs
+        assert pairs == reference_duplicates(space)
+        found += len(pairs)
+    assert found > 400  # the comparison covers many duplicates
+
+
+def test_load_leaves_the_base_distance_matrix_unbuilt(tmp_path):
+    path = write_scenario(paper_counterexample(), tmp_path / "paper.json")
+    assert load_scenario(path).space()._base_dist is None
 
 
 def test_duplicate_base_points_in_order():

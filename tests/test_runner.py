@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import sys
 
 import pytest
@@ -6,7 +7,36 @@ import pytest
 from fiberflow import geometry, semigroup
 from fiberflow.geometry import FiberedSpace
 from fiberflow.runner import run_check
-from fiberflow.scenario import load_scenario, paper_counterexample, two_point_scenario, write_scenario
+from fiberflow.scenario import (
+    load_scenario,
+    paper_counterexample,
+    random_scenario,
+    singleton_constant_scenario,
+    tie_scenario,
+    two_point_scenario,
+    write_scenario,
+)
+
+# sha256 of each run_check bundle (its five files in ReportBundle.all_files
+# order), recorded on x86-64 Linux with Python 3.11 and numpy 2.4.  A change
+# that moves one of them changes a report byte; CHANGES.md must explain it.
+BUNDLE_DIGESTS = {
+    "two-point": "af40e5c79c301ceba7f9dca67eb4402d50977919e66a4c63615a2e3025f6c9d4",
+    "paper-counterexample": "7cc893d0f04f7ce0b3c50b776b10fd484230d44ea6fddb8abf30b51f5ebae65f",
+    "singleton-constant": "78e105164d7ca0ba3d3b803d09f9334b7804fbcf040f62e053115ebde7510234",
+    "tie": "41c54539bbbbfd531a8e6f0e3e1a4fa3f94233f7b67dc1ba3a93fe94bf70c545",
+    "random-0": "15e418af301856cb5ba3d03c15d249c2fc2a4e79e4c41a9b2f6e301f72829b4d",
+    "random-1": "199436e3eeed510cf91640ca4cebde975bcdebee636b68c38b863c43a06d122d",
+    "random-2": "3f5211dd0b8893c8d6c61dcd96946463ae456e9540941dfc44a7cb7b6ad399c1",
+    "random-3": "e61841cc41a6a7c6d812882e87dcc2ce1bf0867de2c3f2a623f39da9aba8cae6",
+    "random-4": "05dcb5cd6ab1905126effff9afa7e94167957e82ee2cc20123eedcbc66be9662",
+    "random-5": "590c21404135a46df7554ad6cdf7c23173a49c4f37e0d93c21fe38c53e75cd05",
+    "random-6": "ddb2225672424fef2cd8529d01c56124a32402e68bc1e8599bc631eb5f946630",
+    "random-7": "f81b19f74d55064b50307102b9bfc77742c5030921a2718889d17530137f793f",
+    "random-8": "c9baf3d3aabae949ef179cdebf6207d5c2ab62e472f0afafddd15d1600d4095c",
+    "random-9": "27d6b341a28d330df43c221a74f70a496bbbd502909fd092e15cd5a518ad4136",
+}
+BUNDLED = {b().name: b for b in (two_point_scenario, paper_counterexample, singleton_constant_scenario, tie_scenario)}
 
 
 def _recording(fn, results: list):
@@ -50,3 +80,13 @@ def test_check_builds_each_array_once(tmp_path, monkeypatch, build):
     n_times, n_hj_times = len(scenario.grids.times), len(scenario.grids.effective_hj_times())
     # table rows, the table's HJ columns at t and t + h, the HJ grid at t and t + h
     assert len(evolutions) <= n_times + 2 * n_times + 2 * n_hj_times
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLE_DIGESTS))
+def test_bundle_bytes_match_recorded_digests(tmp_path, name):
+    scenario = random_scenario(int(name[7:])) if name.startswith("random-") else BUNDLED[name]()
+    bundle, _, _ = run_check(scenario, tmp_path)
+    digest = hashlib.sha256()
+    for path in bundle.all_files():
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == BUNDLE_DIGESTS[name]

@@ -17,6 +17,7 @@ from fiberflow.section import (
     g_field,
     global_ILS,
     local_slopes,
+    max_row_gaps,
     validate_section,
 )
 
@@ -103,6 +104,19 @@ def reference_asymmetry_violations(section, excess_tol=1e-9):
         for y, z in np.argwhere(lhs - E > excess_tol):
             out.append((x, int(y), int(z), float(lhs[y, z]), float(E[y, z])))
     return sorted(out)
+
+
+def reference_max_row_gaps(A):
+    """G[i, j] = max over k of (A[i, k] - A[j, k]), one anchor row i at a time."""
+    return np.array([(row - A).max(axis=1) for row in A])
+
+
+def reference_first_form(section):
+    """(worst, (x, y, z)) of the first form from the per-row gaps."""
+    D, E = section.fiber_distances(), section.value_distances()
+    gaps = reference_max_row_gaps(D) - E
+    y, z = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+    return float(gaps[y, z]), (int(np.argmax(D[y] - D[z])), int(y), int(z))
 
 
 def test_g_field_values(paper):
@@ -269,6 +283,46 @@ def test_asymmetry_violations_match_per_anchor_reference(paper, tie, singleton):
         assert got == reference_asymmetry_violations(sec)
         found += len(got)
     assert found > 0  # the comparison covers nonempty violation lists
+
+
+@pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (7, 3), (40, 5), (300, 300), (120, 700)])
+def test_max_row_gaps_equals_per_row_reference_bit_for_bit(m, n):
+    # few distinct values, so that differences are often zero; the larger
+    # shapes span several blocks of rows per anchor
+    rng = np.random.default_rng(m * 1000 + n)
+    values = np.array([-2.5, -1.0, -0.0, 0.0, 0.0, 1.0, 3.0, np.inf, -np.inf, np.nan, -np.nan])
+    cases = [
+        rng.choice(values, size=(m, n)),
+        rng.choice(values[2:5], size=(m, n)),  # only signed zeros
+        rng.choice(values[:7], size=(m, n)),  # finite
+        rng.standard_normal((m, n)),
+    ]
+    repeated = rng.standard_normal((m, n))
+    repeated[rng.integers(0, m, size=m // 2)] = repeated[0]  # repeated rows
+    cases.append(repeated)
+    for A in cases:
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got, want = max_row_gaps(A), reference_max_row_gaps(A)
+        assert got.shape == (m, m)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_max_row_gaps_diagonal_is_nan_on_rows_with_inf_or_nan():
+    A = np.array([[1.0, 2.0], [np.inf, 0.0], [0.0, np.nan], [-np.inf, 5.0]])
+    with np.errstate(invalid="ignore"):
+        G = max_row_gaps(A)
+    assert np.isnan(np.diagonal(G)).tolist() == [False, True, True, True]
+
+
+def test_first_form_equals_per_row_reference(paper, tie, singleton):
+    sections = [paper.section(), tie.section(), singleton.section(), two_line_section(60), segments_section(12)]
+    sections += [random_scenario(seed).section() for seed in range(40)]
+    for sec in sections:
+        if sec.n_base >= 3:
+            probe = asymmetry_probe(sec)
+            worst, argmax = reference_first_form(sec)
+            assert (probe.first_form_worst, probe.first_form_argmax) == (worst, argmax)
+            assert math.copysign(1.0, probe.first_form_worst) == math.copysign(1.0, worst)
 
 
 def test_pruned_reverse_form_equals_all_triples(paper, tie, singleton):

@@ -23,7 +23,7 @@ from fiberflow.semigroup import (
     quasi_minimizer_trace,
     slope_estimate_check,
 )
-from test_section import two_line_section
+from test_section import degenerate_section, two_line_section
 
 
 def naive_scan(section, L, y, t):
@@ -332,6 +332,65 @@ def test_hj_arrays_match_per_node_reference(request, name, times, radius):
                 assert (node.residual, node.slope, node.n_neighbors, node.no_neighbors) == expected
     # every case's radius reaches neighbors, so the slopes are not all vacuous
     assert np.any(n_neighbors > 0)
+
+
+@pytest.mark.parametrize(
+    "name, times, radius",
+    [
+        ("two-line-40", [0.01, 0.5], 0.5),
+        ("paper", [0.02, 0.5], None),  # the scenario's radius: no node has neighbors
+        ("random-3", [0.5, 2.0], 2.0),
+        ("random-8", [0.3], 4.0),
+        ("degenerate", [1.0, 3.0], 2.0),  # infinite ILS: no Lipschitz form
+    ],
+)
+def test_hj_residuals_at_nodes_equal_all_nodes(request, name, times, radius):
+    if name == "two-line-40":
+        sec = two_line_section(40)
+    elif name == "degenerate":
+        sec = degenerate_section()
+    elif name.startswith("random-"):
+        sec = random_scenario(int(name.split("-")[1])).section()
+    else:
+        scenario = request.getfixturevalue(name)
+        sec, radius = scenario.section(), scenario.grids.hj_radius
+    m = sec.n_base
+    subsets = [list(range(m)), list(range(0, m, max(1, m // 4))), [m - 1, 0], [m // 2]]
+    counts = []
+    for t in times:
+        everywhere = hj_residuals(sec, t, radius)
+        for nodes in subsets:
+            for full, part in zip(everywhere, hj_residuals(sec, t, radius, nodes)):
+                assert (full is None) == (part is None)
+                if full is None:
+                    continue
+                for key in ("residual", "forward_difference", "slope"):
+                    want, got = getattr(full, key)[nodes], getattr(part, key)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), key
+                assert np.array_equal(part.n_neighbors, full.n_neighbors[nodes])
+                counts.extend(part.n_neighbors.tolist())
+    assert (name == "degenerate") == (hj_residuals(sec, times[0], radius)[1] is None)
+    if name == "paper":
+        assert max(counts) == 0
+    else:
+        assert max(counts) > 0
+
+
+def test_hj_residuals_at_a_node_without_neighbors_among_nodes_with_them():
+    # base points 0, 1, 2 and an isolated 10; radius 1.5
+    space = FiberedSpace(
+        kappa=1,
+        base_points=np.array([[0.0], [1.0], [2.0], [10.0]]),
+        fibers=tuple(PointSet(np.array([[x], [x + 20.0]])) for x in (0.0, 1.0, 2.0, 10.0)),
+    )
+    sec = Section(space=space, values=np.array([[0.0], [1.0], [2.0], [10.0]]))
+    everywhere, _ = hj_residuals(sec, 0.7, 1.5)
+    assert everywhere.n_neighbors.tolist() == [1, 2, 1, 0]
+    for nodes in ([3], [3, 0], [1, 3]):
+        part, _ = hj_residuals(sec, 0.7, 1.5, nodes)
+        for full_array, part_array in zip(everywhere, part):
+            assert np.array_equal(part_array, full_array[nodes])
+        assert part.slope[nodes.index(3)] == 0.0
 
 
 def test_neighbor_slope_zero_denominator_is_inf():
