@@ -114,9 +114,9 @@ def hj_residuals(section: Section, t: float, radius: float, nodes=None) -> tuple
     nodes = np.arange(section.n_base) if nodes is None else np.asarray(nodes, dtype=int)
     near = section.space.base_distance_matrix()[:, nodes]
     near = (near > 0) & (near <= radius)  # near[p, k]: p is a neighbor of nodes[k]
-    rows = np.union1d(np.flatnonzero(near.any(axis=1)), nodes)
-    if rows.size == section.n_base:
-        rows = slice(None)  # every row: a view of D, not a copy
+    wanted = near.any(axis=1)
+    wanted[nodes] = True
+    rows = slice(None) if wanted.all() else np.flatnonzero(wanted)  # all rows: a view of D, not a copy
     L = model_quadratic()
     u = np.empty(section.n_base)  # read at the rows only
     u[rows] = _branches(section, L, t, rows).min(axis=1)
