@@ -5,7 +5,8 @@ list of base points sampled from Y together with one fiber geometry per base
 point (the sample of pi^{-1}(y)).  A fiber is either a finite point set or a
 finite union of line segments; distances to a fiber are computed exactly in
 both cases (closest point on a segment via the clamped projection, no
-sampling involved).
+sampling involved).  Every point-to-point distance table goes through
+`pairwise_distances`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ DEFAULT_TAU_GEO = 1e-9
 # threshold before a pair is skipped; it covers the rounding of the computed
 # distances, a few ulps of the magnitudes involved.
 PRUNE_MARGIN = 2.0**-40
+# numpy's add.reduce sums fewer than this many terms in order and longer rows
+# pairwise, in 8 running sums
+ORDERED_SUM_TERMS = 8
+# floats in the smallest block of `distances_to_fibers` (256 KB), so that a
+# few-point load makes one block
+MIN_BLOCK_FLOATS = 1 << 15
 
 
 def _as_float_array(data, name: str) -> Array:
@@ -125,13 +132,42 @@ def dist_to_fiber(p, fiber: FiberGeometry) -> FiberDistance:
     return FiberDistance(best[0], best[1])
 
 
+def pairwise_distances(P: Array, Q: Array) -> Array:
+    """Euclidean distances between the rows of P (m, kappa) and Q (n, kappa).
+
+    The (m, n) result equals np.linalg.norm(P[:, None] - Q[None], axis=2) bit
+    for bit on finite input, without its (m, n, kappa) temporaries: the
+    squared coordinate differences are summed in coordinate order into one
+    array, which is how numpy's reduction sums fewer than ORDERED_SUM_TERMS
+    terms, and one sqrt follows.  Longer rows, which numpy sums pairwise, and
+    kappa = 0 take numpy's own norm, a block of rows of P at a time (equal
+    for row-major P; numpy's pairwise order follows the memory layout).
+    """
+    m, kappa = P.shape
+    n = Q.shape[0]
+    out = np.empty((m, n))
+    if not 0 < kappa < ORDERED_SUM_TERMS:
+        step = max(1, m // max(1, 2 * kappa))  # rows of P per block: temporaries of about m n floats
+        for i in range(0, m, step):
+            out[i : i + step] = np.linalg.norm(P[i : i + step, None] - Q[None], axis=2)
+        return out
+    Qt = np.ascontiguousarray(Q.T)
+    np.subtract(P[:, 0, None], Qt[0], out=out)
+    np.multiply(out, out, out=out)
+    term = np.empty((m, n)) if kappa > 1 else None
+    for k in range(1, kappa):
+        np.subtract(P[:, k, None], Qt[k], out=term)
+        np.multiply(term, term, out=term)
+        np.add(out, term, out=out)
+    return np.sqrt(out, out=out)
+
+
 def fiber_distances_to_points(points: Array, fiber: FiberGeometry) -> Array:
     """Vector of exact distances from each row of `points` to the fiber."""
     if fiber.is_empty:
         raise GeometryError("cannot compute distances to an empty fiber")
     if isinstance(fiber, PointSet):
-        diffs = points[:, None, :] - fiber.points[None, :, :]
-        return np.linalg.norm(diffs, axis=2).min(axis=1)
+        return pairwise_distances(points, fiber.points).min(axis=1)
     best = np.full(points.shape[0], np.inf)
     for a, b in fiber.segments:
         ab = b - a
@@ -144,6 +180,36 @@ def fiber_distances_to_points(points: Array, fiber: FiberGeometry) -> Array:
             d = np.linalg.norm(points - closest, axis=1)
         np.minimum(best, d, out=best)
     return best
+
+
+def distances_to_fibers(points: Array, fibers) -> Array:
+    """Matrix D with D[i, j] = distance from points[i] to fibers[j].
+
+    The point fibers are taken in blocks of whole fibers holding about m/4
+    points (at least MIN_BLOCK_FLOATS / 2m), so that a block's distance
+    array and its temporaries stay near m^2/2 floats: one
+    `pairwise_distances` call per block and one np.minimum.reduceat over its
+    fibers.  Segment fibers keep the per-fiber projection of
+    `fiber_distances_to_points`.
+    """
+    if any(fib.is_empty for fib in fibers):
+        raise GeometryError("cannot compute distances to an empty fiber")
+    m = points.shape[0]
+    D = np.empty((m, len(fibers)))
+    per_block = max(m // 4, MIN_BLOCK_FLOATS // max(1, 2 * m))  # fiber points per block
+    cols, blocks, count = [], [], 0
+    for j, fib in enumerate(fibers):
+        if isinstance(fib, SegmentUnion):
+            D[:, j] = fiber_distances_to_points(points, fib)
+        else:
+            cols.append(j)
+            blocks.append(fib.points)
+            count += len(fib.points)
+        if cols and (count >= per_block or j == len(fibers) - 1):
+            starts = list(itertools.accumulate(map(len, blocks[:-1]), initial=0))  # each fiber's first column
+            D[:, cols] = np.minimum.reduceat(pairwise_distances(points, np.concatenate(blocks)), starts, axis=1)
+            cols, blocks, count = [], [], 0
+    return D
 
 
 def segment_segment_distance(p1: Array, q1: Array, p2: Array, q2: Array) -> float:
@@ -180,9 +246,6 @@ def fiber_min_distance(fa: FiberGeometry, fb: FiberGeometry) -> float:
     """Minimal distance between two fibers (exact for points and segments)."""
     if fa.is_empty or fb.is_empty:
         raise GeometryError("cannot compute distance between empty fibers")
-    if isinstance(fa, PointSet) and isinstance(fb, PointSet):
-        diffs = fa.points[:, None, :] - fb.points[None, :, :]
-        return float(np.linalg.norm(diffs, axis=2).min())
     if isinstance(fa, PointSet):
         return float(fiber_distances_to_points(fa.points, fb).min())
     if isinstance(fb, PointSet):
@@ -199,7 +262,8 @@ class FiberedSpace:
     """Finite sample of a fibered space: base points of Y plus one fiber each.
 
     Immutable after construction; the base-distance matrix is computed on
-    first use and cached in the private field.
+    first use by `pairwise_distances` (the m x m result and one m x m
+    temporary) and cached in the private field.
     """
 
     kappa: int
@@ -229,8 +293,7 @@ class FiberedSpace:
         """Matrix of Euclidean distances between base points; the cached
         array is shared, so callers must not write to it."""
         if self._base_dist is None:
-            diffs = self.base_points[:, None, :] - self.base_points[None, :, :]
-            object.__setattr__(self, "_base_dist", np.linalg.norm(diffs, axis=2))
+            object.__setattr__(self, "_base_dist", pairwise_distances(self.base_points, self.base_points))
         return self._base_dist
 
 

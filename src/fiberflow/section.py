@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, PreconditionError
-from .geometry import PRUNE_MARGIN, FiberedSpace, PointSet, fiber_distances_to_points
+from .geometry import PRUNE_MARGIN, FiberedSpace, PointSet, distances_to_fibers, pairwise_distances
 
 Array = np.ndarray
 
@@ -29,7 +29,9 @@ class Section:
 
     The distance matrices D and E and the global ILS estimate are computed on
     first use and cached in the private fields; `values` must not change
-    after construction.
+    after construction.  E comes from `geometry.pairwise_distances`, and so
+    do the point-fiber columns of D, a block of fibers at a time
+    (`geometry.distances_to_fibers`); each build peaks near 2 m^2 floats.
     """
 
     space: FiberedSpace
@@ -53,15 +55,13 @@ class Section:
     def fiber_distances(self) -> Array:
         """Matrix D with D[i, j] = d(f(y_i), fiber_j).  Note D is not symmetric."""
         if self._fiber_dist is None:
-            cols = [fiber_distances_to_points(self.values, fib) for fib in self.space.fibers]
-            self._fiber_dist = np.column_stack(cols)
+            self._fiber_dist = distances_to_fibers(self.values, self.space.fibers)
         return self._fiber_dist
 
     def value_distances(self) -> Array:
         """Symmetric matrix E with E[i, j] = d(f(y_i), f(y_j))."""
         if self._value_dist is None:
-            diffs = self.values[:, None, :] - self.values[None, :, :]
-            self._value_dist = np.linalg.norm(diffs, axis=2)
+            self._value_dist = pairwise_distances(self.values, self.values)
         return self._value_dist
 
     def sup_norm(self) -> float:
@@ -98,9 +98,9 @@ def _ratios(section: Section) -> Array:
     that starts at 0.
     """
     E = section.value_distances()
-    D = section.fiber_distances()
     with np.errstate(divide="ignore", invalid="ignore"):
-        R = np.where(E == 0.0, 0.0, E / D)
+        R = np.divide(E, section.fiber_distances())
+    R[E == 0.0] = 0.0
     np.fill_diagonal(R, 0.0)
     return R
 

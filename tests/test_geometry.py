@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fiberflow.geometry import (
     PointSet,
     SegmentUnion,
     dist_to_fiber,
+    fiber_distances_to_points,
     fiber_min_distance,
     point_segment_closest,
     segment_segment_distance,
@@ -25,6 +27,8 @@ from fiberflow.scenario import (
     two_point_scenario,
     write_scenario,
 )
+from fiberflow.section import Section
+from test_section import segments_section, two_line_section
 
 SLICE_AT_7 = PointSet(np.array([[7.0, 8.0], [7.0, 6.5]]))
 SLICE_AT_6 = PointSet(np.array([[6.0, 8.0], [6.0, 6.0]]))
@@ -243,3 +247,89 @@ def test_duplicate_base_points_in_order():
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     report = validate_space(FiberedSpace(kappa=2, base_points=base, fibers=tuple(fibers)))
     assert report.duplicate_base_pairs == [(0, 2), (1, 3)]
+
+
+def reference_distance_tables(section):
+    """(D, E, base distances) from np.linalg.norm over (m, n, kappa)
+    differences, one fiber at a time; segment fibers take their projection."""
+    values, space = section.values, section.space
+    cols = [
+        np.linalg.norm(values[:, None] - fib.points[None], axis=2).min(axis=1)
+        if isinstance(fib, PointSet)
+        else fiber_distances_to_points(values, fib)
+        for fib in space.fibers
+    ]
+    E = np.linalg.norm(values[:, None] - values[None], axis=2)
+    base = np.linalg.norm(space.base_points[:, None] - space.base_points[None], axis=2)
+    return np.column_stack(cols), E, base
+
+
+def _random_section(rng, m, kappa, scale, segment_every=0):
+    """Point fibers of 1-3 points (every `segment_every`-th fiber a union of
+    1-2 segments), coordinates drawn from {-1, -0.0, 0.0, 1} plus noise, times
+    `scale`; each value is a point of its own fiber."""
+
+    def coords(*shape):
+        signed_zeros = rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape)
+        return (signed_zeros + np.where(rng.random(shape) < 0.5, 0.0, rng.normal(size=shape))) * scale
+
+    fibers = [
+        SegmentUnion(coords(int(rng.integers(1, 3)), 2, kappa))
+        if segment_every and j % segment_every == segment_every - 1
+        else PointSet(coords(int(rng.integers(1, 4)), kappa))
+        for j in range(m)
+    ]
+    values = np.array([f.points[0] if isinstance(f, PointSet) else f.segments[0, 1] for f in fibers])
+    return Section(space=FiberedSpace(kappa=kappa, base_points=coords(m, kappa), fibers=tuple(fibers)), values=values)
+
+
+def test_distance_tables_equal_the_norm_reference_bit_for_bit():
+    rng = np.random.default_rng(17)
+    bundled = [b() for b in (paper_counterexample, singleton_constant_scenario, tie_scenario, two_point_scenario)]
+    sections = [sc.section() for sc in bundled + [random_scenario(seed) for seed in range(40)]]
+    sections += [two_line_section(60), segments_section(12)]
+    # kappa >= 8 is summed pairwise by numpy and takes its norm
+    for kappa in (1, 2, 3, 8, 9):
+        # 200 base points make several blocks of point fibers; 1e200 overflows
+        # the squares to inf, 1e154 overflows some sums of squares, 1e-200
+        # underflows the squares
+        for m, scale in ((5, 1.0), (200, 1.0), (30, 1e200), (30, 1e-200), (30, 1e154)):
+            sections += [_random_section(rng, m, kappa, scale), _random_section(rng, m, kappa, scale, segment_every=3)]
+    overflowed = underflowed = 0
+    for section in sections:
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables = section.fiber_distances(), section.value_distances(), section.space.base_distance_matrix()
+            expected_tables = reference_distance_tables(section)
+        for table, expected in zip(tables, expected_tables):
+            assert table.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        overflowed += int(np.isinf(tables[1]).sum())
+        underflowed += int(((tables[1] == 0.0) & (section.values[:, None] != section.values[None]).any(axis=2)).sum())
+    assert overflowed > 100 and underflowed > 100  # the comparison covers both ends of the range
+
+
+@pytest.mark.parametrize("empty", [PointSet(np.empty((0, 2))), SegmentUnion(np.empty((0, 2, 2)))])
+def test_distances_to_an_empty_fiber_raise(empty):
+    fibers = [PointSet(np.array([[float(k), 5.0]])) for k in range(6)]
+    fibers[3] = empty
+    space = FiberedSpace(kappa=2, base_points=np.arange(12.0).reshape(6, 2), fibers=tuple(fibers))
+    with pytest.raises(GeometryError):
+        Section(space=space, values=np.array([[float(k), 5.0] for k in range(6)])).fiber_distances()
+
+
+def test_distance_tables_memory_is_quadratic():
+    m, kappa = 200, 3
+    rng = np.random.default_rng(3)
+    builds = {
+        "D": lambda section: section.fiber_distances(),
+        "E": lambda section: section.value_distances(),
+        "base": lambda section: section.space.base_distance_matrix(),
+    }
+    for name, build in builds.items():
+        section = _random_section(rng, m, kappa, 1.0)
+        tracemalloc.start()
+        try:
+            build(section)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * m * m * 8, f"{name}: {peak / (8 * m * m):.1f} m^2 floats"

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import sys
@@ -8,6 +9,7 @@ from fiberflow import geometry, semigroup
 from fiberflow.geometry import FiberedSpace
 from fiberflow.runner import run_check
 from fiberflow.scenario import (
+    Scenario,
     load_scenario,
     paper_counterexample,
     random_scenario,
@@ -16,6 +18,7 @@ from fiberflow.scenario import (
     two_point_scenario,
     write_scenario,
 )
+from test_section import segments_section, two_line_section
 
 # sha256 of each run_check bundle (its five files in ReportBundle.all_files
 # order), recorded on x86-64 Linux with Python 3.11 and numpy 2.4.  A change
@@ -35,8 +38,36 @@ BUNDLE_DIGESTS = {
     "random-7": "f81b19f74d55064b50307102b9bfc77742c5030921a2718889d17530137f793f",
     "random-8": "c9baf3d3aabae949ef179cdebf6207d5c2ab62e472f0afafddd15d1600d4095c",
     "random-9": "27d6b341a28d330df43c221a74f70a496bbbd502909fd092e15cd5a518ad4136",
+    "two-line-60": "869fb666cbf43d721d2a1e3370483b268d2e7f2986ea8ffaaa5ed9a2f9abeed8",
+    "segments-12": "4fc912368939438be7c2756afe9ec91e5d6604a78732c1bc88748bd5dbd9a796",
 }
 BUNDLED = {b().name: b for b in (two_point_scenario, paper_counterexample, singleton_constant_scenario, tie_scenario)}
+
+
+def line_scenario(name: str, section, lagrangian_spec: dict) -> Scenario:
+    """A two-line section over base points (x, 0) as a scenario with the
+    bundled counterexample's grids and hj_base_stride = m // 4."""
+    m = section.n_base
+    return Scenario(
+        name=name,
+        description=f"two-line geometry over {m} base points",
+        kappa=2,
+        base_ids=[f"y{k:04d}" for k in range(m)],
+        base_points=section.space.base_points,
+        params=section.space.base_points[:, 0].copy(),
+        fibers=section.space.fibers,
+        section_values=section.values,
+        lagrangian_spec=lagrangian_spec,
+        grids=dataclasses.replace(paper_counterexample().grids, hj_base_stride=m // 4),
+    )
+
+
+LINES = {
+    "two-line-60": lambda: line_scenario("two-line-60", two_line_section(60), {"name": "model-quadratic", "params": {}}),
+    "segments-12": lambda: line_scenario(
+        "segments-12", segments_section(12), {"name": "power", "params": {"exponent": 4.0}}
+    ),
+}
 
 
 def _recording(fn, results: list):
@@ -84,7 +115,7 @@ def test_check_builds_each_array_once(tmp_path, monkeypatch, build):
 
 @pytest.mark.parametrize("name", sorted(BUNDLE_DIGESTS))
 def test_bundle_bytes_match_recorded_digests(tmp_path, name):
-    scenario = random_scenario(int(name[7:])) if name.startswith("random-") else BUNDLED[name]()
+    scenario = random_scenario(int(name[7:])) if name.startswith("random-") else {**BUNDLED, **LINES}[name]()
     bundle, _, _ = run_check(scenario, tmp_path)
     digest = hashlib.sha256()
     for path in bundle.all_files():
