@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError
-from .section import Section, bound_K, global_ILS, pair_row_differences
+from .section import Section, bound_K, global_ILS, pair_differences
 
 Array = np.ndarray
 
@@ -197,7 +197,9 @@ def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:
         ys, xs = np.nonzero(scan)
         if ys.size == 0:
             continue
-        lhs = np.concatenate([G.max(axis=1) for _, G in pair_row_differences(A, ys, xs)])
+        lhs = np.empty(ys.size)
+        for k, G in pair_differences(A, ys, xs):
+            G.max(axis=1, out=lhs[k : k + len(G)])
         slack = lhs - rhs[ys, xs]  # row-major over the scanned pairs: the first maximum wins
         k = int(np.argmax(slack))
         if slack[k] > compat_worst:

@@ -2,7 +2,8 @@
 
 Every number is formatted with 12 significant digits and rows are ordered by
 base id, then time, then xi, so identical inputs produce byte-identical
-files.
+files.  Each CSV writer formats its rows with one "%"-template over whole
+columns; "%.12g" % x is the text of fmt(x) for every float x.
 """
 
 from __future__ import annotations
@@ -31,78 +32,66 @@ def _write_lines(path: Path, lines: list[str]) -> Path:
 
 
 def write_evolution_csv(path, scenario: Scenario, table: EvolutionTable) -> Path:
+    T, m = table.u.shape
+    # the argmin ids of every (y, t) row, from one pass over the masks in row order
+    y, ti, z = np.nonzero(table.argmins.transpose(1, 0, 2))
+    ids = [scenario.base_ids[k] for k in z.tolist()]
+    cuts = np.cumsum(np.bincount(y * T + ti, minlength=m * T)).tolist()
+    argmins = [";".join(ids[start:stop]) for start, stop in zip([0] + cuts, cuts)]
+    rows = zip(
+        [bid for bid in scenario.base_ids for _ in range(T)],
+        np.tile(table.times, m).tolist(),
+        table.u.T.ravel().tolist(),
+        argmins,
+        table.iD_minus.T.ravel().tolist(),
+        table.iD_plus.T.ravel().tolist(),
+        table.hj_residual.T.ravel().tolist(),
+        table.hj_no_neighbors.T.ravel().tolist(),
+    )
     lines = ["base_id,t,u,argmin,iD_minus,iD_plus,hj_residual,hj_no_neighbors"]
-    for yi, bid in enumerate(scenario.base_ids):
-        for ti, t in enumerate(table.times):
-            argmin = ";".join(scenario.base_ids[z] for z in np.flatnonzero(table.argmins[ti, yi]))
-            lines.append(
-                ",".join(
-                    [
-                        bid,
-                        fmt(t),
-                        fmt(table.u[ti, yi]),
-                        argmin,
-                        fmt(table.iD_minus[ti, yi]),
-                        fmt(table.iD_plus[ti, yi]),
-                        fmt(table.hj_residual[ti, yi]),
-                        "1" if table.hj_no_neighbors[ti, yi] else "0",
-                    ]
-                )
-            )
+    lines += ["%s,%.12g,%.12g,%s,%.12g,%.12g,%.12g,%d" % row for row in rows]
     return _write_lines(Path(path), lines)
 
 
 def write_slopes_csv(path, scenario: Scenario, report: SlopeReport) -> Path:
+    n_radii, m = report.ils.shape
+    rows = zip(
+        [bid for bid in scenario.base_ids for _ in range(n_radii)],
+        np.tile(report.radii, m).tolist(),
+        report.ils.T.ravel().tolist(),
+        report.ils_a.T.ravel().tolist(),
+    )
+    tail = f",{fmt(report.ILS)},{fmt(report.K)}"
     lines = ["base_id,radius,ils,ils_a,ILS,K"]
-    for yi, bid in enumerate(scenario.base_ids):
-        for ri, r in enumerate(report.radii):
-            lines.append(
-                ",".join(
-                    [bid, fmt(r), fmt(report.ils[ri, yi]), fmt(report.ils_a[ri, yi]), fmt(report.ILS), fmt(report.K)]
-                )
-            )
+    lines += ["%s,%.12g,%.12g,%.12g" % row + tail for row in rows]
     return _write_lines(Path(path), lines)
 
 
 def write_transform_csv(path, scenario: Scenario, tables: list[TransformTable]) -> Path:
     lines = ["base_id,t,xi,lstar,hamiltonian,argmax_w,claim_linear,claim_matches"]
     for table in tables:
-        bid = scenario.base_ids[table.y_index]
-        mismatch = table.claim_mismatch()
-        for i in range(table.xi_grid.size):
-            lines.append(
-                ",".join(
-                    [
-                        bid,
-                        fmt(table.t),
-                        fmt(table.xi_grid[i]),
-                        fmt(table.lstar[i]),
-                        fmt(table.lstar[i]),
-                        fmt(table.argmax_w[i]),
-                        fmt(table.claim_linear[i]),
-                        "0" if mismatch[i] else "1",
-                    ]
-                )
-            )
+        n = table.xi_grid.size
+        lstar = table.lstar.tolist()
+        rows = zip(
+            [scenario.base_ids[table.y_index]] * n,
+            [table.t] * n,
+            table.xi_grid.tolist(),
+            lstar,
+            lstar,
+            table.argmax_w.tolist(),
+            table.claim_linear.tolist(),
+            (~table.claim_mismatch()).tolist(),
+        )
+        lines += ["%s,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%d" % row for row in rows]
     return _write_lines(Path(path), lines)
 
 
 def write_asymmetry_csv(path, scenario: Scenario, report: AsymmetryReport | None) -> Path:
     lines = ["x_id,y_id,z_id,lhs,rhs,excess"]
     if report is not None:
-        for v in report.violations:
-            lines.append(
-                ",".join(
-                    [
-                        scenario.base_ids[v.x],
-                        scenario.base_ids[v.y],
-                        scenario.base_ids[v.z],
-                        fmt(v.lhs),
-                        fmt(v.rhs),
-                        fmt(v.excess),
-                    ]
-                )
-            )
+        ids = scenario.base_ids
+        rows = [(ids[v.x], ids[v.y], ids[v.z], v.lhs, v.rhs, v.excess) for v in report.violations]
+        lines += ["%s,%s,%s,%.12g,%.12g,%.12g" % row for row in rows]
     return _write_lines(Path(path), lines)
 
 

@@ -27,6 +27,9 @@ Array = np.ndarray
 
 SCHEMA_VERSION = 1
 _FLOAT_MAX = sys.float_info.max
+# largest coordinate magnitude: squared coordinate differences stay below
+# 2^1002, so the distance kernels' sums of squares cannot overflow
+COORD_MAX = 2.0**500
 
 
 @dataclass
@@ -107,9 +110,10 @@ def _expect(cond: bool, message: str):
         raise ScenarioFormatError(message)
 
 
-def _is_number(v) -> bool:
-    """A JSON number that is a finite float; booleans are not numbers here."""
-    return type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX
+def _is_number(v, bound: float = _FLOAT_MAX) -> bool:
+    """A JSON number of magnitude at most `bound` (default: a finite float);
+    booleans are not numbers here."""
+    return type(v) in (int, float) and -bound <= v <= bound
 
 
 def _is_count(v) -> bool:
@@ -118,7 +122,9 @@ def _is_count(v) -> bool:
 
 def _as_point(value, kappa: int, where: str) -> list[float]:
     _expect(isinstance(value, list) and len(value) == kappa, f"{where}: expected a list of {kappa} numbers")
-    _expect(all(_is_number(v) for v in value), f"{where}: coordinates must be finite numbers")
+    _expect(
+        all(_is_number(v, COORD_MAX) for v in value), f"{where}: coordinates must be numbers of magnitude at most 2^500"
+    )
     return [float(v) for v in value]
 
 

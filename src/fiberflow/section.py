@@ -14,13 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, PreconditionError
-from .geometry import PRUNE_MARGIN, FiberedSpace, PointSet, distances_to_fibers, pairwise_distances
+from .geometry import MIN_BLOCK_FLOATS, PRUNE_MARGIN, FiberedSpace, PointSet, distances_to_fibers, pairwise_distances
 
 Array = np.ndarray
 
 DEFAULT_TAU_SEC = 1e-9
 # floats in one difference block of `max_row_gaps`: 256 KB, a cache-sized block
 GAP_BLOCK_FLOATS = 1 << 15
+# floats in one block of `pair_differences`: 64 KB.  With blocks of 128 KB
+# and more, the peak RSS of long check-two-line-400 benchmark runs grew by
+# about 1 MB inside the compatibility scan
+PAIR_BLOCK_FLOATS = 1 << 13
 
 
 @dataclass(eq=False)
@@ -144,26 +148,38 @@ class SlopeReport:
 
 
 def local_slopes(section: Section, radii) -> SlopeReport:
+    """Slopes at every radius from one padded member table per block of
+    centres z: I[z] lists the ball around z and repeats z itself, a member
+    of its own ball, up to the largest ball size w.  The repeats change no
+    maximum, so ils[r, z] is the maximum of R[I[z], z] and ils_a[r, z] that
+    of R[I[z]][:, I[z]], gathered for at most m^2 / w^2 centres at a time.
+    """
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
         raise PreconditionError("radius schedule must be nonempty")
     if np.any(radii <= 0) or np.any(np.diff(radii) >= 0):
         raise PreconditionError("radii must be positive and strictly decreasing")
+    ILS = global_ILS(section)  # before R, so that its own ratio table is gone
     R = _ratios(section)
     base_dist = section.space.base_distance_matrix()
-    ils = np.zeros((radii.size, section.n_base))
-    ils_a = np.zeros((radii.size, section.n_base))
+    m = section.n_base
+    ils = np.zeros((radii.size, m))
+    ils_a = np.zeros((radii.size, m))
     for ri, r in enumerate(radii):
-        balls = base_dist <= r  # balls[y, z]: y lies in the ball around z
-        ils[ri] = np.where(balls, R, 0.0).max(axis=0)
-        ils_a[ri] = [R[np.ix_(ball, ball)].max() for ball in balls.T]
-    return SlopeReport(
-        radii=radii,
-        ils=ils,
-        ils_a=ils_a,
-        ILS=global_ILS(section),
-        K=bound_K(section),
-    )
+        balls = base_dist.T <= r  # balls[z, y]: y lies in the ball around z
+        sizes = balls.sum(axis=1)
+        w = int(sizes.max())
+        step = max(1, m * m // (w * w))  # centres per block: a gather of at most m^2 floats
+        for z0 in range(0, m, step):
+            z1 = min(m, z0 + step)
+            centres = np.arange(z0, z1)
+            k, y = np.nonzero(balls[z0:z1])
+            offsets = np.cumsum(sizes[z0:z1]) - sizes[z0:z1]
+            I = np.repeat(centres[:, None], w, axis=1)
+            I[k, np.arange(k.size) - offsets[k]] = y
+            ils[ri, z0:z1] = R[I, centres[:, None]].max(axis=1)
+            ils_a[ri, z0:z1] = R[I[:, :, None], I[:, None, :]].max(axis=(1, 2))
+    return SlopeReport(radii=radii, ils=ils, ils_a=ils_a, ILS=ILS, K=bound_K(section))
 
 
 @dataclass
@@ -230,15 +246,30 @@ def max_row_gaps(A: Array) -> Array:
     return G
 
 
-def pair_row_differences(A: Array, rows: Array, others: Array):
-    """Yield (start, A[rows[start]] - A[others[start:stop]]) for each run
-    start:stop of equal entries of `rows`: a scan of selected row pairs of
-    the m x m matrix A in O(m^2) memory.  The pairs come in row-major order,
-    as `np.nonzero` gives them."""
-    cuts = np.flatnonzero(np.diff(rows, prepend=-1, append=-1)).tolist()
-    for start, stop in zip(cuts[:-1], cuts[1:]):
-        full = stop - start == A.shape[0]  # a whole row of pairs: others[start:stop] is 0..m-1
-        yield start, A[rows[start]] - (A if full else A[others[start:stop]])
+def pair_differences(A: Array, rows: Array, others: Array):
+    """Yield (k, A[rows[k:k + s]] - A[others[k:k + s]]) for k = 0, s, 2s, ...:
+    a scan of the selected row pairs of A in blocks of about
+    PAIR_BLOCK_FLOATS floats, in the order of `rows` and `others`."""
+    step = max(1, PAIR_BLOCK_FLOATS // max(1, A.shape[1]))  # pairs per block
+    for k in range(0, len(rows), step):
+        yield k, A[rows[k : k + step]] - A[others[k : k + step]]
+
+
+def _endpoint_distances(a: Array, b: Array, k0: int, k1: int) -> Array:
+    """d[n, q] = max(d(a[n], s), d(b[n], s)) for the segments s = [a[q], b[q]]
+    with k0 <= q < k1, points being segments with a = b: one array pass."""
+    ab = b[k0:k1] - a[k0:k1]
+    seg_a, seg_ab, seg_denom = a[k0:k1].T, ab.T, (ab * ab).sum(axis=1)
+    d = None
+    for p in (a,) if np.array_equal(a, b) else (a, b):
+        rel = [p[:, k, None] - seg_a[k] for k in range(p.shape[1])]  # rel[k][n, q]: axis k of p[n] - a[q]
+        if seg_denom.any():  # project onto the segments, clamped
+            s = sum(r * u for r, u in zip(rel, seg_ab))
+            s = np.clip(np.divide(s, seg_denom, out=np.zeros_like(s), where=seg_denom > 0), 0.0, 1.0)
+            rel = [r - s * u for r, u in zip(rel, seg_ab)]
+        dist = np.sqrt(sum(r * r for r in rel))
+        d = dist if d is None else np.maximum(d, dist)
+    return d
 
 
 def fiber_excess_bound(section: Section) -> Array:
@@ -249,38 +280,44 @@ def fiber_excess_bound(section: Section) -> Array:
     A point fiber F_z gives the supremum itself.  A segment [a, b] of F_z
     gives min over the segments s of F_y of max(d(a, s), d(b, s)), since the
     distance to a segment is convex along [a, b]; points enter as segments
-    with a = b.  The distances from all pieces' endpoints to the pieces of
-    a block of fibers F_y are one array pass.  The margin is PRUNE_MARGIN
-    times the largest distance or coordinate magnitude; it covers the
-    rounding of D and of the bound.
+    with a = b.  The fibers are taken in the order of their piece counts,
+    and the blocks of fibers F_y hold equal counts.  The distances from all
+    pieces' endpoints to the pieces of a block are one array pass; the min
+    over the c pieces of each F_y is c - 1 elementwise passes over strided
+    views, and so is the max over the pieces of each F_z, one run of equal
+    counts at a time.  No fiber is padded, so unequal fibers cost no extra
+    work.  A block's temporaries hold about m^2 / 8 floats, or
+    MIN_BLOCK_FLOATS when that is more.  The margin is PRUNE_MARGIN times
+    the largest distance or coordinate magnitude; it covers the rounding of
+    D and of the bound.
     """
     fibers = section.space.fibers
     pieces = [np.stack([f.points, f.points], axis=1) if isinstance(f, PointSet) else f.segments for f in fibers]
+    order = np.argsort([len(piece) for piece in pieces], kind="stable")
+    pieces = [pieces[y] for y in order.tolist()]
     counts = [len(piece) for piece in pieces]
-    starts = np.cumsum([0] + counts)  # fiber y owns the pieces starts[y]:starts[y + 1]
     ends = np.concatenate(pieces)
+    starts = np.cumsum([0] + counts)  # fiber order[i] owns the pieces starts[i]:starts[i + 1]
+    cuts = np.flatnonzero(np.diff(counts, prepend=-1, append=-1)).tolist()
+    runs = list(zip(cuts[:-1], cuts[1:]))  # the fibers of a run have equal counts
     a, b = ends[:, 0], ends[:, 1]
-    ab = b - a
-    denom = (ab * ab).sum(axis=1)
     m = section.n_base
     H = np.empty((m, m))
-    step = max(1, m * m // (8 * len(ends) * max(counts)))  # fibers F_y per block: temporaries of m^2 / 8
-    for y0 in range(0, m, step):
-        y1 = min(m, y0 + step)
-        k0, k1 = starts[y0], starts[y1]
-        seg_a, seg_ab, seg_denom = a[k0:k1].T, ab[k0:k1].T, denom[k0:k1]
-        d = None
-        for p in (a,) if np.array_equal(a, b) else (a, b):  # the endpoints of every piece of every F_z
-            rel = [p[:, k, None] - seg_a[k] for k in range(p.shape[1])]  # rel[k][n, q]: axis k of p[n] - a[q]
-            if seg_denom.any():  # project onto the segments of the block, clamped
-                s = sum(r * u for r, u in zip(rel, seg_ab))
-                s = np.clip(np.divide(s, seg_denom, out=np.zeros_like(s), where=seg_denom > 0), 0.0, 1.0)
-                rel = [r - s * u for r, u in zip(rel, seg_ab)]
-            dist = np.sqrt(sum(r * r for r in rel))
-            d = dist if d is None else np.maximum(d, dist)
-        # min over the pieces of each F_y, then max over the pieces of each F_z
-        nearest = np.minimum.reduceat(d, starts[y0:y1] - k0, axis=1)
-        H[y0:y1] = np.maximum.reduceat(nearest, starts[:-1], axis=0).T
+    for start, stop in runs:
+        c = counts[start]
+        step = max(1, max(m * m // 8, MIN_BLOCK_FLOATS) // (len(ends) * c))  # fibers F_y per block
+        for y0 in range(start, stop, step):
+            y1 = min(stop, y0 + step)
+            # d[n, y, j]: piece n of any F_z to piece j of F_y; min over j, then max over the pieces of each F_z
+            d = _endpoint_distances(a, b, starts[y0], starts[y1]).reshape(len(ends), y1 - y0, c)
+            nearest = d[..., 0]
+            for j in range(1, c):
+                np.minimum(nearest, d[..., j], out=nearest)
+            for z0, z1 in runs:
+                far = nearest[starts[z0] : starts[z1]].reshape(z1 - z0, counts[z0], y1 - y0)
+                for i in range(1, counts[z0]):
+                    np.maximum(far[:, 0], far[:, i], out=far[:, 0])
+                H[np.ix_(order[y0:y1], order[z0:z1])] = far[:, 0].T
     magnitudes = (np.abs(ends).max(), np.abs(section.values).max(), H.max(), section.fiber_distances().max())
     H += PRUNE_MARGIN * float(max(magnitudes))
     return H
@@ -311,12 +348,11 @@ def asymmetry_probe(section: Section, excess_tol: float = 1e-9) -> AsymmetryRepo
     excess -= E
     ys, zs = np.nonzero(excess > excess_tol)
     violations: list[AsymmetryViolation] = []
-    for start, lhs in pair_row_differences(D.T, ys, zs):  # lhs[k, x] = D[x, yi] - D[x, run[k]]
-        yi, run = int(ys[start]), zs[start : start + len(lhs)]
-        rhs = E[yi, run]
-        for k, xi in zip(*np.nonzero(lhs - rhs[:, None] > excess_tol)):
-            violations.append(
-                AsymmetryViolation(x=int(xi), y=yi, z=int(run[k]), lhs=float(lhs[k, xi]), rhs=float(rhs[k]))
-            )
+    for k, lhs in pair_differences(D.T, ys, zs):  # lhs[j, x] = D[x, ys[k + j]] - D[x, zs[k + j]]
+        pair_y, pair_z = ys[k : k + len(lhs)], zs[k : k + len(lhs)]
+        rhs = E[pair_y, pair_z]
+        j, xs = np.nonzero(lhs - rhs[:, None] > excess_tol)
+        fields = (xs, pair_y[j], pair_z[j], lhs[j, xs], rhs[j])  # x, y, z, lhs, rhs
+        violations += map(AsymmetryViolation, *(f.tolist() for f in fields))
     violations.sort(key=lambda v: (v.x, v.y, v.z))
     return AsymmetryReport(first_form_worst=worst, first_form_argmax=(x, y, z), violations=violations)

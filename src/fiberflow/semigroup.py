@@ -93,6 +93,35 @@ class HJArrays(NamedTuple):
     n_neighbors: Array
 
 
+def _hj_setup(section: Section, t: float, radius: float, nodes=None, u=None) -> tuple[Array, Array, Array]:
+    """(near, u, fd) of the model evolution at time t: near[p, k] holds when
+    p is a neighbor of the k-th node, u is read at the nodes and their
+    neighbors, and fd[k] is the forward time difference at the k-th node.
+    nodes=None means every base point, read through slices.  A given u must
+    be the model evolution at t over every base point."""
+    h = FD_STEP_SCALE * t
+    if not (0 < h < t):
+        raise PreconditionError("need 0 < h < t for the forward difference")
+    cols = slice(None) if nodes is None else nodes
+    near = section.space.base_distance_matrix()[:, cols]
+    near = (near > 0) & (near <= radius)
+    L = model_quadratic()
+    if u is None:
+        wanted = near.any(axis=1)
+        wanted[cols] = True
+        rows = slice(None) if wanted.all() else np.flatnonzero(wanted)  # all rows: a view of D, not a copy
+        u = np.empty(section.n_base)  # read at the rows only
+        u[rows] = _branches(section, L, t, rows).min(axis=1)
+    fd = (_branches(section, L, t + h, cols).min(axis=1) - u[cols]) / h
+    return near, u, fd
+
+
+def _hj_form(u: Array, fd: Array, den: Array, near: Array, prefactor: float, nodes=None) -> HJArrays:
+    """One form of the residuals from `_hj_setup`'s arrays."""
+    slope = _neighbor_slopes(u, den, near, nodes)
+    return HJArrays(fd + prefactor * slope * slope, fd, slope, near.sum(axis=0))
+
+
 def hj_residuals(section: Section, t: float, radius: float, nodes=None) -> tuple[HJArrays, HJArrays | None]:
     """Hamilton-Jacobi residuals of the model evolution at time t, in the
     plain and the Lipschitz form, at the base points `nodes` (default: every
@@ -108,30 +137,13 @@ def hj_residuals(section: Section, t: float, radius: float, nodes=None) -> tuple
     and uses 2 / ILS^2, and is None unless the global ILS estimate is finite
     and nonzero.
     """
-    h = FD_STEP_SCALE * t
-    if not (0 < h < t):
-        raise PreconditionError("need 0 < h < t for the forward difference")
-    nodes = np.arange(section.n_base) if nodes is None else np.asarray(nodes, dtype=int)
-    near = section.space.base_distance_matrix()[:, nodes]
-    near = (near > 0) & (near <= radius)  # near[p, k]: p is a neighbor of nodes[k]
-    wanted = near.any(axis=1)
-    wanted[nodes] = True
-    rows = slice(None) if wanted.all() else np.flatnonzero(wanted)  # all rows: a view of D, not a copy
-    L = model_quadratic()
-    u = np.empty(section.n_base)  # read at the rows only
-    u[rows] = _branches(section, L, t, rows).min(axis=1)
-    fd = (_branches(section, L, t + h, nodes).min(axis=1) - u[nodes]) / h
-    n_neighbors = near.sum(axis=0)
-
-    def form(den: Array, prefactor: float) -> HJArrays:
-        slope = _neighbor_slopes(u, den, near, nodes)
-        return HJArrays(fd + prefactor * slope * slope, fd, slope, n_neighbors)
-
+    nodes = None if nodes is None else np.asarray(nodes, dtype=int)
+    near, u, fd = _hj_setup(section, t, radius, nodes)
     ils = global_ILS(section)
     lipschitz = None
     if math.isfinite(ils) and ils != 0.0:
-        lipschitz = form(section.fiber_distances(), 2.0 / (ils * ils))
-    return form(section.value_distances(), 2.0), lipschitz
+        lipschitz = _hj_form(u, fd, section.fiber_distances(), near, 2.0 / (ils * ils), nodes)
+    return _hj_form(u, fd, section.value_distances(), near, 2.0, nodes), lipschitz
 
 
 def _node(hj: HJArrays) -> HJResidual:
@@ -417,8 +429,9 @@ def evolution_table(
     tau_tie: float = DEFAULT_TAU_TIE,
     hj_radius: float | None = None,
 ) -> EvolutionTable:
-    """The evolution at every grid time; HJ residuals (NaN otherwise) when a
-    radius is given and L is the model penalty."""
+    """The evolution at every grid time; the plain HJ residuals (NaN
+    otherwise) when a radius is given and L is the model penalty.  The
+    residuals at t read u at t from the table's own row."""
     times = np.asarray(times, dtype=float)
     rows = [evolve_all(section, L, float(t), tau_tie) for t in times]
     u = np.array([row[0] for row in rows])
@@ -428,7 +441,9 @@ def evolution_table(
     flags = np.zeros(u.shape, dtype=bool)
     if hj_radius is not None and L.is_model_quadratic:
         for ti, t in enumerate(times):
-            plain, _ = hj_residuals(section, float(t), hj_radius)
+            # L evolves like the model penalty, so u at t is the table's own row
+            near, _, fd = _hj_setup(section, float(t), hj_radius, u=u[ti])
+            plain = _hj_form(u[ti], fd, section.value_distances(), near, 2.0)
             resid[ti], flags[ti] = plain.residual, plain.n_neighbors == 0
     if not (np.all(np.isfinite(u))):
         raise PreconditionError("evolution produced non-finite values; input data must be bounded")

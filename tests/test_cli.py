@@ -177,6 +177,18 @@ def test_variational_out_naming_a_file_fails_before_the_solve(two_point_file, tm
         ),
         pytest.param(("grids", "times"), [True, 2.0], "grids.times", id="times-boolean"),
         pytest.param(("base", 0, "point"), [True, 0.0], "base[0].point", id="point-boolean"),
+        # coordinates above COORD_MAX = 2^500, whose squares could overflow in the distance kernels
+        pytest.param(("base", 1, "point"), [1e200, 1.0], "base[1].point", id="point-above-bound"),
+        pytest.param(("base", 0, "point"), [0.0, -(2**501)], "base[0].point", id="point-integer-above-bound"),
+        pytest.param(
+            ("fibers", "b0"), {"type": "points", "data": [[0.0, 0.0], [1e200, 5e199]]}, "fibers['b0'].data[1]",
+            id="fiber-point-above-bound",
+        ),
+        pytest.param(
+            ("fibers", "b1"), {"type": "segments", "data": [[[1.0, 1.0], [-3e200, 1.0]]]}, "fibers['b1'].data[0][1]",
+            id="segment-end-above-bound",
+        ),
+        pytest.param(("section", "b1"), [1.0, 2.0**500 * 1.5], "section['b1']", id="section-above-bound"),
         pytest.param(
             ("reference_triple",), {"x": "b0", "y": "b1", "z": "b0", "stated_constant": "x"},
             "reference_triple.stated_constant", id="stated_constant-string",

@@ -18,7 +18,7 @@ from fiberflow.scenario import (
     two_point_scenario,
     write_scenario,
 )
-from test_section import segments_section, two_line_section
+from test_section import segments_section, two_line_section, unequal_section
 
 # sha256 of each run_check bundle (its five files in ReportBundle.all_files
 # order), recorded on x86-64 Linux with Python 3.11 and numpy 2.4.  A change
@@ -40,6 +40,7 @@ BUNDLE_DIGESTS = {
     "random-9": "27d6b341a28d330df43c221a74f70a496bbbd502909fd092e15cd5a518ad4136",
     "two-line-60": "869fb666cbf43d721d2a1e3370483b268d2e7f2986ea8ffaaa5ed9a2f9abeed8",
     "segments-12": "4fc912368939438be7c2756afe9ec91e5d6604a78732c1bc88748bd5dbd9a796",
+    "unequal-16": "85d202357aa748f372331edd18703a0f911b038ae9d0fa53f8d1606f4d6aa6ab",
 }
 BUNDLED = {b().name: b for b in (two_point_scenario, paper_counterexample, singleton_constant_scenario, tie_scenario)}
 
@@ -67,6 +68,8 @@ LINES = {
     "segments-12": lambda: line_scenario(
         "segments-12", segments_section(12), {"name": "power", "params": {"exponent": 4.0}}
     ),
+    # fibers of 1 to 4 points and one segment fiber
+    "unequal-16": lambda: line_scenario("unequal-16", unequal_section(16), {"name": "model-quadratic", "params": {}}),
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from fiberflow.errors import ScenarioFormatError, ScenarioValidationError
 from fiberflow.scenario import (
+    COORD_MAX,
     load_scenario,
     paper_counterexample,
     random_scenario,
@@ -26,6 +27,19 @@ def test_round_trip_reproduces_values_exactly(tmp_path, paper):
         assert np.array_equal(a.points, b.points)
     assert reloaded.grids.times == paper.grids.times
     assert reloaded.reference_triple == paper.reference_triple
+
+
+def test_coordinates_at_the_bound_give_finite_distances():
+    doc = scenario_to_dict(two_point_scenario())
+    far = [COORD_MAX, -COORD_MAX]
+    doc["base"][1]["point"] = doc["section"]["b1"] = far
+    doc["fibers"]["b1"] = {"type": "segments", "data": [[far, [COORD_MAX, 0.0]]]}
+    scenario = scenario_from_dict(doc)
+    sec = scenario.section()
+    want = float(np.hypot(COORD_MAX, COORD_MAX))
+    assert sec.value_distances()[0, 1] == sec.fiber_distances()[1, 0] == want
+    assert sec.fiber_distances()[0, 1] == COORD_MAX  # (0, 0) to the segment's end (COORD_MAX, 0)
+    assert sec.space.base_distance_matrix()[0, 1] == want
 
 
 def test_duplicate_base_id_is_schema_violation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fiberflow.errors import PreconditionError
-from fiberflow.geometry import FiberedSpace, PointSet, SegmentUnion
+from fiberflow.geometry import PRUNE_MARGIN, FiberedSpace, PointSet, SegmentUnion
 from fiberflow.lagrangian import check_axioms, model_quadratic, power_lagrangian
 from fiberflow.scenario import random_scenario
 from fiberflow.section import (
@@ -91,6 +91,75 @@ def segments_section(m):
     )
     space = FiberedSpace(kappa=2, base_points=np.column_stack([x, np.zeros(m)]), fibers=fibers)
     return Section(space=space, values=np.column_stack([x, y]))
+
+
+def unequal_section(m):
+    """Fibers of 1 to 4 points over base points (x, 0), x = linspace(0, 2, m),
+    and one fiber of two segments at k = m // 2; the section takes a
+    different point of each point fiber."""
+    x = np.linspace(0.0, 2.0, m)
+    fibers, values = [], []
+    for k, xi in enumerate(x):
+        heights = [3.0 + xi / 2.0, 8.0, -2.0 - xi / 3.0, 11.0 + xi / 4.0][: 1 + k % 4]
+        pts = np.array([[xi, h] for h in heights])
+        if k == m // 2:
+            h = heights[0]
+            fibers.append(SegmentUnion(np.array([[[xi, 7.5], [xi, 8.5]], [[xi, h - 0.2], [xi, h + 0.2]]])))
+            values.append([xi, h])
+        else:
+            fibers.append(PointSet(pts))
+            values.append(pts[(k // 4) % len(pts)])
+    space = FiberedSpace(kappa=2, base_points=np.column_stack([x, np.zeros(m)]), fibers=tuple(fibers))
+    return Section(space=space, values=np.array(values))
+
+
+def mixed_section():
+    """Point and segment fibers in one space, a segment of zero length among them."""
+    mixed = FiberedSpace(
+        kappa=2,
+        base_points=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),
+        fibers=(
+            SegmentUnion(np.array([[[0.0, 0.0], [0.0, 2.0]], [[0.0, 5.0], [1.0, 6.0]]])),
+            PointSet(np.array([[3.0, 1.0], [4.0, 4.0]])),
+            SegmentUnion(np.array([[[6.0, 0.0], [6.0, 0.0]]])),
+            PointSet(np.array([[2.0, 7.0]])),
+        ),
+    )
+    return Section(space=mixed, values=np.array([[0.0, 1.0], [3.0, 1.0], [6.0, 0.0], [2.0, 7.0]]))
+
+
+def reference_fiber_excess_bound(section):
+    """fiber_excess_bound with the fibers in input order and their pieces
+    reduced by np.minimum.reduceat and np.maximum.reduceat."""
+    fibers = section.space.fibers
+    pieces = [np.stack([f.points, f.points], axis=1) if isinstance(f, PointSet) else f.segments for f in fibers]
+    counts = [len(piece) for piece in pieces]
+    starts = np.cumsum([0] + counts)
+    ends = np.concatenate(pieces)
+    a, b = ends[:, 0], ends[:, 1]
+    ab = b - a
+    denom = (ab * ab).sum(axis=1)
+    m = section.n_base
+    H = np.empty((m, m))
+    step = max(1, m * m // (8 * len(ends) * max(counts)))
+    for y0 in range(0, m, step):
+        y1 = min(m, y0 + step)
+        k0, k1 = starts[y0], starts[y1]
+        seg_a, seg_ab, seg_denom = a[k0:k1].T, ab[k0:k1].T, denom[k0:k1]
+        d = None
+        for p in (a,) if np.array_equal(a, b) else (a, b):
+            rel = [p[:, k, None] - seg_a[k] for k in range(p.shape[1])]
+            if seg_denom.any():
+                s = sum(r * u for r, u in zip(rel, seg_ab))
+                s = np.clip(np.divide(s, seg_denom, out=np.zeros_like(s), where=seg_denom > 0), 0.0, 1.0)
+                rel = [r - s * u for r, u in zip(rel, seg_ab)]
+            dist = np.sqrt(sum(r * r for r in rel))
+            d = dist if d is None else np.maximum(d, dist)
+        nearest = np.minimum.reduceat(d, starts[y0:y1] - k0, axis=1)
+        H[y0:y1] = np.maximum.reduceat(nearest, starts[:-1], axis=0).T
+    magnitudes = (np.abs(ends).max(), np.abs(section.values).max(), H.max(), section.fiber_distances().max())
+    H += PRUNE_MARGIN * float(max(magnitudes))
+    return H
 
 
 def reference_asymmetry_violations(section, excess_tol=1e-9):
@@ -203,18 +272,40 @@ def test_local_slopes_match_brute_force(paper, two_point, singleton):
         (singleton.section(), [1.5, 0.5]),
         (degenerate_section(), [2.0, 0.5]),
     ] + [(random_scenario(seed).section(), [4.0, 2.0, 1.0]) for seed in (2, 9, 17)]
+    # a first radius that covers every base point (the largest ball size w = m), then unequal balls
+    cases += [
+        (unequal_section(16), [1e9, 0.3, 0.14]),
+        (two_line_section(40), [100.0, 1.0, 0.3]),  # w = 11 at radius 1: three blocks of centres
+        (random_scenario(5).section(), [1e9, 3.0, 1.5]),
+    ]
     for sec, radii in cases:
         report = local_slopes(sec, radii)
         ils, ils_a = brute_force_local_slopes(sec, radii)
         assert np.array_equal(report.ils, ils)
         assert np.array_equal(report.ils_a, ils_a)
         assert report.ILS == brute_force_ils(sec)
+    for sec, radii in cases[-3:]:
+        sizes = [(sec.space.base_distance_matrix() <= r).sum(axis=0) for r in radii]
+        assert sizes[0].min() == sec.n_base and any(s.min() < s.max() for s in sizes[1:])
     # the degenerate pair reaches inf inside the larger ball only
     degenerate = local_slopes(degenerate_section(), [2.0, 0.5])
     assert degenerate.ILS == math.inf
     assert degenerate.ils[0].tolist() == [1.0, math.inf]
     assert degenerate.ils_a[0].tolist() == [math.inf, math.inf]
     assert not degenerate.ils[1].any() and not degenerate.ils_a[1].any()
+
+
+def test_local_slopes_memory_is_quadratic():
+    m = 200
+    sec = two_line_section(m)
+    sec.fiber_distances(), sec.value_distances(), sec.space.base_distance_matrix()  # cached before measuring
+    tracemalloc.start()
+    try:
+        local_slopes(sec, [100.0])  # every ball holds every base point
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * m * m * 8, peak / (m * m * 8)
 
 
 def test_local_slopes_isolated_point_convention(two_point):
@@ -326,19 +417,9 @@ def test_first_form_equals_per_row_reference(paper, tie, singleton):
 
 
 def test_pruned_reverse_form_equals_all_triples(paper, tie, singleton):
-    sections = [paper.section(), tie.section(), singleton.section(), segments_section(12)]
+    sections = [paper.section(), tie.section(), singleton.section(), segments_section(12), unequal_section(16)]
     sections += [random_scenario(seed).section() for seed in range(40)]
-    mixed = FiberedSpace(
-        kappa=2,
-        base_points=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),
-        fibers=(
-            SegmentUnion(np.array([[[0.0, 0.0], [0.0, 2.0]], [[0.0, 5.0], [1.0, 6.0]]])),
-            PointSet(np.array([[3.0, 1.0], [4.0, 4.0]])),
-            SegmentUnion(np.array([[[6.0, 0.0], [6.0, 0.0]]])),
-            PointSet(np.array([[2.0, 7.0]])),
-        ),
-    )
-    sections.append(Section(space=mixed, values=np.array([[0.0, 1.0], [3.0, 1.0], [6.0, 0.0], [2.0, 7.0]])))
+    sections.append(mixed_section())
     found = 0
     for sec in sections:
         for tol in (1e-9, 0.0, -0.5):
@@ -350,6 +431,56 @@ def test_pruned_reverse_form_equals_all_triples(paper, tie, singleton):
     sec = paper.section()
     assert int((fiber_excess_bound(sec) - sec.value_distances() > 1e-9).sum()) == 93
     assert len({(v.y, v.z) for v in asymmetry_probe(sec).violations}) == 92
+
+
+def test_excess_bound_equals_the_reduceat_reference_bit_for_bit(paper, tie):
+    rng = np.random.default_rng(3)
+
+    def point_fibers(sizes):
+        # fibers of the given sizes over base points (k, 0), at distinct heights
+        fibers = tuple(PointSet(np.column_stack([np.full(n, k), rng.uniform(1, 9, n)])) for k, n in enumerate(sizes))
+        base = np.column_stack([np.arange(len(sizes), dtype=float), np.zeros(len(sizes))])
+        space = FiberedSpace(kappa=2, base_points=base, fibers=fibers)
+        return Section(space=space, values=np.array([f.points[0] for f in fibers]))
+
+    sections = [
+        point_fibers([1] * 9),
+        point_fibers([2] * 9),
+        point_fibers([5] * 7),
+        point_fibers([1, 2, 5, 1, 5, 2, 1, 3]),
+        point_fibers([1] * 150 + [3] * 49 + [30]),  # two blocks of F_y in each of the first two runs
+        two_line_section(200),  # five blocks of F_y
+        unequal_section(16),
+        unequal_section(33),
+        mixed_section(),
+        segments_section(12),
+        two_line_section(60),
+        paper.section(),
+        tie.section(),
+    ]
+    sections += [random_scenario(seed).section() for seed in range(40)]
+    for sec in sections:
+        want = reference_fiber_excess_bound(sec)
+        assert np.array_equal(fiber_excess_bound(sec).view(np.uint64), want.view(np.uint64))
+
+
+def test_excess_bound_memory_with_one_large_fiber():
+    # 299 one-point fibers and one of 40 points: no fiber is padded to 40 pieces
+    m = 300
+    x = np.linspace(0.0, 8.0, m)
+    fibers = [PointSet(np.array([[xi, 3.0 + xi / 2.0]])) for xi in x]
+    fibers[0] = PointSet(np.column_stack([np.zeros(40), np.linspace(3.0, 20.0, 40)]))
+    space = FiberedSpace(kappa=2, base_points=np.column_stack([x, np.zeros(m)]), fibers=tuple(fibers))
+    sec = Section(space=space, values=np.column_stack([x, 3.0 + x / 2.0]))
+    sec.fiber_distances()  # cached before measuring
+    tracemalloc.start()
+    try:
+        H = fiber_excess_bound(sec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * m * m * 8, peak / (m * m * 8)
+    assert np.array_equal(H.view(np.uint64), reference_fiber_excess_bound(sec).view(np.uint64))
 
 
 def test_reverse_form_bound_margin_keeps_rounding_violations():

@@ -551,3 +551,27 @@ def test_evolution_table_invariants(two_point):
     assert np.all(table.iD_minus <= table.iD_plus + 1e-15)
     assert np.all(np.isfinite(table.u))
     assert np.all(np.isfinite(table.hj_residual))
+
+
+@pytest.mark.parametrize("penalty", ["model", "power-2"])
+def test_evolution_table_hj_columns_equal_hj_residuals(penalty):
+    # the table reads u at t from its own rows; hj_residuals evaluates the model penalty itself
+    L = model_quadratic() if penalty == "model" else power_lagrangian(2.0, 1.0)
+    assert L.is_model_quadratic
+    cases = [
+        (two_line_section(40), [0.01, 0.03, 0.5, 2.0], 0.5),
+        (random_scenario(3).section(), [0.5, 2.0], 2.0),
+        (random_scenario(8).section(), [0.3, 1.7], 4.0),
+        (degenerate_section(), [1.0, 3.0], 2.0),
+    ]
+    slopes = []
+    for sec, times, radius in cases:
+        table = evolution_table(sec, L, times, hj_radius=radius)
+        for ti, t in enumerate(times):
+            plain, _ = hj_residuals(sec, t, radius)
+            assert np.array_equal(table.hj_residual[ti].view(np.uint64), plain.residual.view(np.uint64))
+            assert np.array_equal(table.hj_no_neighbors[ti], plain.n_neighbors == 0)
+            slopes.extend(plain.slope.tolist())
+    assert max(slopes) > 0  # the slope term is not vacuous everywhere
+    # a penalty that is not the model one gets no HJ columns
+    assert np.isnan(evolution_table(sec, power_lagrangian(3.0), times, hj_radius=radius).hj_residual).all()
