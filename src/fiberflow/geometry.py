@@ -301,7 +301,6 @@ class FiberedSpace:
 class SpaceReport:
     """Outcome of the foliation checks; failures are carried, not raised."""
 
-    bounded: bool
     duplicate_base_pairs: list[tuple[int, int]]
     empty_fibers: list[int]
     degenerate_segments: list[tuple[int, int]]
@@ -311,8 +310,7 @@ class SpaceReport:
     @property
     def ok(self) -> bool:
         return (
-            self.bounded
-            and not self.duplicate_base_pairs
+            not self.duplicate_base_pairs
             and not self.empty_fibers
             and not self.overlaps
             and not self.degenerate_segments
@@ -367,7 +365,8 @@ def _duplicate_pairs(points: Array) -> list[tuple[int, int]]:
 
 
 def validate_space(space: FiberedSpace, tau_geo: float = DEFAULT_TAU_GEO) -> SpaceReport:
-    """Check boundedness, base-point distinctness and fiber disjointness.
+    """Check base-point distinctness and fiber disjointness; `FiberedSpace`
+    and its fibers already refuse non-finite coordinates.
 
     Two fibers closer than `tau_geo` count as overlapping: the sampled
     quotient map would not foliate the ambient space.  The distance between
@@ -378,7 +377,6 @@ def validate_space(space: FiberedSpace, tau_geo: float = DEFAULT_TAU_GEO) -> Spa
     closest points may stray a few ulps outside the boxes.  The overlaps are
     the same, in the same (i, j) order, as with a scan over all pairs.
     """
-    bounded = bool(np.isfinite(space.base_points).all())
     duplicates = _duplicate_pairs(space.base_points)
     empty = [i for i, fib in enumerate(space.fibers) if fib.is_empty]
     degenerate = [
@@ -393,7 +391,6 @@ def validate_space(space: FiberedSpace, tau_geo: float = DEFAULT_TAU_GEO) -> Spa
             if d < tau_geo:
                 overlaps.append((live[a], live[b], d))
     return SpaceReport(
-        bounded=bounded,
         duplicate_base_pairs=duplicates,
         empty_fibers=empty,
         degenerate_segments=degenerate,

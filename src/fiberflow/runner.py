@@ -7,7 +7,6 @@ exit status: zero exactly when no non-skipped verdict failed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,32 +23,10 @@ from .reports import (
 from .scenario import Scenario
 from .section import asymmetry_probe, global_ILS, g_field, local_slopes, validate_section
 from .lagrangian import legendre_transform, model_quadratic
-from .semigroup import evolution_table, hj_residuals, proposition_suite, slope_estimate_check
+from .semigroup import Verdict, evolution_table, hj_residuals, proposition_suite, slope_estimate_check, worst_case
 
 HJ_TOLERANCE = 1e-6
 SLACK_TOLERANCE = 1e-9
-
-
-@dataclass
-class Verdict:
-    check: str
-    status: str  # PASS / FAIL / SKIPPED
-    worst_slack: float | None
-    location: str | None
-    note: str | None = None
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        slack = d["worst_slack"]
-        if slack is not None:
-            # keep the verdict file strict JSON even for non-finite slacks
-            d["worst_slack"] = float(slack) if math.isfinite(slack) else repr(float(slack))
-        return d
-
-
-def _verdict_from_slack(name: str, slack: float, tol: float, location: str | None, note: str | None = None) -> Verdict:
-    status = "PASS" if slack <= tol else "FAIL"
-    return Verdict(check=name, status=status, worst_slack=float(slack), location=location, note=note)
 
 
 def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], int]:
@@ -63,19 +40,12 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
 
     # geometry and section validity
     space_report = scenario.space_report()
-    verdicts.append(
-        Verdict(
-            check="geometry",
-            status="PASS" if space_report.ok else "FAIL",
-            worst_slack=None,
-            location=None,
-            note=f"{len(space_report.overlaps)} overlaps, {len(space_report.empty_fibers)} empty fibers",
-        )
-    )
+    note = f"{len(space_report.overlaps)} overlaps, {len(space_report.empty_fibers)} empty fibers"
+    verdicts.append(Verdict("geometry", "PASS" if space_report.ok else "FAIL", None, None, note=note))
     sec_report = validate_section(section, tau_sec=grids.tau_sec)
     worst_res = float(sec_report.residuals.max())
     verdicts.append(
-        _verdict_from_slack("section", worst_res - grids.tau_sec, 0.0, None, note=f"max residual {worst_res:.3e}")
+        Verdict.from_slack("section", worst_res - grids.tau_sec, 0.0, None, note=f"max residual {worst_res:.3e}")
     )
 
     # the evolution under L and under the model penalty, read by every check below
@@ -90,17 +60,17 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
     )
     axioms = suite.axiom_report
     verdicts.append(
-        _verdict_from_slack("axiom_convexity", axioms.convexity_worst, axioms.convexity_tol, None)
+        Verdict.from_slack("axiom_convexity", axioms.convexity_worst, axioms.convexity_tol, None)
     )
     loc = None
     if axioms.compatibility_witness is not None:
         x, y, z, t = axioms.compatibility_witness
         loc = f"x={scenario.base_ids[x]},y={scenario.base_ids[y]},z={scenario.base_ids[z]},t={t:g}"
     verdicts.append(
-        _verdict_from_slack("axiom_compatibility", axioms.compatibility_worst, axioms.compatibility_tol, loc)
+        Verdict.from_slack("axiom_compatibility", axioms.compatibility_worst, axioms.compatibility_tol, loc)
     )
     verdicts.append(
-        _verdict_from_slack("axiom_time_scaling", axioms.scaling_worst, axioms.scaling_tol, None)
+        Verdict.from_slack("axiom_time_scaling", axioms.scaling_worst, axioms.scaling_tol, None)
     )
 
     # asymmetry probe (needs at least three base points)
@@ -109,7 +79,7 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
         probe = asymmetry_probe(section)
         x, y, z = probe.first_form_argmax
         verdicts.append(
-            _verdict_from_slack(
+            Verdict.from_slack(
                 "asymmetry_first_form",
                 probe.first_form_worst,
                 SLACK_TOLERANCE,
@@ -137,7 +107,7 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
             + ("" if abs(lhs - stated) <= 1e-9 else " (discrepancy flagged)")
         )
         verdicts.append(
-            _verdict_from_slack(
+            Verdict.from_slack(
                 "reference_triple_violation",
                 rhs - lhs,  # the reverse-form bound must be strictly exceeded
                 -SLACK_TOLERANCE,
@@ -153,7 +123,7 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
     order = table.iD_minus - table.iD_plus
     inv_slack = max(float(upper.max()), float(order.max()))
     verdicts.append(
-        _verdict_from_slack(
+        Verdict.from_slack(
             "evolution_invariants",
             inv_slack,
             SLACK_TOLERANCE,
@@ -162,60 +132,40 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
         )
     )
 
-    for item in suite.items:
-        verdicts.append(
-            Verdict(
-                check=f"suite_{item.key}",
-                status=item.status,
-                worst_slack=item.worst_slack,
-                location=item.location,
-                note=item.note,
-            )
-        )
+    verdicts.extend(suite.items)
 
     # finite pair scan of the slope estimate, every grid time
-    worst_314 = -math.inf
-    loc_314 = None
-    n_viol = 0
+    pair_scans, n_viol = [], 0
     for ti, t in enumerate(model.times):
         rep = slope_estimate_check(section, model, ti)
         n_viol += len(rep.violations)
-        if rep.worst_slack > worst_314:
-            worst_314 = rep.worst_slack
-            z, y = rep.worst_pair
-            loc_314 = f"z={scenario.base_ids[z]},y={scenario.base_ids[y]},t={t:g}"
-    verdicts.append(
-        _verdict_from_slack(
-            "pair_slope_estimate", worst_314, SLACK_TOLERANCE, loc_314, note=f"{n_viol} violating pairs"
-        )
-    )
+        z, y = rep.worst_pair
+        # a scalar case: the scan already found its worst pair, which the suffix names
+        loc = f"z={scenario.base_ids[z]},y={scenario.base_ids[y]},t={t:g}"
+        pair_scans.append((np.float64(rep.worst_slack), "", loc))
+    slack, loc = worst_case(pair_scans, scenario.base_ids)
+    note = f"{n_viol} violating pairs"
+    verdicts.append(Verdict.from_slack("pair_slope_estimate", slack, SLACK_TOLERANCE, loc, note=note))
 
     # Hamilton-Jacobi residual grids, at every hj_base_stride-th base point
     hj_ids = list(range(0, scenario.n_base, max(1, grids.hj_base_stride)))
     hj_times = grids.effective_hj_times()
     radius = grids.hj_radius if grids.hj_radius is not None else max(grids.radii)
-
-    def worse(worst: tuple[float, str | None], residual, t: float) -> tuple[float, str | None]:
-        k = int(np.argmax(residual))
-        if residual[k] > worst[0]:
-            return float(residual[k]), f"y={scenario.base_ids[hj_ids[k]]},t={t:g}"
-        return worst
-
-    plain, lipschitz, flagged = (-math.inf, None), (-math.inf, None), 0
+    plain, lipschitz, flagged = [], [], 0
     for t in hj_times:
         hj, hj_lipschitz = hj_residuals(section, float(t), radius, hj_ids)
         flagged += int(np.count_nonzero(hj.n_neighbors == 0))
-        plain = worse(plain, hj.residual, t)
+        plain.append((hj.residual, "y", f"t={t:g}"))
         if hj_lipschitz is not None:
-            lipschitz = worse(lipschitz, hj_lipschitz.residual, t)
-    verdicts.append(
-        _verdict_from_slack(
-            "hj_residual_grid", plain[0], HJ_TOLERANCE, plain[1], note=f"{flagged} nodes had no neighbors in radius"
-        )
-    )
+            lipschitz.append((hj_lipschitz.residual, "y", f"t={t:g}"))
+    hj_labels = [scenario.base_ids[y] for y in hj_ids]
+    slack, loc = worst_case(plain, hj_labels)
+    note = f"{flagged} nodes had no neighbors in radius"
+    verdicts.append(Verdict.from_slack("hj_residual_grid", slack, HJ_TOLERANCE, loc, note=note))
     ils = global_ILS(section)
     if math.isfinite(ils) and ils > 0:
-        verdicts.append(_verdict_from_slack("hj_residual_lipschitz_grid", lipschitz[0], HJ_TOLERANCE, lipschitz[1]))
+        slack, loc = worst_case(lipschitz, hj_labels)
+        verdicts.append(Verdict.from_slack("hj_residual_lipschitz_grid", slack, HJ_TOLERANCE, loc))
     else:
         verdicts.append(
             Verdict("hj_residual_lipschitz_grid", "SKIPPED", None, None, note="ILS estimate not finite")

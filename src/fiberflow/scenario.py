@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioFormatError, ScenarioValidationError
-from .geometry import FiberGeometry, FiberedSpace, PointSet, SegmentUnion, SpaceReport, validate_space
-from .lagrangian import MODEL_QUADRATIC, SPEC_NAMES, Lagrangian, lagrangian_from_spec
-from .section import Section, validate_section
+from .geometry import DEFAULT_TAU_GEO, FiberGeometry, FiberedSpace, PointSet, SegmentUnion, SpaceReport, validate_space
+from .lagrangian import MODEL_QUADRATIC, SPEC_NAMES, Lagrangian, default_cert_grid, lagrangian_from_spec
+from .section import DEFAULT_TAU_SEC, Section, validate_section
+from .semigroup import DEFAULT_TAU_TIE
 
 Array = np.ndarray
 
@@ -42,9 +43,9 @@ class GridSpec:
     hj_radius: float | None = None
     hj_times: list[float] | None = None
     hj_base_stride: int = 1
-    tau_geo: float = 1e-9
-    tau_sec: float = 1e-9
-    tau_tie: float = 1e-9
+    tau_geo: float = DEFAULT_TAU_GEO
+    tau_sec: float = DEFAULT_TAU_SEC
+    tau_tie: float = DEFAULT_TAU_TIE
 
     def effective_hj_times(self) -> list[float]:
         return self.hj_times if self.hj_times is not None else self.times
@@ -101,8 +102,7 @@ class Scenario:
     def lagrangian(self) -> Lagrangian:
         D = self.section().fiber_distances()
         w_max = float(D.max()) / min(self.grids.times) if self.grids.times else 10.0
-        cert = np.linspace(0.0, max(w_max, 1e-6), 257)
-        return lagrangian_from_spec(self.lagrangian_spec, cert_grid=cert)
+        return lagrangian_from_spec(self.lagrangian_spec, cert_grid=default_cert_grid(w_max))
 
 
 def _expect(cond: bool, message: str):
@@ -225,8 +225,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _expect(_is_count(xi_resolution), "grids.xi_resolution: expected an integer >= 1")
     hj_base_stride = grids_raw.get("hj_base_stride", 1)
     _expect(_is_count(hj_base_stride), "grids.hj_base_stride: expected an integer >= 1")
-    for key in ("tau_geo", "tau_sec", "tau_tie"):
-        value = tol.get(key, 1e-9)
+    taus = {"tau_geo": DEFAULT_TAU_GEO, "tau_sec": DEFAULT_TAU_SEC, "tau_tie": DEFAULT_TAU_TIE}
+    taus = {key: tol.get(key, default) for key, default in taus.items()}
+    for key, value in taus.items():
         _expect(_is_number(value) and value >= 0, f"grids.tolerances.{key}: expected a finite number >= 0")
     grids = GridSpec(
         times=[float(t) for t in times],
@@ -235,9 +236,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         hj_radius=None if hj_radius is None else float(hj_radius),
         hj_times=hj_times,
         hj_base_stride=hj_base_stride,
-        tau_geo=float(tol.get("tau_geo", 1e-9)),
-        tau_sec=float(tol.get("tau_sec", 1e-9)),
-        tau_tie=float(tol.get("tau_tie", 1e-9)),
+        **{key: float(value) for key, value in taus.items()},
     )
 
     ref = doc.get("reference_triple")
@@ -269,8 +268,6 @@ def validate_scenario(scenario: Scenario) -> None:
     space_report = scenario.space_report()
     if not space_report.ok:
         parts = []
-        if not space_report.bounded:
-            parts.append("base points or fibers contain non-finite coordinates")
         for i, j in space_report.duplicate_base_pairs:
             parts.append(f"duplicate base points {scenario.base_ids[i]!r} and {scenario.base_ids[j]!r}")
         for i in space_report.empty_fibers:

@@ -15,7 +15,7 @@ residual checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -240,28 +240,54 @@ def quasi_minimizer_trace(
 
 
 @dataclass
-class SuiteItem:
-    key: str
+class Verdict:
+    """One check's status, the worst slack of its inequality and the first place attaining it."""
+
+    check: str
     status: str  # PASS / FAIL / SKIPPED
     worst_slack: float | None
     location: str | None
     note: str | None = None
 
+    @classmethod
+    def from_slack(cls, check: str, slack: float, tol: float, location: str | None, note: str | None = None):
+        """PASS when the worst slack is at most `tol`, FAIL otherwise (NaN included)."""
+        return cls(check, "PASS" if slack <= tol else "FAIL", float(slack), location, note)
+
+    def to_dict(self) -> dict:
+        d = asdict(self)
+        slack = d["worst_slack"]
+        if slack is not None:
+            # keep the verdict file strict JSON even for non-finite slacks
+            d["worst_slack"] = float(slack) if math.isfinite(slack) else repr(float(slack))
+        return d
+
+
+def worst_case(cases, labels: list[str]) -> tuple[float, str | None]:
+    """Largest entry over the (gap, axis names, suffix) cases and its
+    location, each index of the gap named by `labels` (a scalar gap has no
+    axes and its suffix is the whole location).  The first case and, within
+    it, the first index attaining the largest entry win; a gap holding NaN is
+    never chosen, and no cases give (-inf, None)."""
+    worst, loc = -math.inf, None
+    for gap, axes, suffix in cases:
+        w = float(gap.max())
+        if w > worst:
+            idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
+            worst, loc = w, ",".join([f"{a}={labels[i]}" for a, i in zip(axes, idx)] + [suffix])
+    return worst, loc
+
 
 @dataclass
 class SuiteReport:
-    items: list[SuiteItem]
+    items: list[Verdict]  # checks named suite_<item key>
     axiom_report: AxiomReport
 
-    @property
-    def passed(self) -> bool:
-        return all(item.status != "FAIL" for item in self.items)
-
-    def item(self, key: str) -> SuiteItem:
+    def item(self, check: str) -> Verdict:
         for it in self.items:
-            if it.key == key:
+            if it.check == check:
                 return it
-        raise KeyError(key)
+        raise KeyError(check)
 
 
 def proposition_suite(
@@ -275,7 +301,8 @@ def proposition_suite(
     labels: list[str] | None = None,
 ) -> SuiteReport:
     """Run the full battery of evolution properties over `table`, the
-    evolution under `L`, and report per-item verdicts in sorted time order.
+    evolution under `L`, and report one verdict per item, named
+    suite_<item key>, with locations in sorted time order.
 
     Items whose hypotheses fail (penalty axioms, finite ILS) are SKIPPED, not
     failed.  Items tied to the quadratic-penalty theory always evaluate the
@@ -298,28 +325,16 @@ def proposition_suite(
     ils = global_ILS(section)
     axioms = check_axioms(L, section, times)
 
-    items: list[SuiteItem] = []
+    items: list[Verdict] = []
 
-    def record(key: str, slack: float, loc: str, note: str | None = None, bound: float = tol):
+    def record(key: str, slack: float, loc: str | None, note: str | None = None):
         if slack == -math.inf:  # nothing to compare (e.g. a single grid time)
-            items.append(SuiteItem(key=key, status="PASS", worst_slack=None, location=None, note="no comparable grid pairs"))
-            return
-        status = "PASS" if slack <= bound else "FAIL"
-        items.append(SuiteItem(key=key, status=status, worst_slack=slack, location=loc, note=note))
+            items.append(Verdict(f"suite_{key}", "PASS", None, None, note="no comparable grid pairs"))
+        else:
+            items.append(Verdict.from_slack(f"suite_{key}", slack, tol, loc, note))
 
     def skip(key: str, why: str):
-        items.append(SuiteItem(key=key, status="SKIPPED", worst_slack=None, location=None, note=why))
-
-    def worst_case(cases) -> tuple[float, str]:
-        """Largest entry over the (gap, axis names, suffix) cases and its
-        location; the first case and the first index attaining it win."""
-        worst, loc = -math.inf, ""
-        for gap, axes, suffix in cases:
-            w = float(gap.max())
-            if w > worst:
-                idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
-                worst, loc = w, ",".join([f"{a}={lab[i]}" for a, i in zip(axes, idx)] + [suffix])
-        return worst, loc
+        items.append(Verdict(f"suite_{key}", "SKIPPED", None, None, note=why))
 
     pairs = [(i, j) for i in range(times.size) for j in range(i + 1, times.size)]
 
@@ -333,11 +348,11 @@ def proposition_suite(
         slack_low = lower - u
         slack_high = u - (g[None, :] + times[:, None] * L0)
         both = np.maximum(slack_low, slack_high)
-        record("a_bounds", *worst_case((row, "y", f"t={t:g}") for t, row in zip(times, both)))
+        record("a_bounds", *worst_case(((row, "y", f"t={t:g}") for t, row in zip(times, both)), lab))
 
     # (b) quasi-minimizing sequences collapse onto the fiber of y as t -> 0
     trace = quasi_minimizer_trace(section, levels=quasi_levels, tau_tie=tau_tie)
-    worst_final, loc_final = worst_case([(trace.argmin_dist[-1], "y", f"t={trace.times[-1]:g}")])
+    worst_final, loc_final = worst_case([(trace.argmin_dist[-1], "y", f"t={trace.times[-1]:g}")], lab)
     worst_bound = float((trace.quasi_dist**2 - trace.quasi_bound[:, None]).max())
     record(
         "b_quasi_minimizer",
@@ -356,12 +371,12 @@ def proposition_suite(
         skip("d_cross_time_estimate", "penalty axioms failed on this scenario")
     else:
         gaps = ((np.abs(ut[:, None] - ut[None, :]) - spatial_rhs(t), "xy", f"t={t:g}") for t, ut in zip(times, u))
-        record("c_spatial_estimate", *worst_case(gaps))
+        record("c_spatial_estimate", *worst_case(gaps, lab))
         gaps = (
             (u[ti][None, :] - (spatial_rhs(times[ti]) + u[si][:, None]), "xy", f"s={times[si]:g},t={times[ti]:g}")
             for si, ti in pairs
         )
-        record("d_cross_time_estimate", *worst_case(gaps))
+        record("d_cross_time_estimate", *worst_case(gaps, lab))
 
     # (e) boundary behavior |u - g| <= C t with C = max(|L(0)|, max |H|)
     if not math.isfinite(ils):
@@ -379,29 +394,30 @@ def proposition_suite(
             ends = [np.abs((xi * W - LW).max(axis=1)) for xi in xi_grid[[0, -1]]]
             C = np.fmax(abs(L0), np.maximum(*ends))
             gaps.append((np.abs(ut - g) - C * t, "y", f"t={t:g}"))
-        record("e_boundary_rate", *worst_case(gaps))
+        record("e_boundary_rate", *worst_case(gaps, lab))
 
     # (f) u(y, .) nonincreasing in t
     gaps = ((u[ti] - u[si], "y", f"s={times[si]:g},t={times[ti]:g}") for si, ti in pairs)
-    record("f_time_monotone", *worst_case(gaps))
+    record("f_time_monotone", *worst_case(gaps, lab))
 
     # (g) D+(y,t) <= D-(y,s) for t < s (quadratic model)
     iD_minus, iD_plus, model_u = model.iD_minus[order], model.iD_plus[order], model.u[order]
     gaps = ((iD_plus[ti] - iD_minus[si] - tau_tie, "y", f"t={times[ti]:g},s={times[si]:g}") for ti, si in pairs)
-    record("g_speed_monotone", *worst_case(gaps))
+    record("g_speed_monotone", *worst_case(gaps, lab))
 
     # (h) 2 t ILS >= D+(y,t) for intrinsically Lipschitz sections
     if not math.isfinite(ils):
         skip("h_speed_bound", "global ILS estimate is infinite")
     else:
-        record("h_speed_bound", *worst_case((dp - 2.0 * t * ils, "y", f"t={t:g}") for t, dp in zip(times, iD_plus)))
+        gaps = ((dp - 2.0 * t * ils, "y", f"t={t:g}") for t, dp in zip(times, iD_plus))
+        record("h_speed_bound", *worst_case(gaps, lab))
 
     # (i) global time-Lipschitz bound |u(t) - u(s)| <= K^2 (s - t) / (2 t s)
     gaps = []
     for ti, si in pairs:
         t, s = times[ti], times[si]
         gaps.append((np.abs(model_u[ti] - model_u[si]) - K * K * (s - t) / (2.0 * t * s), "y", f"t={t:g},s={s:g}"))
-    record("i_time_lipschitz", *worst_case(gaps))
+    record("i_time_lipschitz", *worst_case(gaps, lab))
 
     return SuiteReport(items=items, axiom_report=axioms)
 

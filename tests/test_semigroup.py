@@ -4,6 +4,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from fiberflow import runner
 from fiberflow.errors import PreconditionError
 from fiberflow.geometry import FiberedSpace, PointSet, dist_to_fiber
 from fiberflow.lagrangian import conjugate, model_quadratic, power_lagrangian
@@ -12,6 +13,7 @@ from fiberflow.section import Section, g_field, global_ILS
 from fiberflow.semigroup import (
     DEFAULT_TAU_TIE,
     FD_STEP_SCALE,
+    Verdict,
     _neighbor_slopes,
     _speeds,
     evolution_table,
@@ -22,6 +24,7 @@ from fiberflow.semigroup import (
     proposition_suite,
     quasi_minimizer_trace,
     slope_estimate_check,
+    worst_case,
 )
 from test_section import degenerate_section, two_line_section
 
@@ -528,7 +531,7 @@ def test_boundary_rate_from_the_transform_ends_equals_full_grid(paper, two_point
             times = [0.05, 0.5, 2.0, 0.2]
             table = evolution_table(sec, L, times)
             suite = proposition_suite(sec, L, table, evolution_table(sec, model, times))
-            item = suite.item("e_boundary_rate")
+            item = suite.item("suite_e_boundary_rate")
             assert (item.worst_slack, item.location) == reference_boundary_rate(sec, L, table), L.name
 
 
@@ -539,8 +542,76 @@ def test_suite_skips_axiom_items_for_bad_lagrangian(paper):
     sec = paper.section()
     table, model = evolution_table(sec, L, [0.02]), evolution_table(sec, model_quadratic(), [0.02])
     suite = proposition_suite(sec, L, table, model)
-    assert suite.item("c_spatial_estimate").status == "SKIPPED"
-    assert suite.item("d_cross_time_estimate").status == "SKIPPED"
+    assert suite.item("suite_c_spatial_estimate").status == "SKIPPED"
+    assert suite.item("suite_d_cross_time_estimate").status == "SKIPPED"
+
+
+def test_suite_items_are_verdicts_named_by_item_key(paper):
+    sec, L = paper.section(), paper.lagrangian()
+    suite = proposition_suite(sec, L, evolution_table(sec, L, paper.grids.times), labels=paper.base_ids)
+    keys = "a_bounds b_quasi_minimizer c_spatial_estimate d_cross_time_estimate e_boundary_rate"
+    keys += " f_time_monotone g_speed_monotone h_speed_bound i_time_lipschitz"
+    assert [item.check for item in suite.items] == [f"suite_{key}" for key in keys.split()]
+    assert all(isinstance(item, Verdict) for item in suite.items)
+    with pytest.raises(KeyError):
+        suite.item("a_bounds")
+
+
+def reference_worse(worst, residual, t, labels):
+    """Reference per-time reducer for the HJ grid verdicts: a later time
+    replaces the worst only when strictly larger, and argmax picks the first
+    index, a NaN if there is one, which then never wins."""
+    k = int(np.argmax(residual))
+    if residual[k] > worst[0]:
+        return float(residual[k]), f"y={labels[k]},t={t:g}"
+    return worst
+
+
+def test_worst_case_first_wins_and_never_picks_nan():
+    labels = ["a", "b", "c"]
+    # across cases the first case wins a tie; within a case the first index
+    tie = [(np.array([0.0, 2.0, 2.0]), "y", "t=1"), (np.array([2.0, 1.0, 0.0]), "y", "t=2")]
+    assert worst_case(tie, labels) == (2.0, "y=b,t=1")
+    assert worst_case(tie + [(np.array([0.0, 0.0, 5.0]), "y", "t=3")], labels) == (5.0, "y=c,t=3")
+    # several axes name the row-major first index attaining the maximum
+    gap = np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 3.0], [1.0, 1.0, 0.0]])
+    assert worst_case([(gap, "xy", "s=1,t=2")], labels) == (3.0, "x=a,y=b,s=1,t=2")
+    # a gap holding NaN is never chosen, whatever its other entries
+    nan_gap = np.array([np.nan, 9.0, 0.0])
+    assert worst_case([(nan_gap, "y", "t=1"), (np.array([1.0, 0.5, 0.0]), "y", "t=2")], labels) == (1.0, "y=a,t=2")
+    assert worst_case([(nan_gap, "y", "t=1")], labels) == (-math.inf, None)
+    assert worst_case([], labels) == (-math.inf, None)
+    assert worst_case(iter(()), labels) == (-math.inf, None)
+    # a scalar gap has no axes: its suffix is the whole location
+    scalars = [(np.float64(np.nan), "", "z=c,y=c,t=0"), (np.float64(1.0), "", "z=a,y=b,t=1")]
+    scalars.append((np.float64(1.0), "", "z=c,y=a,t=2"))
+    assert worst_case(scalars, labels) == (1.0, "z=a,y=b,t=1")
+    # labels map the indices, e.g. HJ nodes to their base ids
+    assert worst_case([(np.array([0.0, 1.0]), "y", "t=0.5")], ["y0000", "y0100"]) == (1.0, "y=y0100,t=0.5")
+
+
+def test_worst_case_equals_the_per_time_reducer_on_ties_and_nans():
+    rng = np.random.default_rng(11)
+    labels = [f"n{k}" for k in range(5)]
+    for _ in range(300):
+        times = rng.uniform(0.01, 4.0, size=int(rng.integers(0, 6)))
+        rows = rng.integers(-3, 3, size=(times.size, 5)).astype(float)  # small integers: many ties
+        rows[rng.random(rows.shape) < 0.1] = np.nan
+        expected = (-math.inf, None)
+        for t, row in zip(times, rows):
+            expected = reference_worse(expected, row, t, labels)
+        assert worst_case([(row, "y", f"t={t:g}") for t, row in zip(times, rows)], labels) == expected
+
+
+def test_verdict_from_slack_and_strict_json():
+    assert runner.Verdict is Verdict
+    assert Verdict.from_slack("c", 1e-9, 1e-9, None).status == "PASS"
+    assert Verdict.from_slack("c", 2e-9, 1e-9, "y=a").status == "FAIL"
+    assert Verdict.from_slack("c", math.nan, 1e-9, None).status == "FAIL"
+    v = Verdict.from_slack("c", -math.inf, 0.0, None, note="n")
+    assert (v.status, v.worst_slack, v.location, v.note) == ("PASS", -math.inf, None, "n")
+    assert v.to_dict() == {"check": "c", "status": "PASS", "worst_slack": "-inf", "location": None, "note": "n"}
+    assert Verdict("c", "SKIPPED", None, None).to_dict()["worst_slack"] is None
 
 
 def test_evolution_table_invariants(two_point):
