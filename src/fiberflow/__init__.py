@@ -14,7 +14,6 @@ from .geometry import (
     FiberedSpace,
     PointSet,
     SegmentUnion,
-    dist_to_fiber,
     fiber_min_distance,
     validate_space,
 )
@@ -52,7 +51,6 @@ from .semigroup import (
     evolution_table,
     evolve_all,
     hj_residual,
-    hj_residual_lipschitz,
     proposition_suite,
     quasi_minimizer_trace,
     slope_estimate_check,
@@ -70,7 +68,6 @@ __all__ = [
     "FiberedSpace",
     "PointSet",
     "SegmentUnion",
-    "dist_to_fiber",
     "fiber_min_distance",
     "validate_space",
     "Lagrangian",
@@ -100,7 +97,6 @@ __all__ = [
     "evolution_table",
     "evolve_all",
     "hj_residual",
-    "hj_residual_lipschitz",
     "proposition_suite",
     "quasi_minimizer_trace",
     "slope_estimate_check",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -91,45 +91,6 @@ class SegmentUnion:
 
 
 FiberGeometry = Union[PointSet, SegmentUnion]
-
-
-class FiberDistance(NamedTuple):
-    value: float
-    witness: Array
-
-
-def point_segment_closest(p: Array, a: Array, b: Array) -> tuple[float, Array]:
-    """Exact distance from point `p` to segment `a`-`b`, with closest point."""
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a)), a.copy()
-    s = float((p - a) @ ab) / denom
-    s = min(1.0, max(0.0, s))
-    closest = a + s * ab
-    return float(np.linalg.norm(p - closest)), closest
-
-
-def dist_to_fiber(p, fiber: FiberGeometry) -> FiberDistance:
-    """Euclidean distance from `p` to the fiber, with a witness attaining it.
-
-    Exact minimum over sample points, or over the exact point-to-segment
-    distances when the fiber is a segment union.
-    """
-    p = np.asarray(p, dtype=float)
-    if fiber.is_empty:
-        raise GeometryError("cannot compute the distance to an empty fiber")
-    if isinstance(fiber, PointSet):
-        diffs = fiber.points - p[None, :]
-        dists = np.linalg.norm(diffs, axis=1)
-        k = int(np.argmin(dists))
-        return FiberDistance(float(dists[k]), fiber.points[k].copy())
-    best = None
-    for a, b in fiber.segments:
-        d, closest = point_segment_closest(p, a, b)
-        if best is None or d < best[0]:
-            best = (d, closest)
-    return FiberDistance(best[0], best[1])
 
 
 def pairwise_distances(P: Array, Q: Array) -> Array:

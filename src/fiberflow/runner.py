@@ -21,12 +21,19 @@ from .reports import (
     write_verdicts_json,
 )
 from .scenario import Scenario
-from .section import asymmetry_probe, global_ILS, g_field, local_slopes, validate_section
+from .section import asymmetry_probe, g_field, local_slopes, validate_section
 from .lagrangian import legendre_transform, model_quadratic
-from .semigroup import Verdict, evolution_table, hj_residuals, proposition_suite, slope_estimate_check, worst_case
+from .semigroup import (
+    SLACK_TOLERANCE,
+    Verdict,
+    evolution_table,
+    hj_residuals,
+    proposition_suite,
+    slope_estimate_check,
+    worst_case,
+)
 
 HJ_TOLERANCE = 1e-6
-SLACK_TOLERANCE = 1e-9
 
 
 def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], int]:
@@ -55,9 +62,7 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
         model = evolution_table(section, model_quadratic(), grids.times, tau_tie=grids.tau_tie)
 
     # proposition suite; its penalty-axiom report gives the axiom verdicts
-    suite = proposition_suite(
-        section, L, table, model, xi_resolution=grids.xi_resolution, labels=scenario.base_ids
-    )
+    suite = proposition_suite(section, L, table, model, labels=scenario.base_ids)
     axioms = suite.axiom_report
     verdicts.append(
         Verdict.from_slack("axiom_convexity", axioms.convexity_worst, axioms.convexity_tol, None)
@@ -134,17 +139,18 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
 
     verdicts.extend(suite.items)
 
-    # finite pair scan of the slope estimate, every grid time
-    pair_scans, n_viol = [], 0
-    for ti, t in enumerate(model.times):
-        rep = slope_estimate_check(section, model, ti)
-        n_viol += len(rep.violations)
-        z, y = rep.worst_pair
-        # a scalar case: the scan already found its worst pair, which the suffix names
-        loc = f"z={scenario.base_ids[z]},y={scenario.base_ids[y]},t={t:g}"
-        pair_scans.append((np.float64(rep.worst_slack), "", loc))
-    slack, loc = worst_case(pair_scans, scenario.base_ids)
-    note = f"{n_viol} violating pairs"
+    # finite pair scan of the slope estimate, one grid time's slack table at a time
+    violations = []
+
+    def pair_scans():
+        for ti, t in enumerate(model.times):
+            slack = slope_estimate_check(section, model, ti)
+            violations.append(np.count_nonzero(slack > SLACK_TOLERANCE))
+            yield slack, "zy", f"t={t:g}"
+            del slack  # worst_case has read it; the next table replaces it
+
+    slack, loc = worst_case(pair_scans(), scenario.base_ids)
+    note = f"{sum(violations)} violating pairs"
     verdicts.append(Verdict.from_slack("pair_slope_estimate", slack, SLACK_TOLERANCE, loc, note=note))
 
     # Hamilton-Jacobi residual grids, at every hj_base_stride-th base point
@@ -162,8 +168,7 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
     slack, loc = worst_case(plain, hj_labels)
     note = f"{flagged} nodes had no neighbors in radius"
     verdicts.append(Verdict.from_slack("hj_residual_grid", slack, HJ_TOLERANCE, loc, note=note))
-    ils = global_ILS(section)
-    if math.isfinite(ils) and ils > 0:
+    if lipschitz:  # hj_residuals gives no Lipschitz form without a finite nonzero ILS
         slack, loc = worst_case(lipschitz, hj_labels)
         verdicts.append(Verdict.from_slack("hj_residual_lipschitz_grid", slack, HJ_TOLERANCE, loc))
     else:

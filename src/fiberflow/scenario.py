@@ -31,6 +31,9 @@ _FLOAT_MAX = sys.float_info.max
 # largest coordinate magnitude: squared coordinate differences stay below
 # 2^1002, so the distance kernels' sums of squares cannot overflow
 COORD_MAX = 2.0**500
+# largest transform grid: one transform's xi-by-m score table stays under
+# 2.6 m^2 floats at m = 1600
+XI_RESOLUTION_MAX = 4096
 
 
 @dataclass
@@ -216,13 +219,19 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _expect(isinstance(tol, dict), "grids.tolerances: expected an object")
     hj_times = grids_raw.get("hj_times")
     if hj_times is not None:
-        _expect(isinstance(hj_times, list) and all(_is_number(t) and t > 0 for t in hj_times), "grids.hj_times: expected positive finite numbers")
+        _expect(
+            isinstance(hj_times, list) and hj_times and all(_is_number(t) and t > 0 for t in hj_times),
+            "grids.hj_times: expected a nonempty list of positive finite numbers",
+        )
         hj_times = [float(t) for t in hj_times]
     hj_radius = grids_raw.get("hj_radius")
     if hj_radius is not None:
         _expect(_is_number(hj_radius) and hj_radius > 0, "grids.hj_radius: expected a positive finite number")
     xi_resolution = grids_raw.get("xi_resolution", 101)
-    _expect(_is_count(xi_resolution), "grids.xi_resolution: expected an integer >= 1")
+    _expect(
+        _is_count(xi_resolution) and xi_resolution <= XI_RESOLUTION_MAX,
+        f"grids.xi_resolution: expected an integer in [1, {XI_RESOLUTION_MAX}]",
+    )
     hj_base_stride = grids_raw.get("hj_base_stride", 1)
     _expect(_is_count(hj_base_stride), "grids.hj_base_stride: expected an integer >= 1")
     taus = {"tau_geo": DEFAULT_TAU_GEO, "tau_sec": DEFAULT_TAU_SEC, "tau_tie": DEFAULT_TAU_TIE}

@@ -10,6 +10,12 @@ tolerance); the extremal fiber distances over that set play the role of the
 one-sided speed indicators D- and D+, which the proposition suite and the
 slope estimate read.  Forward differences of u in t feed the Hamilton-Jacobi
 residual checks.
+
+The readers behind `check` return arrays: `hj_residuals` the residuals of one
+time at chosen base points, `slope_estimate_check` the pair scan's slack table
+at one grid time.  `worst_case` reduces such arrays to a worst slack and its
+first location, and `Verdict.from_slack` turns that into a status; the
+proposition suite returns its items as Verdicts.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from .section import Section, bound_K, g_field, global_ILS
 Array = np.ndarray
 
 DEFAULT_TAU_TIE = 1e-9
+# the suite items, the pair scan and the runner's other slack checks pass at a worst slack <= this
+SLACK_TOLERANCE = 1e-9
 # forward-difference step scale: sqrt(eps) * t balances truncation against roundoff
 FD_STEP_SCALE = float(np.sqrt(np.finfo(float).eps))
 
@@ -50,22 +58,6 @@ def evolve_all(section: Section, L: Lagrangian, t: float, tau_tie: float = DEFAU
 def _speeds(D: Array, argmins: Array) -> tuple[Array, Array]:
     """(D-, D+): min and max of the fiber distances D[y, z] over each argmin mask."""
     return np.where(argmins, D, np.inf).min(axis=-1), np.where(argmins, D, -np.inf).max(axis=-1)
-
-
-@dataclass
-class HJResidual:
-    """One Hamilton-Jacobi residual sample at a grid node: forward time
-    difference plus the prefactor times the squared neighbor slope.  A
-    nonpositive value certifies the subsolution inequality at this node."""
-
-    residual: float
-    forward_difference: float
-    slope: float
-    n_neighbors: int
-
-    @property
-    def no_neighbors(self) -> bool:
-        return self.n_neighbors == 0
 
 
 def _neighbor_slopes(u: Array, den: Array, near: Array, nodes=None) -> Array:
@@ -146,56 +138,24 @@ def hj_residuals(section: Section, t: float, radius: float, nodes=None) -> tuple
     return _hj_form(u, fd, section.value_distances(), near, 2.0, nodes), lipschitz
 
 
-def _node(hj: HJArrays) -> HJResidual:
-    return HJResidual(float(hj.residual[0]), float(hj.forward_difference[0]), float(hj.slope[0]), int(hj.n_neighbors[0]))
+def hj_residual(section: Section, y: int, t: float, radius: float) -> HJArrays:
+    """The plain form of `hj_residuals` at the one node y, as length-1 arrays."""
+    return hj_residuals(section, t, radius, [y])[0]
 
 
-def hj_residual(section: Section, y: int, t: float, radius: float) -> HJResidual:
-    """Residual of  d+/dt u(y,t) + 2 * (sup nearby slope)^2 <= 0  where the
-    slope quotient divides by the distance between section values."""
-    return _node(hj_residuals(section, t, radius, [y])[0])
-
-
-def hj_residual_lipschitz(section: Section, y: int, t: float, radius: float) -> HJResidual:
-    """Variant with fiber-distance denominators and the 2 / ILS^2 prefactor.
-
-    Requires a finite nonzero global intrinsic Lipschitz estimate; refused otherwise.
-    """
-    lipschitz = hj_residuals(section, t, radius, [y])[1]
-    if lipschitz is None:
-        raise PreconditionError("hj_residual_lipschitz needs a finite nonzero ILS estimate")
-    return _node(lipschitz)
-
-
-@dataclass
-class Eq314Report:
-    """Pair scan of the finite slope estimate
-    u(z,t) - u(y,t) <= (d(f(z),f(y)) / 2t) * (D-(y,t) + d(f(z), fiber(y)))."""
-
-    t: float
-    worst_slack: float
-    worst_pair: tuple[int, int]
-    violations: list[tuple[int, int, float]]
-
-
-def slope_estimate_check(section: Section, table: EvolutionTable, ti: int, tol: float = 1e-9) -> Eq314Report:
-    """The pair scan at the grid time table.times[ti] of the model evolution."""
+def slope_estimate_check(section: Section, table: EvolutionTable, ti: int) -> Array:
+    """Slack table of the finite slope estimate
+    u(z,t) - u(y,t) <= (d(f(z),f(y)) / 2t) * (D-(y,t) + d(f(z), fiber(y)))
+    at the grid time t = table.times[ti] of the model evolution: slack[z, y]
+    is the left side minus the right side, and the diagonal is -inf."""
     if table.penalty != MODEL_QUADRATIC:
         raise PreconditionError("the slope estimate is defined for the quadratic model penalty only")
     t, u, iDm = table.times[ti], table.u[ti], table.iD_minus[ti]
     D = section.fiber_distances()
     E = section.value_distances()
-    # slack[z, y] = u(z) - u(y) - (E[z,y]/2t) (iDm[y] + D[z, y])
     slack = u[:, None] - u[None, :] - (E / (2.0 * t)) * (iDm[None, :] + D)
     np.fill_diagonal(slack, -np.inf)
-    pos = np.unravel_index(int(np.argmax(slack)), slack.shape)
-    worst = float(slack[pos])
-    violations = [
-        (int(z), int(y), float(slack[z, y]))
-        for z, y in np.argwhere(slack > tol)
-    ]
-    violations.sort()
-    return Eq314Report(t=float(t), worst_slack=worst, worst_pair=(int(pos[0]), int(pos[1])), violations=violations)
+    return slack
 
 
 @dataclass
@@ -275,6 +235,7 @@ def worst_case(cases, labels: list[str]) -> tuple[float, str | None]:
         if w > worst:
             idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
             worst, loc = w, ",".join([f"{a}={labels[i]}" for a, i in zip(axes, idx)] + [suffix])
+        del gap  # a generator may build the next case now: keep one alive at a time
     return worst, loc
 
 
@@ -295,14 +256,12 @@ def proposition_suite(
     L: Lagrangian,
     table: EvolutionTable,
     model: EvolutionTable | None = None,
-    tol: float = 1e-9,
-    xi_resolution: int = 101,
-    quasi_levels: int = 20,
     labels: list[str] | None = None,
 ) -> SuiteReport:
     """Run the full battery of evolution properties over `table`, the
     evolution under `L`, and report one verdict per item, named
-    suite_<item key>, with locations in sorted time order.
+    suite_<item key>, with locations in sorted time order; an item passes
+    when its worst slack is at most SLACK_TOLERANCE.
 
     Items whose hypotheses fail (penalty axioms, finite ILS) are SKIPPED, not
     failed.  Items tied to the quadratic-penalty theory always evaluate the
@@ -331,7 +290,7 @@ def proposition_suite(
         if slack == -math.inf:  # nothing to compare (e.g. a single grid time)
             items.append(Verdict(f"suite_{key}", "PASS", None, None, note="no comparable grid pairs"))
         else:
-            items.append(Verdict.from_slack(f"suite_{key}", slack, tol, loc, note))
+            items.append(Verdict.from_slack(f"suite_{key}", slack, SLACK_TOLERANCE, loc, note))
 
     def skip(key: str, why: str):
         items.append(Verdict(f"suite_{key}", "SKIPPED", None, None, note=why))
@@ -351,7 +310,7 @@ def proposition_suite(
         record("a_bounds", *worst_case(((row, "y", f"t={t:g}") for t, row in zip(times, both)), lab))
 
     # (b) quasi-minimizing sequences collapse onto the fiber of y as t -> 0
-    trace = quasi_minimizer_trace(section, levels=quasi_levels, tau_tie=tau_tie)
+    trace = quasi_minimizer_trace(section, tau_tie=tau_tie)
     worst_final, loc_final = worst_case([(trace.argmin_dist[-1], "y", f"t={trace.times[-1]:g}")], lab)
     worst_bound = float((trace.quasi_dist**2 - trace.quasi_bound[:, None]).max())
     record(
@@ -383,15 +342,14 @@ def proposition_suite(
         skip("e_boundary_rate", "global ILS estimate is infinite")
     else:
         # for speeds w >= 0 the computed L*(xi) = max over w of (xi w - L(w)) is
-        # nondecreasing along the grid (products and differences round
-        # monotonically), so max |L*| is attained at the grid's two ends
-        xi_grid = np.linspace(0.0, ils, xi_resolution)
+        # nondecreasing in xi (products and differences round monotonically),
+        # so max |L*| over [0, ILS] is attained at xi = 0 or xi = ILS
         D = section.fiber_distances()
         gaps = []
         for t, ut in zip(times, u):
             W = D / t
             LW = L(W)
-            ends = [np.abs((xi * W - LW).max(axis=1)) for xi in xi_grid[[0, -1]]]
+            ends = [np.abs((xi * W - LW).max(axis=1)) for xi in (0.0, ils)]
             C = np.fmax(abs(L0), np.maximum(*ends))
             gaps.append((np.abs(ut - g) - C * t, "y", f"t={t:g}"))
         record("e_boundary_rate", *worst_case(gaps, lab))

@@ -1,11 +1,19 @@
+import copy
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberflow.cli import main
 from fiberflow.scenario import (
+    random_scenario,
     scenario_to_dict,
     singleton_constant_scenario,
+    tie_scenario,
     two_point_scenario,
     write_scenario,
 )
@@ -164,6 +172,10 @@ def test_variational_out_naming_a_file_fails_before_the_solve(two_point_file, tm
         pytest.param(("grids", "hj_base_stride"), "x", "grids.hj_base_stride", id="hj_base_stride-string"),
         pytest.param(("grids", "tolerances", "tau_tie"), "x", "grids.tolerances.tau_tie", id="tau_tie-string"),
         pytest.param(("grids", "xi_resolution"), 0, "grids.xi_resolution", id="xi_resolution-zero"),
+        # above XI_RESOLUTION_MAX = 4096, whose transform tables could not be allocated
+        pytest.param(("grids", "xi_resolution"), 4097, "grids.xi_resolution", id="xi_resolution-above-cap"),
+        pytest.param(("grids", "xi_resolution"), 2**70, "grids.xi_resolution", id="xi_resolution-2^70"),
+        pytest.param(("grids", "hj_times"), [], "grids.hj_times", id="hj_times-empty"),
         pytest.param(("grids", "tolerances", "tau_tie"), -1, "grids.tolerances.tau_tie", id="tau_tie-negative"),
         pytest.param(
             ("lagrangian",), {"name": "power", "params": {"exponent": "x"}}, "lagrangian.params.exponent",
@@ -218,3 +230,66 @@ def test_bad_scenario_field_is_a_format_error(tmp_path, capsys, path, value, fie
         assert f"error: {field}:" in capsys.readouterr().err, command
     assert list(tmp_path.rglob("*")) == [scenario_file]  # nothing written, inside --out or out of it
 
+
+
+def _paths(node, prefix=()):
+    """Every key and index path into a JSON document, parents first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+DELETE = object()
+
+
+def _mutate(doc, path, value) -> None:
+    """Set the field at `path` to `value`, or delete it when `value` is
+    DELETE; a path that an earlier mutation removed is left alone."""
+    parent, target = None, doc
+    for key in path:
+        if not isinstance(target, (dict, list)):
+            return
+        try:
+            parent, target = target, target[key]
+        except (KeyError, IndexError, TypeError):
+            return
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+
+
+PROBE_DOCS = {
+    "two-point": scenario_to_dict(two_point_scenario()),
+    "tie": scenario_to_dict(tie_scenario()),
+    "random-3": scenario_to_dict(random_scenario(3)),
+    "random-7": scenario_to_dict(random_scenario(7)),
+}
+PROBE_PATHS = {name: list(_paths(doc)) for name, doc in PROBE_DOCS.items()}
+PROBE_VALUES = [None, True, False, math.nan, 2**70, "x", [1.0, "x"], DELETE]
+
+
+@st.composite
+def mutated_docs(draw):
+    name = draw(st.sampled_from(sorted(PROBE_DOCS)))
+    doc = copy.deepcopy(PROBE_DOCS[name])
+    for path in draw(st.lists(st.sampled_from(PROBE_PATHS[name]), min_size=1, max_size=3)):
+        _mutate(doc, path, draw(st.sampled_from(PROBE_VALUES)))
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=mutated_docs())
+def test_mutated_scenario_exits_with_a_documented_code(doc):
+    # a Python traceback would exit with 1, the code of a failed check; every
+    # mutation must run or be refused with a documented code, never raise
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "mutated.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--out", str(Path(d) / "rep"), "check", str(path)]) in {0, 1, 4, 5, 6}

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,10 +12,8 @@ from fiberflow.geometry import (
     FiberedSpace,
     PointSet,
     SegmentUnion,
-    dist_to_fiber,
     fiber_distances_to_points,
     fiber_min_distance,
-    point_segment_closest,
     segment_segment_distance,
     validate_space,
 )
@@ -29,6 +28,42 @@ from fiberflow.scenario import (
 )
 from fiberflow.section import Section
 from test_section import segments_section, two_line_section
+
+
+class FiberDistance(NamedTuple):
+    value: float
+    witness: np.ndarray
+
+
+def point_segment_closest(p, a, b):
+    """Per-point reference: exact distance from `p` to segment `a`-`b`, with
+    the closest point."""
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return float(np.linalg.norm(p - a)), a.copy()
+    s = float((p - a) @ ab) / denom
+    s = min(1.0, max(0.0, s))
+    closest = a + s * ab
+    return float(np.linalg.norm(p - closest)), closest
+
+
+def dist_to_fiber(p, fiber) -> FiberDistance:
+    """Per-point reference: Euclidean distance from `p` to a nonempty fiber,
+    with a witness attaining it; the exact minimum over the sample points, or
+    over the exact point-to-segment distances of a segment union."""
+    p = np.asarray(p, dtype=float)
+    if isinstance(fiber, PointSet):
+        dists = np.linalg.norm(fiber.points - p[None, :], axis=1)
+        k = int(np.argmin(dists))
+        return FiberDistance(float(dists[k]), fiber.points[k].copy())
+    best = None
+    for a, b in fiber.segments:
+        d, closest = point_segment_closest(p, a, b)
+        if best is None or d < best[0]:
+            best = (d, closest)
+    return FiberDistance(best[0], best[1])
+
 
 SLICE_AT_7 = PointSet(np.array([[7.0, 8.0], [7.0, 6.5]]))
 SLICE_AT_6 = PointSet(np.array([[6.0, 8.0], [6.0, 6.0]]))
@@ -53,8 +88,11 @@ def test_distance_to_second_slice():
 
 
 def test_empty_fiber_raises():
+    empty = PointSet(np.empty((0, 2)))
     with pytest.raises(GeometryError):
-        dist_to_fiber([0.0, 0.0], PointSet(np.empty((0, 2))))
+        fiber_distances_to_points(np.zeros((1, 2)), empty)
+    with pytest.raises(GeometryError):
+        fiber_min_distance(SLICE_AT_7, empty)
 
 
 def test_pointset_minimality_exhaustive():

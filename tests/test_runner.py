@@ -1,24 +1,32 @@
 import dataclasses
 import functools
 import hashlib
+import math
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 from fiberflow import geometry, semigroup
 from fiberflow.geometry import FiberedSpace
+from fiberflow.lagrangian import model_quadratic
 from fiberflow.runner import run_check
 from fiberflow.scenario import (
     Scenario,
     load_scenario,
     paper_counterexample,
     random_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
     singleton_constant_scenario,
     tie_scenario,
     two_point_scenario,
     write_scenario,
 )
+from fiberflow.semigroup import evolution_table
 from test_section import segments_section, two_line_section, unequal_section
+from test_semigroup import reference_pair_slack
 
 # sha256 of each run_check bundle (its five files in ReportBundle.all_files
 # order), recorded on x86-64 Linux with Python 3.11 and numpy 2.4.  A change
@@ -124,3 +132,66 @@ def test_bundle_bytes_match_recorded_digests(tmp_path, name):
     for path in bundle.all_files():
         digest.update(path.read_bytes())
     assert digest.hexdigest() == BUNDLE_DIGESTS[name]
+
+
+def _verdict(verdicts, check):
+    return next(v for v in verdicts if v.check == check)
+
+
+def reference_pair_scan(scenario):
+    """The pair-scan verdict's (worst slack, location, violation count) from
+    the per-pair reference tables, reduced one time at a time: a later time
+    replaces the worst only when strictly larger, the first pair in row-major
+    order wins within a time, and a time whose table holds NaN never wins."""
+    sec = scenario.section()
+    table = evolution_table(sec, model_quadratic(), scenario.grids.times, tau_tie=scenario.grids.tau_tie)
+    worst, loc, count = -math.inf, None, 0
+    for ti, t in enumerate(table.times):
+        slack = reference_pair_slack(sec, table, ti)
+        count += int((slack > 1e-9).sum())
+        z, y = np.unravel_index(int(np.argmax(slack)), slack.shape)
+        if slack[z, y] > worst:
+            worst, loc = float(slack[z, y]), f"z={scenario.base_ids[z]},y={scenario.base_ids[y]},t={t:g}"
+    return worst, loc, count
+
+
+@pytest.mark.parametrize("seed", [None, 4, 5, 11, 14, 21, 23])
+def test_pair_scan_verdict_equals_the_per_time_reference(tmp_path, seed):
+    scenario = two_point_scenario() if seed is None else random_scenario(seed)
+    _, verdicts, _ = run_check(scenario, tmp_path)
+    worst, loc, count = reference_pair_scan(scenario)
+    v = _verdict(verdicts, "pair_slope_estimate")
+    assert (v.worst_slack, v.location, v.note) == (worst, loc, f"{count} violating pairs")
+    assert v.status == ("PASS" if worst <= 1e-9 else "FAIL")
+    assert (seed is None) == (count == 0)
+
+
+@pytest.mark.parametrize("xi_resolution", [1, 2, 101])
+def test_boundary_rate_does_not_depend_on_xi_resolution(tmp_path, xi_resolution):
+    # item e reads L* only at xi = 0 and xi = ILS, whatever the transform grid
+    doc = scenario_to_dict(two_point_scenario())
+    doc["grids"]["xi_resolution"] = xi_resolution
+    _, verdicts, code = run_check(scenario_from_dict(doc), tmp_path)
+    v = _verdict(verdicts, "suite_e_boundary_rate")
+    assert (v.status, v.worst_slack, v.location) == ("PASS", -0.4142135623730949, "y=b0,t=1")
+    assert code == 0
+
+
+def test_lipschitz_grid_is_skipped_without_a_finite_nonzero_ils(tmp_path):
+    # f(b0) on the fiber of b1 makes the ILS infinite (and the geometry
+    # invalid); a single base point has ILS 0
+    degenerate = scenario_to_dict(two_point_scenario())
+    degenerate["kappa"], degenerate["base"] = 1, [{"id": "b0", "point": [0.0]}, {"id": "b1", "point": [1.0]}]
+    degenerate["fibers"] = {"b0": {"type": "points", "data": [[0.0]]}, "b1": {"type": "points", "data": [[0.0], [5.0]]}}
+    degenerate["section"] = {"b0": [0.0], "b1": [5.0]}
+    single = scenario_to_dict(two_point_scenario())
+    single["base"], single["fibers"], single["section"] = (
+        single["base"][:1], {"b0": single["fibers"]["b0"]}, {"b0": single["section"]["b0"]}
+    )
+    for k, doc in enumerate((degenerate, single)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # global_ILS warns on a single base point
+            _, verdicts, _ = run_check(scenario_from_dict(doc), tmp_path / str(k))
+        v = _verdict(verdicts, "hj_residual_lipschitz_grid")
+        assert (v.status, v.worst_slack, v.location, v.note) == ("SKIPPED", None, None, "ILS estimate not finite")
+        assert _verdict(verdicts, "hj_residual_grid").status != "SKIPPED"

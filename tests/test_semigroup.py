@@ -6,7 +6,7 @@ import pytest
 
 from fiberflow import runner
 from fiberflow.errors import PreconditionError
-from fiberflow.geometry import FiberedSpace, PointSet, dist_to_fiber
+from fiberflow.geometry import FiberedSpace, PointSet
 from fiberflow.lagrangian import conjugate, model_quadratic, power_lagrangian
 from fiberflow.scenario import random_scenario
 from fiberflow.section import Section, g_field, global_ILS
@@ -19,13 +19,13 @@ from fiberflow.semigroup import (
     evolution_table,
     evolve_all,
     hj_residual,
-    hj_residual_lipschitz,
     hj_residuals,
     proposition_suite,
     quasi_minimizer_trace,
     slope_estimate_check,
     worst_case,
 )
+from test_geometry import dist_to_fiber
 from test_section import degenerate_section, two_line_section
 
 
@@ -286,16 +286,16 @@ def test_hj_residual_constant_field(singleton):
     for t in singleton.grids.times:
         for y in range(sec.n_base):
             r = hj_residual(sec, y, t, radius=1.5)
-            assert r.slope == 0.0
-            assert abs(r.residual) <= 1e-12
+            assert r.slope.tolist() == [0.0]
+            assert abs(r.residual[0]) <= 1e-12
 
 
 def test_hj_residual_two_point(two_point):
     sec = two_point.section()
     r = hj_residual(sec, 1, 1.5, radius=2.0)
-    assert r.n_neighbors == 1
-    assert r.slope == pytest.approx((1 / 1.5) / math.sqrt(2.0), abs=1e-12)
-    assert r.residual <= 1e-6
+    assert r.n_neighbors.tolist() == [1]
+    assert r.slope[0] == pytest.approx((1 / 1.5) / math.sqrt(2.0), abs=1e-12)
+    assert r.residual[0] <= 1e-6
 
 
 def test_hj_residual_paper_grid(paper):
@@ -304,8 +304,8 @@ def test_hj_residual_paper_grid(paper):
     for t in paper.grids.effective_hj_times():
         for y in range(0, sec.n_base, stride):
             r = hj_residual(sec, y, t, radius=paper.grids.hj_radius)
-            assert r.residual <= 1e-6
-            assert r.no_neighbors  # radius below the base gap: flagged, slope 0
+            assert r.residual[0] <= 1e-6
+            assert r.n_neighbors[0] == 0  # radius below the base gap: flagged, slope 0
 
 
 @pytest.mark.parametrize(
@@ -326,13 +326,12 @@ def test_hj_arrays_match_per_node_reference(request, name, times, radius):
     else:
         sec = request.getfixturevalue(name).section()
     for lipschitz in (False, True):
-        per_node = hj_residual_lipschitz if lipschitz else hj_residual
         for t in times:
             residual, _, slope, n_neighbors = hj_residuals(sec, t, radius)[int(lipschitz)]
             for y, expected in enumerate(reference_hj(sec, t, radius, lipschitz)):
                 assert (residual[y], slope[y], n_neighbors[y], n_neighbors[y] == 0) == expected
-                node = per_node(sec, y, t, radius)
-                assert (node.residual, node.slope, node.n_neighbors, node.no_neighbors) == expected
+                node = hj_residuals(sec, t, radius, [y])[1] if lipschitz else hj_residual(sec, y, t, radius)
+                assert (node.residual[0], node.slope[0], node.n_neighbors[0], node.n_neighbors[0] == 0) == expected
     # every case's radius reaches neighbors, so the slopes are not all vacuous
     assert np.any(n_neighbors > 0)
 
@@ -412,15 +411,15 @@ def test_hj_lipschitz_matches_plain_on_singleton(singleton):
     sec = singleton.section()
     for y in range(sec.n_base):
         a = hj_residual(sec, y, 1.0, radius=1.5)
-        b = hj_residual_lipschitz(sec, y, 1.0, radius=1.5)
-        assert b.residual == pytest.approx(a.residual, abs=1e-12)
+        b = hj_residuals(sec, 1.0, 1.5, [y])[1]
+        assert b.residual[0] == pytest.approx(a.residual[0], abs=1e-12)
 
 
 def test_hj_lipschitz_two_point(two_point):
     sec = two_point.section()
     for t in two_point.grids.times:
         for y in (0, 1):
-            assert hj_residual_lipschitz(sec, y, t, radius=2.0).residual <= 1e-6
+            assert hj_residuals(sec, t, 2.0, [y])[1].residual[0] <= 1e-6
 
 
 def test_hj_lipschitz_refuses_infinite_ils():
@@ -430,25 +429,51 @@ def test_hj_lipschitz_refuses_infinite_ils():
         fibers=(PointSet(np.array([[0.0]])), PointSet(np.array([[0.0], [5.0]]))),
     )
     sec = Section(space=space, values=np.array([[0.0], [5.0]]))
-    with pytest.raises(PreconditionError):
-        hj_residual_lipschitz(sec, 0, 1.0, radius=2.0)
+    assert global_ILS(sec) == math.inf
+    assert hj_residuals(sec, 1.0, 2.0, [0])[1] is None
+    assert hj_residuals(sec, 1.0, 2.0)[1] is None
 
 
 def test_slope_estimate_two_point(two_point):
     sec = two_point.section()
     table = evolution_table(sec, model_quadratic(), [1.0, 1.5, 2.0, 4.0])
     for ti in range(table.times.size):
-        rep = slope_estimate_check(sec, table, ti)
-        assert rep.violations == []
-        assert rep.worst_slack <= 1e-9
+        slack = slope_estimate_check(sec, table, ti)
+        assert np.count_nonzero(slack > 1e-9) == 0
+        assert slack.max() <= 1e-9
 
 
 def test_slope_estimate_paper_grid(paper):
     sec = paper.section()
     table = evolution_table(sec, model_quadratic(), paper.grids.times)
     for ti in range(table.times.size):
-        rep = slope_estimate_check(sec, table, ti)
-        assert rep.violations == []
+        slack = slope_estimate_check(sec, table, ti)
+        assert np.count_nonzero(slack > 1e-9) == 0
+
+
+def reference_pair_slack(section, table, ti):
+    """Per-pair reference of the slope estimate's slack: for z != y,
+    u(z) - u(y) - (E[z, y] / 2t) (D-(y) + D[z, y]); -inf on the diagonal."""
+    t, u, iDm = table.times[ti], table.u[ti], table.iD_minus[ti]
+    D, E = section.fiber_distances(), section.value_distances()
+    m = section.n_base
+    slack = np.full((m, m), -np.inf)
+    for z in range(m):
+        for y in range(m):
+            if z != y:
+                slack[z, y] = u[z] - u[y] - (E[z, y] / (2.0 * t)) * (iDm[y] + D[z, y])
+    return slack
+
+
+def test_slope_estimate_table_equals_per_pair_reference(paper, tie, two_point):
+    sections = [paper.section(), tie.section(), two_point.section(), two_line_section(30)]
+    sections += [random_scenario(seed).section() for seed in (0, 4, 11)]
+    for sec in sections:
+        table = evolution_table(sec, model_quadratic(), [0.03, 0.5, 2.0])
+        for ti in range(table.times.size):
+            slack = slope_estimate_check(sec, table, ti)
+            assert slack.shape == (sec.n_base, sec.n_base)
+            assert np.array_equal(slack, reference_pair_slack(sec, table, ti))
 
 
 def test_table_readers_refuse_another_penalty(two_point):
