@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (and every non-skipped check PASSed), 1 a check FAILed,
 2 usage error (also an --out that cannot be written), 3 scenario file missing,
-4 scenario format error, 5 scenario validation error, 6 refused precondition.
+4 scenario format error, 5 scenario validation error, 6 refused precondition,
+7 internal error (any other exception, reported on one line, never as a
+traceback, whose exit code 1 would read as a failed check).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ EXIT_MISSING_FILE = 3
 EXIT_FORMAT = 4
 EXIT_VALIDATION = 5
 EXIT_PRECONDITION = 6
+EXIT_INTERNAL = 7
 
 
 def _checked_time(t: float) -> float:
@@ -195,6 +198,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ MIN_BLOCK_FLOATS = 1 << 15
 
 def _as_float_array(data, name: str) -> Array:
     arr = np.asarray(data, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise GeometryError(f"{name} contains non-finite coordinates")
     return arr
 
@@ -146,30 +146,37 @@ def fiber_distances_to_points(points: Array, fiber: FiberGeometry) -> Array:
 def distances_to_fibers(points: Array, fibers) -> Array:
     """Matrix D with D[i, j] = distance from points[i] to fibers[j].
 
-    The point fibers are taken in blocks of whole fibers holding about m/4
-    points (at least MIN_BLOCK_FLOATS / 2m), so that a block's distance
-    array and its temporaries stay near m^2/2 floats: one
-    `pairwise_distances` call per block and one np.minimum.reduceat over its
-    fibers.  Segment fibers keep the per-fiber projection of
-    `fiber_distances_to_points`.
+    The point fibers are grouped by their point counts, and taken in
+    blocks of whole fibers of one count c holding about m/4 points (at least
+    MIN_BLOCK_FLOATS / 2m), so that a block's distance array and its
+    temporaries stay near m^2/2 floats: one `pairwise_distances` call per
+    block, then c - 1 elementwise np.minimum passes over strided views of
+    its columns.  The minimum of distances does not depend on their order,
+    so each column equals `fiber_distances_to_points` bit for bit.  Segment
+    fibers keep the per-fiber projection of `fiber_distances_to_points`.
     """
     if any(fib.is_empty for fib in fibers):
         raise GeometryError("cannot compute distances to an empty fiber")
     m = points.shape[0]
     D = np.empty((m, len(fibers)))
     per_block = max(m // 4, MIN_BLOCK_FLOATS // max(1, 2 * m))  # fiber points per block
-    cols, blocks, count = [], [], 0
+    runs = {}  # point count c -> the point fibers of c points, in order
     for j, fib in enumerate(fibers):
         if isinstance(fib, SegmentUnion):
             D[:, j] = fiber_distances_to_points(points, fib)
         else:
-            cols.append(j)
-            blocks.append(fib.points)
-            count += len(fib.points)
-        if cols and (count >= per_block or j == len(fibers) - 1):
-            starts = list(itertools.accumulate(map(len, blocks[:-1]), initial=0))  # each fiber's first column
-            D[:, cols] = np.minimum.reduceat(pairwise_distances(points, np.concatenate(blocks)), starts, axis=1)
-            cols, blocks, count = [], [], 0
+            runs.setdefault(len(fib.points), []).append(j)
+    for c, run in runs.items():
+        step = max(1, per_block // c)  # fibers per block
+        for k in range(0, len(run), step):
+            cols = run[k : k + step]
+            d = pairwise_distances(points, np.concatenate([fibers[j].points for j in cols]))
+            d = d.reshape(m, len(cols), c)  # d[:, n, i]: point i of fiber cols[n]
+            nearest = d[..., 0]
+            for i in range(1, c):
+                np.minimum(nearest, d[..., i], out=nearest)
+            contiguous = cols[-1] - cols[0] == len(cols) - 1  # a slice writes far faster than a column list
+            D[:, slice(cols[0], cols[-1] + 1) if contiguous else cols] = nearest
     return D
 
 

@@ -10,6 +10,7 @@ section (ScenarioValidationError naming base ids).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -38,7 +39,12 @@ XI_RESOLUTION_MAX = 4096
 
 @dataclass
 class GridSpec:
-    """Evaluation grids and tolerances carried by a scenario."""
+    """Evaluation grids and tolerances carried by a scenario.
+
+    The fields are checked on construction, with the scenario file's field
+    names in the messages, so that a file and a scenario built in code are
+    refused alike; times, radii and tolerances are stored as floats.
+    """
 
     times: list[float]
     xi_resolution: int = 101
@@ -49,6 +55,36 @@ class GridSpec:
     tau_geo: float = DEFAULT_TAU_GEO
     tau_sec: float = DEFAULT_TAU_SEC
     tau_tie: float = DEFAULT_TAU_TIE
+
+    def __post_init__(self):
+        times, radii, hj_times = self.times, self.radii, self.hj_times
+        _expect(isinstance(times, list) and len(times) > 0, "grids.times: expected a nonempty list")
+        _expect(all(_is_number(t) and t > 0 for t in times), "grids.times: times must be positive finite numbers")
+        _expect(isinstance(radii, list) and radii, "grids.radii: expected a nonempty list")
+        _expect(all(_is_number(r) and r > 0 for r in radii), "grids.radii: radii must be positive finite numbers")
+        _expect(all(radii[i] > radii[i + 1] for i in range(len(radii) - 1)), "grids.radii: must be strictly decreasing")
+        if hj_times is not None:
+            _expect(
+                isinstance(hj_times, list) and hj_times and all(_is_number(t) and t > 0 for t in hj_times),
+                "grids.hj_times: expected a nonempty list of positive finite numbers",
+            )
+            self.hj_times = [float(t) for t in hj_times]
+        if self.hj_radius is not None:
+            _expect(
+                _is_number(self.hj_radius) and self.hj_radius > 0, "grids.hj_radius: expected a positive finite number"
+            )
+            self.hj_radius = float(self.hj_radius)
+        _expect(
+            _is_count(self.xi_resolution) and self.xi_resolution <= XI_RESOLUTION_MAX,
+            f"grids.xi_resolution: expected an integer in [1, {XI_RESOLUTION_MAX}]",
+        )
+        _expect(_is_count(self.hj_base_stride), "grids.hj_base_stride: expected an integer >= 1")
+        for key in ("tau_geo", "tau_sec", "tau_tie"):
+            value = getattr(self, key)
+            _expect(_is_number(value) and value >= 0, f"grids.tolerances.{key}: expected a finite number >= 0")
+            setattr(self, key, float(value))
+        self.times = [float(t) for t in times]
+        self.radii = [float(r) for r in radii]
 
     def effective_hj_times(self) -> list[float]:
         return self.hj_times if self.hj_times is not None else self.times
@@ -104,13 +140,15 @@ class Scenario:
 
     def lagrangian(self) -> Lagrangian:
         D = self.section().fiber_distances()
-        w_max = float(D.max()) / min(self.grids.times) if self.grids.times else 10.0
+        w_max = float(D.max()) / min(self.grids.times)
         return lagrangian_from_spec(self.lagrangian_spec, cert_grid=default_cert_grid(w_max))
 
 
-def _expect(cond: bool, message: str):
+def _expect(cond: bool, message: str, *args):
+    """Raise ScenarioFormatError unless `cond`; with `args`, the message is
+    message.format(*args), formatted only when it is raised."""
     if not cond:
-        raise ScenarioFormatError(message)
+        raise ScenarioFormatError(message.format(*args) if args else message)
 
 
 def _is_number(v, bound: float = _FLOAT_MAX) -> bool:
@@ -123,31 +161,53 @@ def _is_count(v) -> bool:
     return type(v) is int and v >= 1
 
 
-def _as_point(value, kappa: int, where: str) -> list[float]:
-    _expect(isinstance(value, list) and len(value) == kappa, f"{where}: expected a list of {kappa} numbers")
-    _expect(
-        all(_is_number(v, COORD_MAX) for v in value), f"{where}: coordinates must be numbers of magnitude at most 2^500"
-    )
-    return [float(v) for v in value]
+def _points(rows, kappa: int, name) -> Array:
+    """The JSON points `rows` as an (n, kappa) float array.
+
+    A few whole-list passes check every row at once.  Only when they fail
+    are the rows checked one by one, so that the error names the first bad
+    row, `name(i)`.  max and min may skip a NaN, but then the sum is NaN;
+    the sum of numbers within COORD_MAX is finite.
+    """
+    ok = set(map(type, rows)) <= {list} and set(map(len, rows)) <= {kappa}
+    flat = list(itertools.chain.from_iterable(rows)) if ok else []
+    if flat:
+        ok = set(map(type, flat)) <= {int, float} and -COORD_MAX <= min(flat) and max(flat) <= COORD_MAX
+        ok = ok and not math.isnan(sum(flat))
+    if not ok:
+        for i, row in enumerate(rows):
+            _expect(isinstance(row, list) and len(row) == kappa, "{}: expected a list of {} numbers", name(i), kappa)
+            bounded = all(_is_number(v, COORD_MAX) for v in row)
+            _expect(bounded, "{}: coordinates must be numbers of magnitude at most 2^500", name(i))
+    return np.array(rows, dtype=float).reshape(len(rows), kappa)
 
 
-def _parse_fiber(raw, kappa: int, where: str) -> FiberGeometry:
-    _expect(isinstance(raw, dict), f"{where}: fiber must be an object")
+def _parse_fiber(raw, kappa: int, bid: str) -> FiberGeometry:
+    _expect(isinstance(raw, dict), "fibers[{!r}]: fiber must be an object", bid)
     ftype = raw.get("type")
     data = raw.get("data")
-    _expect(ftype in ("points", "segments"), f"{where}: fiber type must be 'points' or 'segments'")
-    _expect(isinstance(data, list), f"{where}: fiber data must be a list")
+    _expect(ftype in ("points", "segments"), "fibers[{!r}]: fiber type must be 'points' or 'segments'", bid)
+    _expect(isinstance(data, list), "fibers[{!r}]: fiber data must be a list", bid)
     if ftype == "points":
-        pts = [_as_point(p, kappa, f"{where}.data[{i}]") for i, p in enumerate(data)]
-        return PointSet(points=np.array(pts, dtype=float).reshape(len(pts), kappa))
-    segs = []
-    for i, seg in enumerate(data):
-        _expect(isinstance(seg, list) and len(seg) == 2, f"{where}.data[{i}]: segment must be a pair of points")
-        segs.append([_as_point(seg[0], kappa, f"{where}.data[{i}][0]"), _as_point(seg[1], kappa, f"{where}.data[{i}][1]")])
-    return SegmentUnion(segments=np.array(segs, dtype=float).reshape(len(segs), 2, kappa))
+        return PointSet(points=_points(data, kappa, lambda i: f"fibers[{bid!r}].data[{i}]"))
+    ends = []  # both endpoints of each segment, in order
+    name = lambda r: f"fibers[{bid!r}].data[{r // 2}][{r % 2}]"
+    try:
+        for i, seg in enumerate(data):
+            pair = isinstance(seg, list) and len(seg) == 2
+            _expect(pair, "fibers[{!r}].data[{}]: segment must be a pair of points", bid, i)
+            ends += seg
+    except ScenarioFormatError:
+        _points(ends, kappa, name)  # a bad endpoint of an earlier segment is reported first
+        raise
+    return SegmentUnion(segments=_points(ends, kappa, name).reshape(len(data), 2, kappa))
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    """The scenario a JSON document describes, or ScenarioFormatError naming
+    the first bad field.  The lists of points are checked whole (`_points`),
+    and the base ids are kept in a set beside their list, so a load is linear
+    in the size of the document."""
     _expect(isinstance(doc, dict), "top level: expected a JSON object")
     _expect(doc.get("schema_version") == SCHEMA_VERSION, f"schema_version: expected {SCHEMA_VERSION}")
     meta = doc.get("meta", {})
@@ -164,37 +224,50 @@ def scenario_from_dict(doc: dict) -> Scenario:
     base = doc.get("base")
     _expect(isinstance(base, list) and base, "base: expected a nonempty list")
     ids: list[str] = []
-    points: list[list[float]] = []
+    known: set[str] = set()
+    rows = []
     params: list[float | None] = []
-    for i, rec in enumerate(base):
-        _expect(isinstance(rec, dict), f"base[{i}]: expected an object")
-        bid = rec.get("id")
-        _expect(isinstance(bid, str) and bid, f"base[{i}].id: expected a nonempty string")
-        _expect(bid not in ids, f"base[{i}].id: duplicate base id {bid!r}")
-        ids.append(bid)
-        points.append(_as_point(rec.get("point"), kappa, f"base[{i}].point"))
-        p = rec.get("param")
-        if p is not None:
-            _expect(_is_number(p), f"base[{i}].param: expected a finite number")
-        params.append(None if p is None else float(p))
+    try:
+        for i, rec in enumerate(base):
+            _expect(isinstance(rec, dict), "base[{}]: expected an object", i)
+            bid = rec.get("id")
+            _expect(isinstance(bid, str) and bid, "base[{}].id: expected a nonempty string", i)
+            _expect(bid not in known, "base[{}].id: duplicate base id {!r}", i, bid)
+            ids.append(bid)
+            known.add(bid)
+            rows.append(rec.get("point"))
+            p = rec.get("param")
+            if p is not None:
+                _expect(_is_number(p), "base[{}].param: expected a finite number", i)
+            params.append(None if p is None else float(p))
+    except ScenarioFormatError:
+        _points(rows, kappa, "base[{}].point".format)  # a bad point checked before the failed check comes first
+        raise
+    points = _points(rows, kappa, "base[{}].point".format)
 
     fibers_raw = doc.get("fibers")
     _expect(isinstance(fibers_raw, dict), "fibers: expected an object keyed by base id")
     for key in fibers_raw:
-        _expect(key in ids, f"fibers[{key!r}]: unknown base id")
+        _expect(key in known, "fibers[{!r}]: unknown base id", key)
     fibers = []
     for bid in ids:
-        _expect(bid in fibers_raw, f"fibers: missing fiber for base id {bid!r}")
-        fibers.append(_parse_fiber(fibers_raw[bid], kappa, f"fibers[{bid!r}]"))
+        _expect(bid in fibers_raw, "fibers: missing fiber for base id {!r}", bid)
+        fibers.append(_parse_fiber(fibers_raw[bid], kappa, bid))
 
     section_raw = doc.get("section")
     _expect(isinstance(section_raw, dict), "section: expected an object keyed by base id")
     for key in section_raw:
-        _expect(key in ids, f"section[{key!r}]: unknown base id")
-    values = []
-    for bid in ids:
-        _expect(bid in section_raw, f"section: missing value for base id {bid!r}")
-        values.append(_as_point(section_raw[bid], kappa, f"section[{bid!r}]"))
+        _expect(key in known, "section[{!r}]: unknown base id", key)
+    rows = []
+    value_name = lambda i: f"section[{ids[i]!r}]"
+    try:
+        for bid in ids:
+            _expect(bid in section_raw, "section: missing value for base id {!r}", bid)
+            rows.append(section_raw[bid])
+    except ScenarioFormatError:
+        _points(rows, kappa, value_name)  # a bad value of an earlier base id is reported first
+        raise
+    values = _points(rows, kappa, value_name)
 
     lag = doc.get("lagrangian", {"name": MODEL_QUADRATIC, "params": {}})
     _expect(isinstance(lag, dict), "lagrangian: expected {name, params}")
@@ -208,44 +281,17 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     grids_raw = doc.get("grids")
     _expect(isinstance(grids_raw, dict), "grids: expected an object")
-    times = grids_raw.get("times")
-    _expect(isinstance(times, list) and len(times) > 0, "grids.times: expected a nonempty list")
-    _expect(all(_is_number(t) and t > 0 for t in times), "grids.times: times must be positive finite numbers")
-    radii = grids_raw.get("radii", [1.0])
-    _expect(isinstance(radii, list) and radii, "grids.radii: expected a nonempty list")
-    _expect(all(_is_number(r) and r > 0 for r in radii), "grids.radii: radii must be positive finite numbers")
-    _expect(all(radii[i] > radii[i + 1] for i in range(len(radii) - 1)), "grids.radii: must be strictly decreasing")
+    times, radii = grids_raw.get("times"), grids_raw.get("radii", [1.0])
     tol = grids_raw.get("tolerances", {})
-    _expect(isinstance(tol, dict), "grids.tolerances: expected an object")
-    hj_times = grids_raw.get("hj_times")
-    if hj_times is not None:
-        _expect(
-            isinstance(hj_times, list) and hj_times and all(_is_number(t) and t > 0 for t in hj_times),
-            "grids.hj_times: expected a nonempty list of positive finite numbers",
-        )
-        hj_times = [float(t) for t in hj_times]
-    hj_radius = grids_raw.get("hj_radius")
-    if hj_radius is not None:
-        _expect(_is_number(hj_radius) and hj_radius > 0, "grids.hj_radius: expected a positive finite number")
-    xi_resolution = grids_raw.get("xi_resolution", 101)
-    _expect(
-        _is_count(xi_resolution) and xi_resolution <= XI_RESOLUTION_MAX,
-        f"grids.xi_resolution: expected an integer in [1, {XI_RESOLUTION_MAX}]",
-    )
-    hj_base_stride = grids_raw.get("hj_base_stride", 1)
-    _expect(_is_count(hj_base_stride), "grids.hj_base_stride: expected an integer >= 1")
-    taus = {"tau_geo": DEFAULT_TAU_GEO, "tau_sec": DEFAULT_TAU_SEC, "tau_tie": DEFAULT_TAU_TIE}
-    taus = {key: tol.get(key, default) for key, default in taus.items()}
-    for key, value in taus.items():
-        _expect(_is_number(value) and value >= 0, f"grids.tolerances.{key}: expected a finite number >= 0")
+    if not isinstance(tol, dict):
+        GridSpec(times=times, radii=radii)  # the times and radii are checked before the tolerances
+        raise ScenarioFormatError("grids.tolerances: expected an object")
+    optional = ("xi_resolution", "hj_radius", "hj_times", "hj_base_stride")
     grids = GridSpec(
-        times=[float(t) for t in times],
-        xi_resolution=xi_resolution,
-        radii=[float(r) for r in radii],
-        hj_radius=None if hj_radius is None else float(hj_radius),
-        hj_times=hj_times,
-        hj_base_stride=hj_base_stride,
-        **{key: float(value) for key, value in taus.items()},
+        times=times,
+        radii=radii,
+        **{key: grids_raw[key] for key in optional if key in grids_raw},
+        **{key: tol[key] for key in ("tau_geo", "tau_sec", "tau_tie") if key in tol},
     )
 
     ref = doc.get("reference_triple")
@@ -262,10 +308,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         description=str(meta.get("description", "")),
         kappa=kappa,
         base_ids=ids,
-        base_points=np.array(points, dtype=float),
+        base_points=points,
         params=np.array(params, dtype=float) if has_params else None,
         fibers=tuple(fibers),
-        section_values=np.array(values, dtype=float),
+        section_values=values,
         lagrangian_spec={"name": lag["name"], "params": lag_params},
         grids=grids,
         reference_triple=dict(ref) if ref is not None else None,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiberflow.cli import main
+from fiberflow.cli import EXIT_INTERNAL, main
 from fiberflow.scenario import (
     random_scenario,
     scenario_to_dict,
@@ -17,6 +17,7 @@ from fiberflow.scenario import (
     two_point_scenario,
     write_scenario,
 )
+from test_runner import LINES
 
 
 @pytest.fixture()
@@ -231,6 +232,14 @@ def test_bad_scenario_field_is_a_format_error(tmp_path, capsys, path, value, fie
     assert list(tmp_path.rglob("*")) == [scenario_file]  # nothing written, inside --out or out of it
 
 
+def test_unexpected_exception_exits_with_the_internal_error_code(two_point_file, monkeypatch, capsys):
+    def broken(ns):
+        raise KeyError("boom")
+
+    monkeypatch.setattr("fiberflow.cli.cmd_validate", broken)
+    assert main(["validate", two_point_file]) == EXIT_INTERNAL == 7
+    assert capsys.readouterr().err == "error: internal: KeyError: 'boom'\n"
+
 
 def _paths(node, prefix=()):
     """Every key and index path into a JSON document, parents first."""
@@ -270,6 +279,8 @@ PROBE_DOCS = {
     "tie": scenario_to_dict(tie_scenario()),
     "random-3": scenario_to_dict(random_scenario(3)),
     "random-7": scenario_to_dict(random_scenario(7)),
+    # long lists: a bad coordinate deep inside one must be reported at its index
+    "two-line-60": scenario_to_dict(LINES["two-line-60"]()),
 }
 PROBE_PATHS = {name: list(_paths(doc)) for name, doc in PROBE_DOCS.items()}
 PROBE_VALUES = [None, True, False, math.nan, 2**70, "x", [1.0, "x"], DELETE]

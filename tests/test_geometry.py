@@ -302,9 +302,10 @@ def reference_distance_tables(section):
     return np.column_stack(cols), E, base
 
 
-def _random_section(rng, m, kappa, scale, segment_every=0):
-    """Point fibers of 1-3 points (every `segment_every`-th fiber a union of
-    1-2 segments), coordinates drawn from {-1, -0.0, 0.0, 1} plus noise, times
+def _random_section(rng, m, kappa, scale, segment_every=0, counts=None):
+    """Point fibers of 1-3 points, or of counts[j % len(counts)] points when
+    `counts` is given (every `segment_every`-th fiber a union of 1-2
+    segments), coordinates drawn from {-1, -0.0, 0.0, 1} plus noise, times
     `scale`; each value is a point of its own fiber."""
 
     def coords(*shape):
@@ -314,7 +315,7 @@ def _random_section(rng, m, kappa, scale, segment_every=0):
     fibers = [
         SegmentUnion(coords(int(rng.integers(1, 3)), 2, kappa))
         if segment_every and j % segment_every == segment_every - 1
-        else PointSet(coords(int(rng.integers(1, 4)), kappa))
+        else PointSet(coords(counts[j % len(counts)] if counts else int(rng.integers(1, 4)), kappa))
         for j in range(m)
     ]
     values = np.array([f.points[0] if isinstance(f, PointSet) else f.segments[0, 1] for f in fibers])
@@ -333,6 +334,11 @@ def test_distance_tables_equal_the_norm_reference_bit_for_bit():
         # underflows the squares
         for m, scale in ((5, 1.0), (200, 1.0), (30, 1e200), (30, 1e-200), (30, 1e154)):
             sections += [_random_section(rng, m, kappa, scale), _random_section(rng, m, kappa, scale, segment_every=3)]
+    # point counts 1, 3, 2, 3, 1, ...: the fibers of one count form a run whose
+    # columns interleave with the other runs', and at m=300 a run takes several
+    # blocks; one count alone gives runs of contiguous columns
+    for counts, m in (((1, 3, 2, 3, 1, 2, 2), 300), ((1, 3, 2, 3, 1, 2, 2), 9), ((4, 1), 40), ((2,), 300)):
+        sections.append(_random_section(rng, m, 2, 1.0, segment_every=5 if len(counts) > 1 else 0, counts=counts))
     overflowed = underflowed = 0
     for section in sections:
         with np.errstate(over="ignore", invalid="ignore"):
