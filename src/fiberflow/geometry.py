@@ -131,12 +131,14 @@ def fiber_distances_to_points(points: Array, fiber: FiberGeometry) -> Array:
         return pairwise_distances(points, fiber.points).min(axis=1)
     best = np.full(points.shape[0], np.inf)
     for a, b in fiber.segments:
+        # dot products summed in coordinate order, not by BLAS, which picks
+        # its kernel, and so the order of its sums, by CPU at run time
         ab = b - a
-        denom = float(ab @ ab)
+        denom = float(sum(u * u for u in ab))
         if denom == 0.0:
             d = np.linalg.norm(points - a[None, :], axis=1)
         else:
-            s = np.clip((points - a[None, :]) @ ab / denom, 0.0, 1.0)
+            s = np.clip(sum(r * u for r, u in zip((points - a[None, :]).T, ab)) / denom, 0.0, 1.0)
             closest = a[None, :] + s[:, None] * ab[None, :]
             d = np.linalg.norm(points - closest, axis=1)
         np.minimum(best, d, out=best)
@@ -273,7 +275,6 @@ class SpaceReport:
     empty_fibers: list[int]
     degenerate_segments: list[tuple[int, int]]
     overlaps: list[tuple[int, int, float]]
-    tau_geo: float
 
     @property
     def ok(self) -> bool:
@@ -363,5 +364,4 @@ def validate_space(space: FiberedSpace, tau_geo: float = DEFAULT_TAU_GEO) -> Spa
         empty_fibers=empty,
         degenerate_segments=degenerate,
         overlaps=overlaps,
-        tau_geo=tau_geo,
     )

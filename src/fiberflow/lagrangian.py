@@ -27,6 +27,10 @@ SPEC_NAMES = (MODEL_QUADRATIC, "power", "zero")
 # ulps of the larger penalty term, above the rounding of t L(D/t), which grows
 # with the elasticity v L'(v) / L(v) of L (p for a power v^p).
 COMPAT_MARGIN = 2.0**-32
+# the largest worst slack with which each axiom passes
+CONVEXITY_TOL = 1e-12
+COMPATIBILITY_TOL = 1e-9
+SCALING_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -108,31 +112,22 @@ class AxiomReport:
     * compatibility: t L(d(f(y),F_z)/t) - t L(d(f(x),F_z)/t)
       <= 2 K sqrt(L(d(f(y),f(x))/t)) over all triples and all t
     * time scaling: t L(D/t) <= s L(D/s) for 0 < s < t and achievable D
+
+    An axiom passes when its worst slack is at most its tolerance constant.
     """
 
     convexity_worst: float
     compatibility_worst: float
     compatibility_witness: tuple[int, int, int, float] | None
     scaling_worst: float
-    convexity_tol: float = 1e-12
-    compatibility_tol: float = 1e-9
-    scaling_tol: float = 1e-12
-
-    @property
-    def convex_ok(self) -> bool:
-        return self.convexity_worst <= self.convexity_tol
-
-    @property
-    def compatible_ok(self) -> bool:
-        return self.compatibility_worst <= self.compatibility_tol
-
-    @property
-    def scaling_ok(self) -> bool:
-        return self.scaling_worst <= self.scaling_tol
 
     @property
     def passed(self) -> bool:
-        return self.convex_ok and self.compatible_ok and self.scaling_ok
+        return (
+            self.convexity_worst <= CONVEXITY_TOL
+            and self.compatibility_worst <= COMPATIBILITY_TOL
+            and self.scaling_worst <= SCALING_TOL
+        )
 
 
 def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:

@@ -89,8 +89,8 @@ def write_transform_csv(path, scenario: Scenario, tables: list[TransformTable]) 
 def write_asymmetry_csv(path, scenario: Scenario, report: AsymmetryReport | None) -> Path:
     lines = ["x_id,y_id,z_id,lhs,rhs,excess"]
     if report is not None:
-        ids = scenario.base_ids
-        rows = [(ids[v.x], ids[v.y], ids[v.z], v.lhs, v.rhs, v.excess) for v in report.violations]
+        labels = ([scenario.base_ids[k] for k in col] for col in report.violations.T.tolist())
+        rows = zip(*labels, report.lhs.tolist(), report.rhs.tolist(), (report.lhs - report.rhs).tolist())
         lines += ["%s,%s,%s,%.12g,%.12g,%.12g" % row for row in rows]
     return _write_lines(Path(path), lines)
 

@@ -22,7 +22,7 @@ from .reports import (
 )
 from .scenario import Scenario
 from .section import asymmetry_probe, g_field, local_slopes, validate_section
-from .lagrangian import legendre_transform, model_quadratic
+from .lagrangian import COMPATIBILITY_TOL, CONVEXITY_TOL, SCALING_TOL, legendre_transform, model_quadratic
 from .semigroup import (
     SLACK_TOLERANCE,
     Verdict,
@@ -49,8 +49,8 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
     space_report = scenario.space_report()
     note = f"{len(space_report.overlaps)} overlaps, {len(space_report.empty_fibers)} empty fibers"
     verdicts.append(Verdict("geometry", "PASS" if space_report.ok else "FAIL", None, None, note=note))
-    sec_report = validate_section(section, tau_sec=grids.tau_sec)
-    worst_res = float(sec_report.residuals.max())
+    residuals = validate_section(section)
+    worst_res = float(residuals.max())
     verdicts.append(
         Verdict.from_slack("section", worst_res - grids.tau_sec, 0.0, None, note=f"max residual {worst_res:.3e}")
     )
@@ -64,19 +64,13 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
     # proposition suite; its penalty-axiom report gives the axiom verdicts
     suite = proposition_suite(section, L, table, model, labels=scenario.base_ids)
     axioms = suite.axiom_report
-    verdicts.append(
-        Verdict.from_slack("axiom_convexity", axioms.convexity_worst, axioms.convexity_tol, None)
-    )
+    verdicts.append(Verdict.from_slack("axiom_convexity", axioms.convexity_worst, CONVEXITY_TOL, None))
     loc = None
     if axioms.compatibility_witness is not None:
         x, y, z, t = axioms.compatibility_witness
         loc = f"x={scenario.base_ids[x]},y={scenario.base_ids[y]},z={scenario.base_ids[z]},t={t:g}"
-    verdicts.append(
-        Verdict.from_slack("axiom_compatibility", axioms.compatibility_worst, axioms.compatibility_tol, loc)
-    )
-    verdicts.append(
-        Verdict.from_slack("axiom_time_scaling", axioms.scaling_worst, axioms.scaling_tol, None)
-    )
+    verdicts.append(Verdict.from_slack("axiom_compatibility", axioms.compatibility_worst, COMPATIBILITY_TOL, loc))
+    verdicts.append(Verdict.from_slack("axiom_time_scaling", axioms.scaling_worst, SCALING_TOL, None))
 
     # asymmetry probe (needs at least three base points)
     probe = None

@@ -334,12 +334,10 @@ def validate_scenario(scenario: Scenario) -> None:
                 f"fibers {scenario.base_ids[i]!r} and {scenario.base_ids[j]!r} overlap (distance {d:.3e})"
             )
         raise ScenarioValidationError("invalid fibered space: " + "; ".join(parts))
-    section_report = validate_section(scenario.section(), tau_sec=scenario.grids.tau_sec)
-    if not section_report.ok:
-        bad = ", ".join(
-            f"{scenario.base_ids[i]!r} (residual {section_report.residuals[i]:.3e})"
-            for i in section_report.off_fiber
-        )
+    residuals = validate_section(scenario.section())
+    off_fiber = np.flatnonzero(residuals > scenario.grids.tau_sec)
+    if off_fiber.size:
+        bad = ", ".join(f"{scenario.base_ids[i]!r} (residual {residuals[i]:.3e})" for i in off_fiber.tolist())
         raise ScenarioValidationError(f"section values off their fibers: {bad}")
 
 

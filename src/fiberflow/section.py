@@ -77,21 +77,9 @@ def g_field(section: Section) -> Array:
     return section.values.max(axis=1)
 
 
-@dataclass
-class SectionReport:
-    residuals: Array
-    tau_sec: float
-    off_fiber: list[int]
-
-    @property
-    def ok(self) -> bool:
-        return not self.off_fiber
-
-
-def validate_section(section: Section, tau_sec: float = DEFAULT_TAU_SEC) -> SectionReport:
-    res = np.diagonal(section.fiber_distances()).copy()  # each value's distance to its own fiber
-    off = [int(i) for i in np.nonzero(res > tau_sec)[0]]
-    return SectionReport(residuals=res, tau_sec=tau_sec, off_fiber=off)
+def validate_section(section: Section) -> Array:
+    """Residuals r[i] = d(f(y_i), fiber_i): each value's distance to its own fiber."""
+    return np.diagonal(section.fiber_distances()).copy()
 
 
 def _ratios(section: Section) -> Array:
@@ -183,31 +171,22 @@ def local_slopes(section: Section, radii) -> SlopeReport:
 
 
 @dataclass
-class AsymmetryViolation:
-    x: int
-    y: int
-    z: int
-    lhs: float
-    rhs: float
-
-    @property
-    def excess(self) -> float:
-        return self.lhs - self.rhs
-
-
-@dataclass
 class AsymmetryReport:
     """Both orientations of the fiber-distance difference bound.
 
     The section-anchored form  d(f(y),F_x) - d(f(z),F_x) <= d(f(y),f(z))
     holds for every triple (worst slack reported); the fiber-anchored form
     d(f(x),F_y) - d(f(x),F_z) <= d(f(y),f(z)) can fail, and every failing
-    triple is recorded.
+    triple is recorded as columns: the rows (x, y, z) of the (n, 3) int array
+    `violations` in lexicographic order, with lhs[n] = D[x, y] - D[x, z] and
+    rhs[n] = E[y, z].
     """
 
     first_form_worst: float
     first_form_argmax: tuple[int, int, int]
-    violations: list[AsymmetryViolation]
+    violations: Array
+    lhs: Array
+    rhs: Array
 
 
 def max_row_gaps(A: Array) -> Array:
@@ -328,7 +307,9 @@ def asymmetry_probe(section: Section, excess_tol: float = 1e-9) -> AsymmetryRepo
     every (x, y, z) with D[x, y] - D[x, z] - E[y, z] > excess_tol, and scans
     the anchors x of a pair (y, z) only when H[y, z] - E[y, z] > excess_tol,
     H being `fiber_excess_bound`.  A skipped pair has no violating anchor,
-    so the violations are those of a scan over all triples.
+    so the violations are those of a scan over all triples.  Each block of
+    pairs appends its column chunks; one concatenation and one lexsort give
+    the report's columns.
     """
     m = section.n_base
     if m < 3:
@@ -347,12 +328,13 @@ def asymmetry_probe(section: Section, excess_tol: float = 1e-9) -> AsymmetryRepo
     excess = fiber_excess_bound(section)
     excess -= E
     ys, zs = np.nonzero(excess > excess_tol)
-    violations: list[AsymmetryViolation] = []
+    chunks = [(np.empty(0, dtype=np.intp),) * 3 + (np.empty(0),) * 2]  # x, y, z, lhs, rhs
     for k, lhs in pair_differences(D.T, ys, zs):  # lhs[j, x] = D[x, ys[k + j]] - D[x, zs[k + j]]
         pair_y, pair_z = ys[k : k + len(lhs)], zs[k : k + len(lhs)]
         rhs = E[pair_y, pair_z]
         j, xs = np.nonzero(lhs - rhs[:, None] > excess_tol)
-        fields = (xs, pair_y[j], pair_z[j], lhs[j, xs], rhs[j])  # x, y, z, lhs, rhs
-        violations += map(AsymmetryViolation, *(f.tolist() for f in fields))
-    violations.sort(key=lambda v: (v.x, v.y, v.z))
-    return AsymmetryReport(first_form_worst=worst, first_form_argmax=(x, y, z), violations=violations)
+        chunks.append((xs, pair_y[j], pair_z[j], lhs[j, xs], rhs[j]))
+    vx, vy, vz, lhs, rhs = map(np.concatenate, zip(*chunks))
+    order = np.lexsort((vz, vy, vx))
+    violations = np.column_stack((vx, vy, vz))[order]
+    return AsymmetryReport(worst, (x, y, z), violations, lhs[order], rhs[order])

@@ -80,8 +80,6 @@ def action(problem: CurveProblem, L: Lagrangian, section: Section, params: Array
 
 
 def _golden_section(fun, lo: float, hi: float, tol: float = 1e-12) -> float:
-    if hi < lo:
-        lo, hi = hi, lo
     if hi - lo < tol:
         return (lo + hi) / 2.0
     a, b = lo, hi

@@ -56,17 +56,17 @@ def test_criterion_1_counterexample_reproduction(paper):
     assert oracle_gap == pytest.approx(6.5 - math.sqrt(29.0), abs=1e-15)
 
     probe = asymmetry_probe(sec)
-    hits = [v for v in probe.violations if (v.x, v.y, v.z) == (xi, yi, zi)]
+    hits = np.flatnonzero((probe.violations == (xi, yi, zi)).all(axis=1))
     assert len(hits) == 1, "the pinned triple must be recorded as a violation"
-    v = hits[0]
-    assert abs(v.lhs - oracle_gap) <= 1e-9
-    assert v.lhs > v.rhs  # strictly greater than d(f(y), f(z)) = 1
-    assert v.rhs == pytest.approx(1.0, abs=1e-12)
+    lhs, rhs = probe.lhs[hits[0]], probe.rhs[hits[0]]
+    assert abs(lhs - oracle_gap) <= 1e-9
+    assert lhs > rhs  # strictly greater than d(f(y), f(z)) = 1
+    assert rhs == pytest.approx(1.0, abs=1e-12)
 
     # the stated constant sqrt(5/4) is carried alongside and its discrepancy flagged
     stated = paper.reference_triple["stated_constant"]
     assert stated == pytest.approx(math.sqrt(5.0 / 4.0), abs=1e-15)
-    assert abs(v.lhs - stated) > 1e-9  # genuine discrepancy, reported not forced
+    assert abs(lhs - stated) > 1e-9  # genuine discrepancy, reported not forced
     _report(1, "counterexample reproduction")
 
 

@@ -52,3 +52,13 @@ def test_tracer_installs_records_and_uninstalls(tracing, tmp_path):
     assert set(metrics) == set(tracing.PER_LAYER)
     assert metrics["geometry.validate_space_calls"] == 1
     assert metrics["variational.converged_ratio"] == 1.0
+
+
+def test_tracer_counts_the_rows_of_the_violation_columns(tracing, tmp_path):
+    # the counterexample has 1685 reverse-form violations: the tracer must count
+    # the rows of the (n, 3) violation array, not its columns
+    tracer = tracing.Tracer()
+    with tracer:
+        runner.run_check(scenario.paper_counterexample(), tmp_path / "reports")
+    metrics = tracing.layer_metrics(tracer.spans, iterations=1, overhead_s=0.0)
+    assert metrics["section.asymmetry_violations"] == 1685

@@ -287,14 +287,44 @@ def test_duplicate_base_points_in_order():
     assert report.duplicate_base_pairs == [(0, 2), (1, 3)]
 
 
+def _ordered_sum(terms):
+    """Sum of a list of floats from the first term on, in list order (the
+    builtin sum compensates its float sums from Python 3.12 on)."""
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+def reference_segment_distances(points, fiber):
+    """Distances from the rows of `points` to a segment union, one point and
+    one segment at a time in Python floats, each dot product summed in
+    coordinate order; the clamp min(max(s, 0), 1) passes NaN on like np.clip.
+    The norm of the differences to the closest points is numpy's."""
+    best = np.full(len(points), np.inf)
+    for a, b in fiber.segments.tolist():
+        ab = [bk - ak for ak, bk in zip(a, b)]
+        denom = _ordered_sum([u * u for u in ab])
+        diffs = []
+        for p in points.tolist():
+            rel = [pk - ak for pk, ak in zip(p, a)]
+            if denom != 0.0:
+                s = min(max(_ordered_sum([r * u for r, u in zip(rel, ab)]) / denom, 0.0), 1.0)
+                rel = [pk - (ak + s * u) for pk, ak, u in zip(p, a, ab)]
+            diffs.append(rel)
+        np.minimum(best, np.linalg.norm(np.array(diffs), axis=1), out=best)
+    return best
+
+
 def reference_distance_tables(section):
     """(D, E, base distances) from np.linalg.norm over (m, n, kappa)
-    differences, one fiber at a time; segment fibers take their projection."""
+    differences, one fiber at a time; segment fibers take the projection of
+    `reference_segment_distances`."""
     values, space = section.values, section.space
     cols = [
         np.linalg.norm(values[:, None] - fib.points[None], axis=2).min(axis=1)
         if isinstance(fib, PointSet)
-        else fiber_distances_to_points(values, fib)
+        else reference_segment_distances(values, fib)
         for fib in space.fibers
     ]
     E = np.linalg.norm(values[:, None] - values[None], axis=2)

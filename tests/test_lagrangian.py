@@ -6,6 +6,8 @@ import pytest
 from fiberflow.errors import PreconditionError
 from fiberflow.geometry import FiberedSpace, PointSet
 from fiberflow.lagrangian import (
+    CONVEXITY_TOL,
+    SCALING_TOL,
     Lagrangian,
     biconjugate,
     check_axioms,
@@ -48,8 +50,8 @@ def test_exponential_violates_compatibility(paper):
 
 def test_power_lagrangian_convexity_certified(two_point):
     report = check_axioms(power_lagrangian(4.0), two_point.section(), [1.0, 2.0])
-    assert report.convex_ok
-    assert report.scaling_ok
+    assert report.convexity_worst <= CONVEXITY_TOL
+    assert report.scaling_worst <= SCALING_TOL
 
 
 def test_power_needs_exponent_at_least_one():

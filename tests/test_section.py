@@ -10,6 +10,7 @@ from fiberflow.geometry import PRUNE_MARGIN, FiberedSpace, PointSet, SegmentUnio
 from fiberflow.lagrangian import check_axioms, model_quadratic, power_lagrangian
 from fiberflow.scenario import random_scenario
 from fiberflow.section import (
+    DEFAULT_TAU_SEC,
     Section,
     asymmetry_probe,
     bound_K,
@@ -175,6 +176,11 @@ def reference_asymmetry_violations(section, excess_tol=1e-9):
     return sorted(out)
 
 
+def violation_rows(probe):
+    """The probe's violation columns as (x, y, z, lhs, rhs) tuples, in row order."""
+    return list(zip(*probe.violations.T.tolist(), probe.lhs.tolist(), probe.rhs.tolist()))
+
+
 def reference_max_row_gaps(A):
     """G[i, j] = max over k of (A[i, k] - A[j, k]), one anchor row i at a time."""
     return np.array([(row - A).max(axis=1) for row in A])
@@ -333,17 +339,15 @@ def test_local_slopes_bad_radii(two_point):
 
 
 def test_section_residuals_and_validation(paper):
-    sec = paper.section()
-    report = validate_section(sec)
-    assert np.all(report.residuals <= 1e-12)
-    assert report.ok
+    residuals = validate_section(paper.section())
+    assert residuals.shape == (paper.n_base,)
+    assert np.all(residuals <= 1e-12)
 
 
 def test_validation_flags_off_fiber_value(two_point):
     sec = two_point.section()
     bad = Section(space=sec.space, values=sec.values + np.array([[0.0, 0.0], [0.0, 0.1]]))
-    report = validate_section(bad)
-    assert report.off_fiber == [1]
+    assert np.flatnonzero(validate_section(bad) > DEFAULT_TAU_SEC).tolist() == [1]
 
 
 def test_asymmetry_first_form_holds_everywhere(paper, singleton):
@@ -356,12 +360,13 @@ def test_asymmetry_pinned_violation(paper):
     sec = paper.section()
     probe = asymmetry_probe(sec)
     xi, yi, zi = (paper.id_index(k) for k in ("y010", "y070", "y060"))
-    hits = [v for v in probe.violations if (v.x, v.y, v.z) == (xi, yi, zi)]
+    assert probe.violations.shape == (len(probe.lhs), 3) == (len(probe.rhs), 3)
+    hits = np.flatnonzero((probe.violations == (xi, yi, zi)).all(axis=1))
     assert len(hits) == 1
-    v = hits[0]
-    assert v.lhs == pytest.approx(6.5 - math.sqrt(29.0), abs=1e-12)
-    assert v.rhs == pytest.approx(1.0, abs=1e-12)
-    assert v.lhs > v.rhs
+    lhs, rhs = probe.lhs[hits[0]], probe.rhs[hits[0]]
+    assert lhs == pytest.approx(6.5 - math.sqrt(29.0), abs=1e-12)
+    assert rhs == pytest.approx(1.0, abs=1e-12)
+    assert lhs > rhs
 
 
 def test_asymmetry_violations_match_per_anchor_reference(paper, tie, singleton):
@@ -369,8 +374,7 @@ def test_asymmetry_violations_match_per_anchor_reference(paper, tie, singleton):
     sections += [random_scenario(seed).section() for seed in (0, 9, 14, 16)]
     found = 0
     for sec in sections:
-        probe = asymmetry_probe(sec)
-        got = [(v.x, v.y, v.z, v.lhs, v.rhs) for v in probe.violations]
+        got = violation_rows(asymmetry_probe(sec))
         assert got == reference_asymmetry_violations(sec)
         found += len(got)
     assert found > 0  # the comparison covers nonempty violation lists
@@ -423,14 +427,14 @@ def test_pruned_reverse_form_equals_all_triples(paper, tie, singleton):
     found = 0
     for sec in sections:
         for tol in (1e-9, 0.0, -0.5):
-            got = [(v.x, v.y, v.z, v.lhs, v.rhs) for v in asymmetry_probe(sec, excess_tol=tol).violations]
+            got = violation_rows(asymmetry_probe(sec, excess_tol=tol))
             assert got == reference_asymmetry_violations(sec, tol)
             found += len(got)
     assert found > 1000
     # the paper's reverse form: 93 pairs (y, z) pass the bound, 92 of them with violations
     sec = paper.section()
     assert int((fiber_excess_bound(sec) - sec.value_distances() > 1e-9).sum()) == 93
-    assert len({(v.y, v.z) for v in asymmetry_probe(sec).violations}) == 92
+    assert len(np.unique(asymmetry_probe(sec).violations[:, 1:], axis=0)) == 92
 
 
 def test_excess_bound_equals_the_reduceat_reference_bit_for_bit(paper, tie):
@@ -488,7 +492,7 @@ def test_reverse_form_bound_margin_keeps_rounding_violations():
     # so every violation at excess_tol 0 is rounding that the margin must keep
     sec = two_line_section(20)
     for tol in (0.0, 1e-15):
-        got = [(v.x, v.y, v.z, v.lhs, v.rhs) for v in asymmetry_probe(sec, excess_tol=tol).violations]
+        got = violation_rows(asymmetry_probe(sec, excess_tol=tol))
         ref = reference_asymmetry_violations(sec, tol)
         assert got == ref and ref
 
@@ -496,7 +500,7 @@ def test_reverse_form_bound_margin_keeps_rounding_violations():
 def test_asymmetry_symmetric_case_no_violations(singleton):
     # singleton fibers equal to the section values make both forms coincide
     probe = asymmetry_probe(singleton.section())
-    assert probe.violations == []
+    assert probe.violations.shape == (0, 3) and probe.lhs.size == probe.rhs.size == 0
 
 
 def test_triple_scans_memory_is_quadratic():
@@ -516,6 +520,22 @@ def test_triple_scans_memory_is_quadratic():
         finally:
             tracemalloc.stop()
         assert peak < budget, (name, peak)
+
+
+def test_asymmetry_violations_are_compact_columns(paper):
+    # 1685 violations on the counterexample; the report keeps three int and
+    # two float columns, 40 bytes per violation
+    sec = paper.section()
+    sec.fiber_distances(), sec.value_distances()  # cached before measuring
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        probe = asymmetry_probe(sec)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(probe.violations) == 1685
+    assert retained < 64 * len(probe.violations), retained / len(probe.violations)
 
 
 def test_compatibility_scan_memory_when_every_pair_is_scanned():
