@@ -55,7 +55,7 @@ from .semigroup import (
     quasi_minimizer_trace,
     slope_estimate_check,
 )
-from .variational import CurveProblem, action, make_curve_problem, solve_variational
+from .variational import action, solve_variational
 
 __version__ = "0.1.0"
 
@@ -100,8 +100,6 @@ __all__ = [
     "proposition_suite",
     "quasi_minimizer_trace",
     "slope_estimate_check",
-    "CurveProblem",
     "action",
-    "make_curve_problem",
     "solve_variational",
 ]

@@ -99,7 +99,7 @@ def cmd_variational(ns) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before the solve
     result = solve_variational(scenario.section(), scenario.lagrangian(), y, t, ns.steps, scenario.params)
     lines = ["k,s,w"]
-    ds = result.t / result.m
+    ds = t / ns.steps
     for k, w in enumerate(result.nodes):
         lines.append(f"{k},{fmt(k * ds)},{fmt(w)}")
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -12,6 +12,7 @@ sampling involved).  Every point-to-point distance table goes through
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -182,24 +183,37 @@ def distances_to_fibers(points: Array, fibers) -> Array:
     return D
 
 
+def _dot(u: Array, v: Array) -> float:
+    """u . v summed in coordinate order (see `fiber_distances_to_points`)."""
+    total = 0.0  # not the builtin sum, which compensates float sums
+    for a, b in zip(u, v):
+        total += a * b
+    return float(total)
+
+
+def _norm(v: Array) -> float:
+    # np.linalg.norm of a 1-d vector is sqrt(v @ v), a BLAS sum
+    return math.sqrt(_dot(v, v))
+
+
 def segment_segment_distance(p1: Array, q1: Array, p2: Array, q2: Array) -> float:
     """Minimal distance between segments p1-q1 and p2-q2 (any dimension)."""
     d1 = q1 - p1
     d2 = q2 - p2
     r = p1 - p2
-    a = float(d1 @ d1)
-    e = float(d2 @ d2)
-    f = float(d2 @ r)
+    a = _dot(d1, d1)
+    e = _dot(d2, d2)
+    f = _dot(d2, r)
     if a == 0.0 and e == 0.0:
-        return float(np.linalg.norm(r))
+        return _norm(r)
     if a == 0.0:
         t = min(1.0, max(0.0, f / e))
-        return float(np.linalg.norm(p1 - (p2 + t * d2)))
-    c = float(d1 @ r)
+        return _norm(p1 - (p2 + t * d2))
+    c = _dot(d1, r)
     if e == 0.0:
         s = min(1.0, max(0.0, -c / a))
-        return float(np.linalg.norm(p1 + s * d1 - p2))
-    b = float(d1 @ d2)
+        return _norm(p1 + s * d1 - p2)
+    b = _dot(d1, d2)
     denom = a * e - b * b
     s = min(1.0, max(0.0, (b * f - c * e) / denom)) if denom != 0.0 else 0.0
     t = (b * s + f) / e
@@ -209,7 +223,7 @@ def segment_segment_distance(p1: Array, q1: Array, p2: Array, q2: Array) -> floa
     elif t > 1.0:
         t = 1.0
         s = min(1.0, max(0.0, (b - c) / a))
-    return float(np.linalg.norm(p1 + s * d1 - (p2 + t * d2)))
+    return _norm(p1 + s * d1 - (p2 + t * d2))
 
 
 def fiber_min_distance(fa: FiberGeometry, fb: FiberGeometry) -> float:

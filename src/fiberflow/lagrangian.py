@@ -4,7 +4,8 @@ Fenchel-Legendre transform.
 The transform is taken over the *achievable* speeds w = d(f(y), fiber(z)) / t
 for z in the base set, so it is an exact finite maximum, and its domain
 [0, ILS] is bounded by the section's global intrinsic Lipschitz estimate.
-The Hamiltonian is the same transform under its classical name.
+The Hamiltonian is the same transform under its classical name.  Both the
+transform and the biconjugate are finite maxima taken by `conjugate`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ COMPAT_MARGIN = 2.0**-32
 CONVEXITY_TOL = 1e-12
 COMPATIBILITY_TOL = 1e-9
 SCALING_TOL = 1e-12
+# the largest |claim_linear - lstar| that counts as agreement
+CLAIM_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -239,22 +242,15 @@ class TransformTable:
     lstar: Array
     argmax_w: Array
     claim_linear: Array
-    ils_estimate: float
 
-    def claim_mismatch(self, tol: float = 1e-9) -> Array:
-        return np.abs(self.claim_linear - self.lstar) > tol
-
-
-def achievable_speeds(section: Section, y: int, t: float) -> Array:
-    """Sorted achievable speeds d(f(y), fiber(z)) / t over the base set."""
-    if t <= 0:
-        raise PreconditionError("t must be positive")
-    return np.sort(section.fiber_distances()[y] / t)
+    def claim_mismatch(self) -> Array:
+        return np.abs(self.claim_linear - self.lstar) > CLAIM_TOL
 
 
 def conjugate(xi_grid: Array, w: Array, Lw: Array) -> tuple[Array, Array]:
     """L*(xi) = max over the speeds w of (xi w - L(w)) at every xi of the grid,
-    with the index of the first maximizing speed; Lw holds L(w)."""
+    with the index of the first maximizing speed; Lw holds L(w).  With the
+    roles swapped, (w, xi, L*) gives the biconjugate H*(w)."""
     scores = xi_grid[:, None] * w[None, :] - Lw[None, :]
     idx = np.argmax(scores, axis=1)
     return scores[np.arange(xi_grid.size), idx], idx
@@ -271,12 +267,13 @@ def legendre_transform(
     """Exact finite-max transform over the achievable speeds at (y, t).
 
     With no explicit grid, xi samples [0, ILS] uniformly at `xi_resolution`
-    points, ILS being the computable global estimate; the estimate used is
-    recorded on the table.
+    points, ILS being the computable global estimate.
     """
-    w = achievable_speeds(section, y, t)
-    ils = global_ILS(section)
+    if t <= 0:
+        raise PreconditionError("t must be positive")
+    w = np.sort(section.fiber_distances()[y] / t)  # the achievable speeds
     if xi_grid is None:
+        ils = global_ILS(section)
         if not math.isfinite(ils):
             raise PreconditionError("default xi grid needs a finite ILS estimate")
         xi_grid = np.linspace(0.0, ils, xi_resolution)
@@ -296,13 +293,11 @@ def legendre_transform(
         lstar=lstar,
         argmax_w=w[idx],
         claim_linear=claim,
-        ils_estimate=ils,
     )
 
 
 @dataclass
 class BiconjugateTable:
-    w_grid: Array
     hstar: Array
     gap: Array  # L(w) - H*(w), nonnegative up to grid resolution
 
@@ -323,10 +318,8 @@ def biconjugate(
     """
     table = legendre_transform(L, section, y, t, xi_grid=xi_grid, xi_resolution=xi_resolution)
     w_grid = np.asarray(w_grid, dtype=float)
-    ach = table.achievable_w
-    for w in w_grid:
-        if np.abs(ach - w).min() > 1e-12:
-            raise PreconditionError(f"w={w!r} is not an achievable speed at this (y, t)")
-    scores = w_grid[:, None] * table.xi_grid[None, :] - table.lstar[None, :]
-    hstar = scores.max(axis=1)
-    return BiconjugateTable(w_grid=w_grid, hstar=hstar, gap=L(w_grid) - hstar)
+    bad = ~(np.abs(table.achievable_w - w_grid[:, None]).min(axis=1) <= 1e-12)  # NaN too
+    if bad.any():
+        raise PreconditionError(f"w={w_grid[bad][0]!r} is not an achievable speed at this (y, t)")
+    hstar = conjugate(w_grid, table.xi_grid, table.lstar)[0]
+    return BiconjugateTable(hstar=hstar, gap=L(w_grid) - hstar)

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PreconditionError
 from .reports import (
     ReportBundle,
     write_asymmetry_csv,
@@ -21,7 +20,7 @@ from .reports import (
     write_verdicts_json,
 )
 from .scenario import Scenario
-from .section import asymmetry_probe, g_field, local_slopes, validate_section
+from .section import asymmetry_probe, g_field, global_ILS, local_slopes, validate_section
 from .lagrangian import COMPATIBILITY_TOL, CONVEXITY_TOL, SCALING_TOL, legendre_transform, model_quadratic
 from .semigroup import (
     SLACK_TOLERANCE,
@@ -173,12 +172,12 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
     # reports
     slopes = local_slopes(section, grids.radii)
     transforms = []
-    for yi in hj_ids:
-        for t in grids.times:
-            try:
-                transforms.append(legendre_transform(L, section, yi, float(t), xi_resolution=grids.xi_resolution))
-            except PreconditionError:
-                break
+    if math.isfinite(global_ILS(section)):  # the default xi grid spans [0, ILS]
+        transforms = [
+            legendre_transform(L, section, yi, float(t), xi_resolution=grids.xi_resolution)
+            for yi in hj_ids
+            for t in grids.times
+        ]
     bundle = ReportBundle(
         evolution_csv=write_evolution_csv(outdir / f"{prefix}_evolution.csv", scenario, table),
         slopes_csv=write_slopes_csv(outdir / f"{prefix}_slopes.csv", scenario, slopes),

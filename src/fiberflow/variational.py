@@ -1,12 +1,13 @@
 """Discrete curve problem behind the evolved field.
 
-Curves are scalar-valued on a uniform grid over [0, t], pinned at both ends:
-w(0) sits at the scalar parameter of a candidate base point z and w(t) at
-that parameter plus the fiber distance d(f(y), fiber(z)).  The action is the
-Riemann sum of the penalty of the slopes plus the initial datum g(z).  For a
-convex penalty the inner problem is solved by the constant-speed curve, which
-is how the outer scan over z reproduces the direct evolution formula; the
-solver verifies that numerically instead of assuming it.
+A curve is its array of m + 1 scalar node values on a uniform grid over
+[0, t], pinned at both ends: w(0) sits at the scalar parameter of a candidate
+base point z and w(t) at that parameter plus the fiber distance
+d(f(y), fiber(z)).  `action` is the Riemann sum of the penalty of the slopes;
+`solve_variational` adds the initial datum g(z).  For a convex penalty the
+inner problem is solved by the constant-speed curve, which is how the outer
+scan over z reproduces the direct evolution formula; the solver verifies that
+numerically instead of assuming it.
 """
 
 from __future__ import annotations
@@ -25,58 +26,10 @@ Array = np.ndarray
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass
-class CurveProblem:
-    """One inner minimization instance: target point y, horizon t, m steps,
-    candidate start z, and the m+1 node values of the curve."""
-
-    y_index: int
-    t: float
-    m: int
-    z_index: int
-    nodes: Array
-    displacement: float  # d(f(y), fiber(z)), fixing the endpoint constraint
-
-    def endpoint_violation(self, params: Array) -> float:
-        start = params[self.z_index]
-        return max(
-            abs(float(self.nodes[0]) - start),
-            abs(float(self.nodes[-1]) - (start + self.displacement)),
-        )
-
-
-def make_curve_problem(
-    section: Section,
-    params: Array,
-    y: int,
-    t: float,
-    m: int,
-    z: int,
-    nodes: Array | None = None,
-) -> CurveProblem:
-    if m < 1:
-        raise PreconditionError("need at least one time step")
-    if t <= 0:
-        raise PreconditionError("t must be positive")
-    d = float(section.fiber_distances()[y, z])
-    start = float(params[z])
-    if nodes is None:
-        nodes = start + np.linspace(0.0, d, m + 1)
-    else:
-        nodes = np.asarray(nodes, dtype=float)
-        if nodes.shape != (m + 1,):
-            raise PreconditionError(f"nodes must have shape ({m + 1},)")
-    return CurveProblem(y_index=y, t=float(t), m=m, z_index=z, nodes=nodes, displacement=d)
-
-
-def action(problem: CurveProblem, L: Lagrangian, section: Section, params: Array) -> float:
-    """Riemann-sum action of the node curve plus the initial datum g(z)."""
-    if problem.endpoint_violation(params) > 1e-9:
-        raise PreconditionError("curve nodes violate the endpoint constraint")
-    ds = problem.t / problem.m
-    slopes = np.diff(problem.nodes) / ds
-    g = g_field(section)
-    return float(np.sum(L(slopes)) * ds + g[problem.z_index])
+def action(nodes: Array, t: float, L: Lagrangian) -> float:
+    """Riemann-sum action of the node curve on [0, t], without g(z)."""
+    ds = t / (len(nodes) - 1)
+    return float(np.sum(L(np.diff(nodes) / ds)) * ds)
 
 
 def _golden_section(fun, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -99,7 +52,8 @@ def _golden_section(fun, lo: float, hi: float, tol: float = 1e-12) -> float:
 
 
 def minimize_interior(
-    problem: CurveProblem,
+    nodes: Array,
+    t: float,
     L: Lagrangian,
     tol: float = 1e-10,
     max_sweeps: int = 10_000,
@@ -109,11 +63,11 @@ def minimize_interior(
     The per-node problem is convex in the node value; the quadratic model
     penalty has the closed-form midpoint update, anything else uses golden
     section between the neighbors.  Stops when the largest node movement in a
-    sweep drops below `tol`.
+    sweep drops below `tol`.  The end nodes stay fixed; `nodes` is copied.
     """
-    nodes = problem.nodes.copy()
-    m = problem.m
-    ds = problem.t / m
+    nodes = np.array(nodes, dtype=float)
+    m = len(nodes) - 1
+    ds = t / m
     quadratic = L.is_model_quadratic
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
@@ -140,8 +94,6 @@ class VariationalResult:
     value: float
     best_z: int
     nodes: Array
-    t: float
-    m: int
     evolve_value: float
     gap: float
     max_linearity_deviation: float
@@ -171,14 +123,20 @@ def solve_variational(
     params = np.asarray(params, dtype=float)
     if params.shape != (section.n_base,):
         raise PreconditionError("need exactly one scalar parameter per base point")
+    if m < 1:
+        raise PreconditionError(f"need at least one time step, got m={m}")
+    if t <= 0:
+        raise PreconditionError("t must be positive")
+    D = section.fiber_distances()
+    g = g_field(section)
     best: tuple[float, int, Array] | None = None
     converged = True
     for z in range(section.n_base):
-        problem = make_curve_problem(section, params, y, t, m, z)
-        nodes, sweeps = minimize_interior(problem, L, tol=tol, max_sweeps=max_sweeps)
+        # the straight curve from the parameter of z across the fiber distance
+        nodes = float(params[z]) + np.linspace(0.0, float(D[y, z]), m + 1)
+        nodes, sweeps = minimize_interior(nodes, t, L, tol=tol, max_sweeps=max_sweeps)
         converged = converged and sweeps < max_sweeps
-        problem.nodes = nodes
-        val = action(problem, L, section, params)
+        val = action(nodes, t, L) + float(g[z])
         if best is None or val < best[0]:
             best = (val, z, nodes)
     value, z, nodes = best
@@ -188,8 +146,6 @@ def solve_variational(
         value=value,
         best_z=z,
         nodes=nodes,
-        t=float(t),
-        m=m,
         evolve_value=ev,
         gap=value - ev,
         max_linearity_deviation=float(np.abs(nodes - linear).max()),

@@ -14,7 +14,7 @@ import pytest
 from fiberflow.lagrangian import biconjugate, legendre_transform, model_quadratic
 from fiberflow.runner import run_check
 from fiberflow.scenario import paper_counterexample, random_scenario, two_point_scenario
-from fiberflow.section import asymmetry_probe
+from fiberflow.section import asymmetry_probe, global_ILS
 from fiberflow.semigroup import (
     evolution_table,
     hj_residual,
@@ -140,7 +140,7 @@ def test_criterion_6_legendre_properties(paper, two_point):
                 mids = (table.lstar[:-2] + table.lstar[2:]) / 2.0
                 assert np.all(table.lstar[1:-1] <= mids + 1e-12)
                 # one-sided biconjugacy plus exact monotone refinement
-                xi_full = np.linspace(0.0, table.ils_estimate, 1001)
+                xi_full = np.linspace(0.0, global_ILS(sec), 1001)
                 w_unique = np.unique(w)
                 gaps = [
                     biconjugate(L, sec, y, t, w_unique, xi_grid=xi_full[::step]).gap

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from fiberflow import runner, scenario, variational
+from fiberflow.lagrangian import power_lagrangian
 
 TRACING_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -52,6 +53,20 @@ def test_tracer_installs_records_and_uninstalls(tracing, tmp_path):
     assert set(metrics) == set(tracing.PER_LAYER)
     assert metrics["geometry.validate_space_calls"] == 1
     assert metrics["variational.converged_ratio"] == 1.0
+
+
+def test_tracer_reads_the_sweep_cap_of_the_call(tracing):
+    # the cap reaches minimize_interior by keyword; a positional cap would be
+    # read as the 10,000 default, and the one capped descent as converged
+    two_point = scenario.two_point_scenario()
+    tracer = tracing.Tracer()
+    with tracer:
+        variational.solve_variational(
+            two_point.section(), power_lagrangian(4.0), 1, 2.0, 2, two_point.params, max_sweeps=1
+        )
+    metrics = tracing.layer_metrics(tracer.spans, iterations=1, overhead_s=0.0)
+    assert metrics["variational.sweeps"] == 2
+    assert metrics["variational.converged_ratio"] == 0.0
 
 
 def test_tracer_counts_the_rows_of_the_violation_columns(tracing, tmp_path):

@@ -115,6 +115,14 @@ def test_exit_codes(tmp_path):
     assert main(["variational", str(noparam), "--y", "b1", "--t", "1.0"]) == 6
 
 
+@pytest.mark.parametrize("steps", [0, -2])
+def test_variational_without_a_time_step_is_refused(two_point_file, tmp_path, capsys, steps):
+    out = tmp_path / "rep"
+    args = ["--out", str(out), "variational", two_point_file, "--y", "b1", "--t", "2.0", "--steps", str(steps)]
+    assert main(args) == 6
+    assert f"error: need at least one time step, got m={steps}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "args, value",
     [

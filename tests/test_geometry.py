@@ -151,6 +151,53 @@ def test_segment_segment_distance():
     assert segment_segment_distance(p1, q1, p2, q2) == pytest.approx(0.0, abs=1e-12)
 
 
+def reference_segment_segment_distance(p1, q1, p2, q2):
+    """`segment_segment_distance` in Python floats, each dot product and norm
+    summed in coordinate order."""
+
+    def dot(u, v):
+        return _ordered_sum([uk * vk for uk, vk in zip(u, v)])
+
+    def norm(v):
+        return math.sqrt(dot(v, v))
+
+    p1, q1, p2, q2 = (v.tolist() for v in (p1, q1, p2, q2))
+    d1 = [qk - pk for pk, qk in zip(p1, q1)]
+    d2 = [qk - pk for pk, qk in zip(p2, q2)]
+    r = [xk - yk for xk, yk in zip(p1, p2)]
+    a, e, f = dot(d1, d1), dot(d2, d2), dot(d2, r)
+    if a == 0.0 and e == 0.0:
+        return norm(r)
+    if a == 0.0:
+        t = min(1.0, max(0.0, f / e))
+        return norm([xk - (yk + t * vk) for xk, yk, vk in zip(p1, p2, d2)])
+    c = dot(d1, r)
+    if e == 0.0:
+        s = min(1.0, max(0.0, -c / a))
+        return norm([xk + s * uk - yk for xk, uk, yk in zip(p1, d1, p2)])
+    b = dot(d1, d2)
+    denom = a * e - b * b
+    s = min(1.0, max(0.0, (b * f - c * e) / denom)) if denom != 0.0 else 0.0
+    t = (b * s + f) / e
+    if t < 0.0:
+        t, s = 0.0, min(1.0, max(0.0, -c / a))
+    elif t > 1.0:
+        t, s = 1.0, min(1.0, max(0.0, (b - c) / a))
+    return norm([xk + s * uk - (yk + t * vk) for xk, uk, yk, vk in zip(p1, d1, p2, d2)])
+
+
+@pytest.mark.parametrize("kappa", [2, 3])
+def test_segment_segment_distance_sums_in_coordinate_order(kappa):
+    # BLAS picks its dot kernel, and so the order of its sums, by CPU at run
+    # time; the overlap distances of validate_space must not depend on it
+    rng = np.random.default_rng(kappa)
+    cases = rng.normal(size=(5000, 4, kappa))
+    cases[::50, 1] = cases[::50, 0]  # some degenerate first segments,
+    cases[::70, 3] = cases[::70, 2]  # second ones, and both
+    got = [segment_segment_distance(*case) for case in cases]
+    assert got == [reference_segment_segment_distance(*case) for case in cases]
+
+
 def test_fiber_min_distance_mixed_kinds():
     a = PointSet(np.array([[0.0, 0.0]]))
     b = SegmentUnion(np.array([[[2.0, -1.0], [2.0, 1.0]]]))

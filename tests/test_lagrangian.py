@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,8 +116,11 @@ def test_biconjugate_one_sided(two_point):
 
 def test_biconjugate_requires_achievable_w(two_point):
     sec = two_point.section()
-    with pytest.raises(PreconditionError):
-        biconjugate(two_point.lagrangian(), sec, 1, 1.0, w_grid=np.array([0.5]))
+    w = math.sqrt(2.0)  # achievable at (y, t) = (1, 1), like 0
+    for w_grid, first_bad in (([0.5], 0.5), ([0.0, math.nan], math.nan), ([w, w + 1e-9, math.nan], w + 1e-9)):
+        # the message names the first refused speed; NaN is within 1e-12 of no speed
+        with pytest.raises(PreconditionError, match=re.escape(f"w={np.float64(first_bad)!r} ")):
+            biconjugate(two_point.lagrangian(), sec, 1, 1.0, w_grid=np.array(w_grid))
 
 
 def test_refinement_monotone_exact(two_point):

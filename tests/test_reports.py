@@ -100,7 +100,6 @@ def test_column_writers_equal_the_per_cell_writers(tmp_path, seed):
             lstar=special(n),
             argmax_w=special(n),
             claim_linear=special(n),
-            ils_estimate=1.0,
         )
         for y, n in ((3, 5), (0, 1), (3, 9), (1, 0))
     ]
