@@ -42,7 +42,9 @@ class Lagrangian:
 
     The certification grid records where the convexity and time-scaling
     properties were checked (see `check_axioms`); it is not used in
-    evaluation.  `fn` must accept numpy arrays elementwise.
+    evaluation.  `fn` must accept numpy arrays elementwise and a single
+    float alike, with the same value for a float as for that float in an
+    array; numpy ufuncs do.  The curve solver calls `fn` on floats directly.
     `nondecreasing_convex` declares, from L's closed form, that L is
     nondecreasing and convex on R+; only the factories below set it, and
     `check_axioms` prunes its compatibility scan only for such penalties.
@@ -74,14 +76,43 @@ def model_quadratic(cert_grid: Array | None = None) -> Lagrangian:
     return Lagrangian(fn=lambda v: 0.5 * v * v, name=MODEL_QUADRATIC, cert_grid=grid, nondecreasing_convex=True)
 
 
+def _power_chain(v, n: int):
+    """v^n for an integer n >= 1 by square-and-multiply, low bit of n first.
+
+    v^3 = v * v^2, v^4 = v^2 * v^2, v^5 = v * v^4, v^6 = v^2 * v^4.  Each
+    step is one correctly rounded IEEE multiplication, so the result is the
+    same for a float and for an array, and on every CPU.
+    """
+    result = None
+    while True:
+        if n & 1:
+            result = v if result is None else result * v
+        n >>= 1
+        if not n:
+            return result
+        v = v * v
+
+
 def power_lagrangian(exponent: float, scale: float = 1.0, cert_grid: Array | None = None) -> Lagrangian:
-    """L(v) = scale * v^exponent / exponent, convex for exponent >= 1."""
-    if exponent < 1:
-        raise PreconditionError("power_lagrangian needs exponent >= 1 for convexity")
+    """L(v) = scale * v^exponent / exponent, convex for finite exponent >= 1.
+
+    An integer exponent evaluates v^exponent by `_power_chain`, so L gives the
+    same bits on every CPU.  Any other exponent goes through `np.power`,
+    whose last bits may differ by CPU (numpy dispatches it to SIMD kernels).
+    """
+    if not 1 <= exponent < math.inf:
+        raise PreconditionError(f"power_lagrangian needs a finite exponent >= 1 for convexity, got {exponent!r}")
+    if not math.isfinite(scale):
+        raise PreconditionError(f"power_lagrangian needs a finite scale, got {scale!r}")
     grid = default_cert_grid() if cert_grid is None else cert_grid
     name = MODEL_QUADRATIC if (exponent == 2.0 and scale == 1.0) else f"power-{exponent:g}"
+    if float(exponent).is_integer():
+        n = int(exponent)
+        fn = lambda v: scale * _power_chain(v, n) / exponent
+    else:
+        fn = lambda v: scale * np.power(v, exponent) / exponent
     return Lagrangian(
-        fn=lambda v: scale * np.power(v, exponent) / exponent,
+        fn=fn,
         name=name,
         cert_grid=grid,
         nondecreasing_convex=scale >= 0,
@@ -159,7 +190,7 @@ def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:
     whatever its name.
     """
     t_list = np.asarray(t_list, dtype=float)
-    if t_list.size == 0 or np.any(t_list <= 0):
+    if t_list.size == 0 or not np.all(t_list > 0):  # NaN too
         raise PreconditionError("t_list must be nonempty and positive")
 
     grid = np.unique(L.cert_grid)
@@ -269,7 +300,7 @@ def legendre_transform(
     With no explicit grid, xi samples [0, ILS] uniformly at `xi_resolution`
     points, ILS being the computable global estimate.
     """
-    if t <= 0:
+    if not t > 0:  # NaN too
         raise PreconditionError("t must be positive")
     w = np.sort(section.fiber_distances()[y] / t)  # the achievable speeds
     if xi_grid is None:
@@ -279,7 +310,7 @@ def legendre_transform(
         xi_grid = np.linspace(0.0, ils, xi_resolution)
     else:
         xi_grid = np.asarray(xi_grid, dtype=float)
-        if np.any(xi_grid < 0):
+        if not np.all(xi_grid >= 0):  # NaN too
             raise PreconditionError("xi grid must be nonnegative")
     Lw = L(w)
     lstar, idx = conjugate(xi_grid, w, Lw)  # w is sorted: idx is the smallest maximizing w

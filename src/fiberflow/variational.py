@@ -12,6 +12,7 @@ numerically instead of assuming it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .semigroup import evolve_all
 
 Array = np.ndarray
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def action(nodes: Array, t: float, L: Lagrangian) -> float:
@@ -64,10 +65,13 @@ def minimize_interior(
     penalty has the closed-form midpoint update, anything else uses golden
     section between the neighbors.  Stops when the largest node movement in a
     sweep drops below `tol`.  The end nodes stay fixed; `nodes` is copied.
+    The search runs on floats and calls `L.fn` on them directly (see
+    `Lagrangian`), with the same bits as on 0-d arrays.
     """
-    nodes = np.array(nodes, dtype=float)
+    nodes = np.asarray(nodes, dtype=float).tolist()
     m = len(nodes) - 1
     ds = t / m
+    fn = L.fn
     quadratic = L.is_model_quadratic
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
@@ -78,7 +82,7 @@ def minimize_interior(
                 new = 0.5 * (a + b)
             else:
                 def local(w, a=a, b=b):
-                    return float(L((w - a) / ds) + L((b - w) / ds))
+                    return fn((w - a) / ds) + fn((b - w) / ds)
 
                 lo, hi = (a, b) if a <= b else (b, a)
                 new = _golden_section(local, lo, hi)
@@ -86,7 +90,7 @@ def minimize_interior(
             nodes[k] = new
         if max_change < tol:
             break
-    return nodes, sweeps
+    return np.array(nodes), sweeps
 
 
 @dataclass
@@ -125,7 +129,7 @@ def solve_variational(
         raise PreconditionError("need exactly one scalar parameter per base point")
     if m < 1:
         raise PreconditionError(f"need at least one time step, got m={m}")
-    if t <= 0:
+    if not t > 0:  # NaN too
         raise PreconditionError("t must be positive")
     D = section.fiber_distances()
     g = g_field(section)

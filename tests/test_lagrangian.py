@@ -60,6 +60,33 @@ def test_power_needs_exponent_at_least_one():
         power_lagrangian(0.5)
 
 
+@pytest.mark.parametrize("exponent, scale", [(math.nan, 1.0), (math.inf, 1.0), (4.0, math.nan), (4.0, math.inf), (2.0, -math.inf)])
+def test_power_refuses_a_non_finite_exponent_or_scale(exponent, scale):
+    with pytest.raises(PreconditionError, match="power_lagrangian needs a finite"):
+        power_lagrangian(exponent, scale)
+
+
+# v^p by square-and-multiply, low bit first, in Python floats
+CHAINS = {
+    1: lambda v: v,
+    2: lambda v: v * v,
+    3: lambda v: v * (v * v),
+    4: lambda v: (v * v) * (v * v),
+    5: lambda v: v * ((v * v) * (v * v)),
+    8: lambda v: ((v * v) * (v * v)) * ((v * v) * (v * v)),
+}
+
+
+@pytest.mark.parametrize("p", sorted(CHAINS))
+def test_integer_power_penalty_is_a_multiplication_chain(p):
+    v = np.random.default_rng(p).uniform(0.0, 50.0, 200_000)
+    for scale in (1.0, 0.3):
+        L = power_lagrangian(float(p), scale)
+        expected = np.array([scale * CHAINS[p](x) / p for x in v.tolist()])
+        assert L(v).tobytes() == expected.tobytes()
+        assert np.array([L.fn(x) for x in v.tolist()]).tobytes() == expected.tobytes()
+
+
 def test_two_point_transform_table(two_point):
     sec = two_point.section()
     L = two_point.lagrangian()
@@ -165,8 +192,21 @@ def test_default_grid_needs_finite_ils():
 
 
 def test_negative_xi_rejected(two_point):
-    with pytest.raises(PreconditionError):
-        legendre_transform(two_point.lagrangian(), two_point.section(), 0, 1.0, xi_grid=np.array([-0.1]))
+    for xi_grid in ([-0.1], [0.0, math.nan]):
+        with pytest.raises(PreconditionError, match="xi grid must be nonnegative"):
+            legendre_transform(two_point.lagrangian(), two_point.section(), 0, 1.0, xi_grid=np.array(xi_grid))
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+def test_transform_refuses_a_nonpositive_time(two_point, t):
+    with pytest.raises(PreconditionError, match="t must be positive"):
+        legendre_transform(two_point.lagrangian(), two_point.section(), 1, t)
+
+
+@pytest.mark.parametrize("t_list", [[], [0.0], [1.0, -1.0], [math.nan], [1.0, math.nan]])
+def test_axioms_refuse_a_nonpositive_time(two_point, t_list):
+    with pytest.raises(PreconditionError, match="t_list must be nonempty and positive"):
+        check_axioms(two_point.lagrangian(), two_point.section(), t_list)
 
 
 def reference_compatibility(L, section, t_list):

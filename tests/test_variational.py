@@ -1,8 +1,16 @@
+import hashlib
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fiberflow import two_point_scenario
 from fiberflow.errors import PreconditionError
-from fiberflow.lagrangian import power_lagrangian
+from fiberflow.lagrangian import Lagrangian, power_lagrangian
 from fiberflow.semigroup import evolve_all
 from fiberflow.variational import action, minimize_interior, solve_variational
 
@@ -103,7 +111,104 @@ def test_solution_meets_the_endpoint_constraint_exactly(paper):
         assert r.nodes[-1] == start + D[y, r.best_z]
 
 
-@pytest.mark.parametrize("t", [0.0, -1.0])
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
 def test_refuses_a_nonpositive_time(two_point, t):
     with pytest.raises(PreconditionError, match="t must be positive"):
         solve_variational(two_point.section(), two_point.lagrangian(), 1, t, 4, two_point.params)
+
+
+REFERENCE_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def reference_golden_section(fun, lo, hi, tol=1e-12):
+    if hi - lo < tol:
+        return (lo + hi) / 2.0
+    a, b = lo, hi
+    c = b - REFERENCE_GOLDEN * (b - a)
+    d = a + REFERENCE_GOLDEN * (b - a)
+    fc, fd = fun(c), fun(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - REFERENCE_GOLDEN * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + REFERENCE_GOLDEN * (b - a)
+            fd = fun(d)
+    return (a + b) / 2.0
+
+
+def reference_minimize_interior(nodes, t, L, tol=1e-10, max_sweeps=10_000):
+    """The coordinate descent on 0-d arrays: every evaluation goes through `L(...)`."""
+    nodes = np.array(nodes, dtype=float)
+    m = len(nodes) - 1
+    ds = t / m
+    sweeps = 0
+    for sweeps in range(1, max_sweeps + 1):
+        max_change = 0.0
+        for k in range(1, m):
+            a, b = nodes[k - 1], nodes[k + 1]
+            if L.is_model_quadratic:
+                new = 0.5 * (a + b)
+            else:
+                def local(w, a=a, b=b):
+                    return float(L((w - a) / ds) + L((b - w) / ds))
+
+                lo, hi = (a, b) if a <= b else (b, a)
+                new = reference_golden_section(local, lo, hi)
+            max_change = max(max_change, abs(new - nodes[k]))
+            nodes[k] = new
+        if max_change < tol:
+            break
+    return nodes, sweeps
+
+
+@pytest.mark.parametrize("max_sweeps", [1, 50])
+@pytest.mark.parametrize(
+    "penalty",
+    [
+        power_lagrangian(1.5),
+        power_lagrangian(3.5),
+        power_lagrangian(4.0),
+        Lagrangian(fn=np.exp, name="exp", cert_grid=np.linspace(0, 5, 64)),
+    ],
+    ids=lambda L: L.name,
+)
+def test_float_search_equals_the_array_search_bit_for_bit(two_point, paper, penalty, max_sweeps):
+    for scenario, y in ((two_point, 1), (paper, 0), (paper, 40)):
+        z = int(np.argmax(scenario.section().fiber_distances()[y]))
+        start = straight_curve(scenario, y, z, 6)
+        start[1:-1] += np.linspace(0.2, -0.2, 5)
+        nodes, sweeps = minimize_interior(start, 2.0, penalty, max_sweeps=max_sweeps)
+        ref_nodes, ref_sweeps = reference_minimize_interior(start, 2.0, penalty, max_sweeps=max_sweeps)
+        assert nodes.tobytes() == ref_nodes.tobytes(), (scenario.name, y)
+        assert sweeps == ref_sweeps
+
+
+def quartic_digest() -> str:
+    """Node sha256 prefix of the two-point quartic solve capped at 300 sweeps."""
+    sc = two_point_scenario()
+    r = solve_variational(sc.section(), power_lagrangian(4.0), 1, 2.0, 6, sc.params, max_sweeps=300)
+    return hashlib.sha256(r.nodes.tobytes()).hexdigest()[:16]
+
+
+def numpy_cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return {}
+    return __cpu_features__
+
+
+@pytest.mark.skipif(not numpy_cpu_features().get("X86_V4"), reason="numpy finds no X86_V4 (AVX-512) on this CPU")
+def test_quartic_solve_is_the_same_without_avx512():
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4")
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+    script = (
+        "from test_variational import numpy_cpu_features, quartic_digest\n"
+        "print(numpy_cpu_features().get('X86_V4'), quartic_digest())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", quartic_digest()]
