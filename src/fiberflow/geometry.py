@@ -3,10 +3,10 @@
 The quotient map pi: X -> Y is represented by its finite data: an ordered
 list of base points sampled from Y together with one fiber geometry per base
 point (the sample of pi^{-1}(y)).  A fiber is either a finite point set or a
-finite union of line segments; distances to a fiber are computed exactly in
-both cases (closest point on a segment via the clamped projection, no
-sampling involved).  Every point-to-point distance table goes through
-`pairwise_distances`.
+finite union of line segments: a list of pieces.  This module alone splits
+fibers into pieces (`fiber_groups`) and measures distances to them, exactly
+(`segment_distances`, `pairwise_distances` for points), summing in
+coordinate order so that every distance has the same bits on every CPU.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ DEFAULT_TAU_GEO = 1e-9
 # threshold before a pair is skipped; it covers the rounding of the computed
 # distances, a few ulps of the magnitudes involved.
 PRUNE_MARGIN = 2.0**-40
-# numpy's add.reduce sums fewer than this many terms in order and longer rows
-# pairwise, in 8 running sums
-ORDERED_SUM_TERMS = 8
 # floats in the smallest block of `distances_to_fibers` (256 KB), so that a
 # few-point load makes one block
 MIN_BLOCK_FLOATS = 1 << 15
@@ -95,28 +92,21 @@ FiberGeometry = Union[PointSet, SegmentUnion]
 
 
 def pairwise_distances(P: Array, Q: Array) -> Array:
-    """Euclidean distances between the rows of P (m, kappa) and Q (n, kappa).
+    """Euclidean distances between the rows of P (m, kappa) and Q (n, kappa),
+    kappa >= 1.
 
-    The (m, n) result equals np.linalg.norm(P[:, None] - Q[None], axis=2) bit
-    for bit on finite input, without its (m, n, kappa) temporaries: the
-    squared coordinate differences are summed in coordinate order into one
-    array, which is how numpy's reduction sums fewer than ORDERED_SUM_TERMS
-    terms, and one sqrt follows.  Longer rows, which numpy sums pairwise, and
-    kappa = 0 take numpy's own norm, a block of rows of P at a time (equal
-    for row-major P; numpy's pairwise order follows the memory layout).
+    The squared coordinate differences are summed in coordinate order into
+    one (m, n) array, and one sqrt follows: no (m, n, kappa) temporaries, and
+    no BLAS or pairwise reduction whose order of sums depends on the CPU or
+    on kappa.  For kappa < 8 this is np.linalg.norm(P[:, None] - Q[None],
+    axis=2) bit for bit, since numpy sums fewer than 8 terms in order.
     """
     m, kappa = P.shape
-    n = Q.shape[0]
-    out = np.empty((m, n))
-    if not 0 < kappa < ORDERED_SUM_TERMS:
-        step = max(1, m // max(1, 2 * kappa))  # rows of P per block: temporaries of about m n floats
-        for i in range(0, m, step):
-            out[i : i + step] = np.linalg.norm(P[i : i + step, None] - Q[None], axis=2)
-        return out
+    out = np.empty((m, Q.shape[0]))
     Qt = np.ascontiguousarray(Q.T)
     np.subtract(P[:, 0, None], Qt[0], out=out)
     np.multiply(out, out, out=out)
-    term = np.empty((m, n)) if kappa > 1 else None
+    term = np.empty_like(out) if kappa > 1 else None
     for k in range(1, kappa):
         np.subtract(P[:, k, None], Qt[k], out=term)
         np.multiply(term, term, out=term)
@@ -124,57 +114,80 @@ def pairwise_distances(P: Array, Q: Array) -> Array:
     return np.sqrt(out, out=out)
 
 
-def fiber_distances_to_points(points: Array, fiber: FiberGeometry) -> Array:
-    """Vector of exact distances from each row of `points` to the fiber."""
-    if fiber.is_empty:
-        raise GeometryError("cannot compute distances to an empty fiber")
-    if isinstance(fiber, PointSet):
-        return pairwise_distances(points, fiber.points).min(axis=1)
-    best = np.full(points.shape[0], np.inf)
-    for a, b in fiber.segments:
-        # dot products summed in coordinate order, not by BLAS, which picks
-        # its kernel, and so the order of its sums, by CPU at run time
-        ab = b - a
-        denom = float(sum(u * u for u in ab))
-        if denom == 0.0:
-            d = np.linalg.norm(points - a[None, :], axis=1)
-        else:
-            s = np.clip(sum(r * u for r, u in zip((points - a[None, :]).T, ab)) / denom, 0.0, 1.0)
-            closest = a[None, :] + s[:, None] * ab[None, :]
-            d = np.linalg.norm(points - closest, axis=1)
-        np.minimum(best, d, out=best)
-    return best
+def segment_distances(points: Array, a: Array, b: Array) -> Array:
+    """d[n, q] = |p - (a + s (b - a))| for p = points[n], a = a[q], b = b[q],
+    with the clamped projection s = (p - a).(b - a) / |b - a|^2 in [0, 1]
+    (Ericson, Real-Time Collision Detection, 2005, 5.1.2), or s = 0 where
+    b = a; every sum in coordinate order, in three (n, q) arrays.  When no
+    piece has length, this is `pairwise_distances(points, a)`."""
+    ab = b - a
+    if not ab.any():
+        return pairwise_distances(points, a)
+    denom = ab[:, 0] * ab[:, 0]
+    for k in range(1, ab.shape[1]):
+        denom += ab[:, k] * ab[:, k]
+    at, abt = np.ascontiguousarray(a.T), np.ascontiguousarray(ab.T)
+    s = np.empty((points.shape[0], a.shape[0]))
+    term = np.empty_like(s)
+    np.subtract(points[:, 0, None], at[0], out=s)
+    np.multiply(s, abt[0], out=s)
+    for k in range(1, len(at)):
+        np.subtract(points[:, k, None], at[k], out=term)
+        np.multiply(term, abt[k], out=term)
+        np.add(s, term, out=s)
+    flat = denom == 0.0
+    np.divide(s, np.where(flat, 1.0, denom), out=s)  # faster than a masked divide
+    s[:, flat] = 0.0
+    np.clip(s, 0.0, 1.0, out=s)
+    out = np.empty_like(s)
+    for k in range(len(at)):
+        gap = out if k == 0 else term
+        np.multiply(s, abt[k], out=gap)
+        np.add(at[k], gap, out=gap)
+        np.subtract(points[:, k, None], gap, out=gap)
+        np.multiply(gap, gap, out=gap)
+        if k:
+            np.add(out, gap, out=out)
+    return np.sqrt(out, out=out)
+
+
+def fiber_groups(fibers) -> list[tuple[list[int], int, Array, Array]]:
+    """The fibers grouped by kind and piece count, point sets first: one
+    (indices, c, a, b) per group, with the group's fiber indices in order,
+    their piece count c and the ends a[q], b[q] of their pieces, c rows per
+    fiber.  A point is a piece whose b is a, the same array."""
+    runs = {}
+    for j, fib in enumerate(fibers):
+        segment = isinstance(fib, SegmentUnion)
+        runs.setdefault((segment, len(fib.segments if segment else fib.points)), []).append(j)
+    groups = []
+    for (segment, c), run in sorted(runs.items()):
+        ends = np.concatenate([fibers[j].segments if segment else fibers[j].points for j in run])
+        groups.append((run, c, ends[:, 0], ends[:, 1]) if segment else (run, c, ends, ends))
+    return groups
 
 
 def distances_to_fibers(points: Array, fibers) -> Array:
     """Matrix D with D[i, j] = distance from points[i] to fibers[j].
 
-    The point fibers are grouped by their point counts, and taken in
-    blocks of whole fibers of one count c holding about m/4 points (at least
-    MIN_BLOCK_FLOATS / 2m), so that a block's distance array and its
-    temporaries stay near m^2/2 floats: one `pairwise_distances` call per
-    block, then c - 1 elementwise np.minimum passes over strided views of
-    its columns.  The minimum of distances does not depend on their order,
-    so each column equals `fiber_distances_to_points` bit for bit.  Segment
-    fibers keep the per-fiber projection of `fiber_distances_to_points`.
+    The groups of `fiber_groups` are taken in blocks of whole fibers holding
+    about m/4 pieces (at least MIN_BLOCK_FLOATS / 2m), so that a block's
+    distances and temporaries stay near m^2 floats: one `pairwise_distances`
+    or `segment_distances` call per block, then c - 1 elementwise np.minimum
+    passes over strided views of its columns for fibers of c pieces.
     """
     if any(fib.is_empty for fib in fibers):
         raise GeometryError("cannot compute distances to an empty fiber")
     m = points.shape[0]
     D = np.empty((m, len(fibers)))
-    per_block = max(m // 4, MIN_BLOCK_FLOATS // max(1, 2 * m))  # fiber points per block
-    runs = {}  # point count c -> the point fibers of c points, in order
-    for j, fib in enumerate(fibers):
-        if isinstance(fib, SegmentUnion):
-            D[:, j] = fiber_distances_to_points(points, fib)
-        else:
-            runs.setdefault(len(fib.points), []).append(j)
-    for c, run in runs.items():
+    per_block = max(m // 4, MIN_BLOCK_FLOATS // max(1, 2 * m))  # fiber pieces per block
+    for run, c, a, b in fiber_groups(fibers):
         step = max(1, per_block // c)  # fibers per block
         for k in range(0, len(run), step):
             cols = run[k : k + step]
-            d = pairwise_distances(points, np.concatenate([fibers[j].points for j in cols]))
-            d = d.reshape(m, len(cols), c)  # d[:, n, i]: point i of fiber cols[n]
+            q = slice(k * c, (k + step) * c)
+            d = pairwise_distances(points, a[q]) if b is a else segment_distances(points, a[q], b[q])
+            d = d.reshape(m, len(cols), c)  # d[:, n, i]: piece i of fiber cols[n]
             nearest = d[..., 0]
             for i in range(1, c):
                 np.minimum(nearest, d[..., i], out=nearest)
@@ -184,7 +197,7 @@ def distances_to_fibers(points: Array, fibers) -> Array:
 
 
 def _dot(u: Array, v: Array) -> float:
-    """u . v summed in coordinate order (see `fiber_distances_to_points`)."""
+    """u . v summed in coordinate order (see `segment_distances`)."""
     total = 0.0  # not the builtin sum, which compensates float sums
     for a, b in zip(u, v):
         total += a * b
@@ -230,10 +243,11 @@ def fiber_min_distance(fa: FiberGeometry, fb: FiberGeometry) -> float:
     """Minimal distance between two fibers (exact for points and segments)."""
     if fa.is_empty or fb.is_empty:
         raise GeometryError("cannot compute distance between empty fibers")
-    if isinstance(fa, PointSet):
-        return float(fiber_distances_to_points(fa.points, fb).min())
     if isinstance(fb, PointSet):
-        return float(fiber_distances_to_points(fb.points, fa).min())
+        fa, fb = fb, fa
+    if isinstance(fa, PointSet):
+        _, _, a, b = fiber_groups([fb])[0]
+        return float(segment_distances(fa.points, a, b).min())
     best = np.inf
     for a1, b1 in fa.segments:
         for a2, b2 in fb.segments:
@@ -256,6 +270,8 @@ class FiberedSpace:
     _base_dist: Array | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (self.kappa >= 1):
+            raise GeometryError(f"the ambient dimension kappa must be at least 1, got {self.kappa!r}")
         pts = _as_float_array(self.base_points, "base_points")
         if pts.ndim != 2 or pts.shape[1] != self.kappa:
             raise GeometryError(f"base_points must have shape (m, {self.kappa})")

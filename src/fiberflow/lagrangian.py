@@ -63,17 +63,23 @@ class Lagrangian:
 
     @property
     def is_model_quadratic(self) -> bool:
-        return self.name == MODEL_QUADRATIC
+        """Whether L is the model penalty: its `fn` is this module's
+        half-square function, whatever its name says."""
+        return self.fn is _half_square
 
 
 def default_cert_grid(w_max: float = 10.0, n: int = 257) -> Array:
     return np.linspace(0.0, max(w_max, 1e-6), n)
 
 
+def _half_square(v):
+    return 0.5 * v * v
+
+
 def model_quadratic(cert_grid: Array | None = None) -> Lagrangian:
     """The model penalty L(v) = v^2 / 2, normalized so that t L(d/t) = d^2/(2t)."""
     grid = default_cert_grid() if cert_grid is None else cert_grid
-    return Lagrangian(fn=lambda v: 0.5 * v * v, name=MODEL_QUADRATIC, cert_grid=grid, nondecreasing_convex=True)
+    return Lagrangian(fn=_half_square, name=MODEL_QUADRATIC, cert_grid=grid, nondecreasing_convex=True)
 
 
 def _power_chain(v, n: int):
@@ -96,7 +102,8 @@ def _power_chain(v, n: int):
 def power_lagrangian(exponent: float, scale: float = 1.0, cert_grid: Array | None = None) -> Lagrangian:
     """L(v) = scale * v^exponent / exponent, convex for finite exponent >= 1.
 
-    An integer exponent evaluates v^exponent by `_power_chain`, so L gives the
+    Exponent 2 at scale 1 is the model penalty, `model_quadratic`.  Another
+    integer exponent evaluates v^exponent by `_power_chain`, so L gives the
     same bits on every CPU.  Any other exponent goes through `np.power`,
     whose last bits may differ by CPU (numpy dispatches it to SIMD kernels).
     """
@@ -104,8 +111,9 @@ def power_lagrangian(exponent: float, scale: float = 1.0, cert_grid: Array | Non
         raise PreconditionError(f"power_lagrangian needs a finite exponent >= 1 for convexity, got {exponent!r}")
     if not math.isfinite(scale):
         raise PreconditionError(f"power_lagrangian needs a finite scale, got {scale!r}")
+    if exponent == 2.0 and scale == 1.0:
+        return model_quadratic(cert_grid)
     grid = default_cert_grid() if cert_grid is None else cert_grid
-    name = MODEL_QUADRATIC if (exponent == 2.0 and scale == 1.0) else f"power-{exponent:g}"
     if float(exponent).is_integer():
         n = int(exponent)
         fn = lambda v: scale * _power_chain(v, n) / exponent
@@ -113,7 +121,7 @@ def power_lagrangian(exponent: float, scale: float = 1.0, cert_grid: Array | Non
         fn = lambda v: scale * np.power(v, exponent) / exponent
     return Lagrangian(
         fn=fn,
-        name=name,
+        name=f"power-{exponent:g}",
         cert_grid=grid,
         nondecreasing_convex=scale >= 0,
     )

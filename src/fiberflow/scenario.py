@@ -32,6 +32,8 @@ _FLOAT_MAX = sys.float_info.max
 # largest coordinate magnitude: squared coordinate differences stay below
 # 2^1002, so the distance kernels' sums of squares cannot overflow
 COORD_MAX = 2.0**500
+# largest ambient dimension: a sum of KAPPA_MAX such squares stays below 2^1022
+KAPPA_MAX = 2**20
 # largest transform grid: one transform's xi-by-m score table stays under
 # 2.6 m^2 floats at m = 1600
 XI_RESOLUTION_MAX = 4096
@@ -219,7 +221,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         "meta.name: expected a file name (not empty, '.' or '..', and no '/', '\\' or NUL)",
     )
     kappa = doc.get("kappa")
-    _expect(_is_count(kappa), "kappa: expected a positive integer")
+    _expect(_is_count(kappa) and kappa <= KAPPA_MAX, f"kappa: expected an integer in [1, {KAPPA_MAX}]")
 
     base = doc.get("base")
     _expect(isinstance(base, list) and base, "base: expected a nonempty list")

@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, PreconditionError
-from .geometry import MIN_BLOCK_FLOATS, PRUNE_MARGIN, FiberedSpace, PointSet, distances_to_fibers, pairwise_distances
+from .geometry import (
+    MIN_BLOCK_FLOATS,
+    PRUNE_MARGIN,
+    FiberedSpace,
+    distances_to_fibers,
+    fiber_groups,
+    pairwise_distances,
+    segment_distances,
+)
 
 Array = np.ndarray
 
@@ -33,9 +41,9 @@ class Section:
 
     The distance matrices D and E and the global ILS estimate are computed on
     first use and cached in the private fields; `values` must not change
-    after construction.  E comes from `geometry.pairwise_distances`, and so
-    do the point-fiber columns of D, a block of fibers at a time
-    (`geometry.distances_to_fibers`); each build peaks near 2 m^2 floats.
+    after construction.  E comes from `geometry.pairwise_distances` and D
+    from `geometry.distances_to_fibers`, whose distances to points and to
+    segments all sum in coordinate order; each build peaks near 2 m^2 floats.
     """
 
     space: FiberedSpace
@@ -145,7 +153,7 @@ def local_slopes(section: Section, radii) -> SlopeReport:
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
         raise PreconditionError("radius schedule must be nonempty")
-    if np.any(radii <= 0) or np.any(np.diff(radii) >= 0):
+    if not np.all(radii > 0) or np.any(np.diff(radii) >= 0):
         raise PreconditionError("radii must be positive and strictly decreasing")
     ILS = global_ILS(section)  # before R, so that its own ratio table is gone
     R = _ratios(section)
@@ -234,70 +242,53 @@ def pair_differences(A: Array, rows: Array, others: Array):
         yield k, A[rows[k : k + step]] - A[others[k : k + step]]
 
 
-def _endpoint_distances(a: Array, b: Array, k0: int, k1: int) -> Array:
-    """d[n, q] = max(d(a[n], s), d(b[n], s)) for the segments s = [a[q], b[q]]
-    with k0 <= q < k1, points being segments with a = b: one array pass."""
-    ab = b[k0:k1] - a[k0:k1]
-    seg_a, seg_ab, seg_denom = a[k0:k1].T, ab.T, (ab * ab).sum(axis=1)
-    d = None
-    for p in (a,) if np.array_equal(a, b) else (a, b):
-        rel = [p[:, k, None] - seg_a[k] for k in range(p.shape[1])]  # rel[k][n, q]: axis k of p[n] - a[q]
-        if seg_denom.any():  # project onto the segments, clamped
-            s = sum(r * u for r, u in zip(rel, seg_ab))
-            s = np.clip(np.divide(s, seg_denom, out=np.zeros_like(s), where=seg_denom > 0), 0.0, 1.0)
-            rel = [r - s * u for r, u in zip(rel, seg_ab)]
-        dist = np.sqrt(sum(r * r for r in rel))
-        d = dist if d is None else np.maximum(d, dist)
-    return d
-
-
 def fiber_excess_bound(section: Section) -> Array:
     """H[y, z] >= sup over p in F_z of d(p, F_y), plus a rounding margin, so
     that the computed D[x, y] - D[x, z] is at most H[y, z] for every anchor x
     (the point of F_z nearest f(x) lies within that supremum of F_y).
 
-    A point fiber F_z gives the supremum itself.  A segment [a, b] of F_z
-    gives min over the segments s of F_y of max(d(a, s), d(b, s)), since the
-    distance to a segment is convex along [a, b]; points enter as segments
-    with a = b.  The fibers are taken in the order of their piece counts,
-    and the blocks of fibers F_y hold equal counts.  The distances from all
-    pieces' endpoints to the pieces of a block are one array pass; the min
-    over the c pieces of each F_y is c - 1 elementwise passes over strided
-    views, and so is the max over the pieces of each F_z, one run of equal
-    counts at a time.  No fiber is padded, so unequal fibers cost no extra
-    work.  A block's temporaries hold about m^2 / 8 floats, or
-    MIN_BLOCK_FLOATS when that is more.  The margin is PRUNE_MARGIN times
-    the largest distance or coordinate magnitude; it covers the rounding of
-    D and of the bound.
+    A point of F_z gives d(p, F_y) itself, the minimum over the pieces s of
+    F_y of d(p, s).  A segment [a, b] of F_z gives the minimum over s of
+    max(d(a, s), d(b, s)), since the distance to a piece is convex along
+    [a, b].  The fibers F_y are taken in the groups of
+    `geometry.fiber_groups`, and one `pairwise_distances` call per block of
+    point sets, or `segment_distances` call per block of segment unions,
+    gives the distances from the ends of every piece of every F_z to the
+    block's pieces.  The max over the ends of a segment,
+    the min over the c pieces of each F_y and the max over the pieces of
+    each F_z are elementwise passes over strided views, one group of F_z at
+    a time; no fiber is padded.  A block's distances hold about m^2 / 8
+    floats, or MIN_BLOCK_FLOATS when that is more.  The margin is
+    PRUNE_MARGIN times the largest distance or coordinate magnitude; it
+    covers the rounding of D and of the bound.
     """
-    fibers = section.space.fibers
-    pieces = [np.stack([f.points, f.points], axis=1) if isinstance(f, PointSet) else f.segments for f in fibers]
-    order = np.argsort([len(piece) for piece in pieces], kind="stable")
-    pieces = [pieces[y] for y in order.tolist()]
-    counts = [len(piece) for piece in pieces]
-    ends = np.concatenate(pieces)
-    starts = np.cumsum([0] + counts)  # fiber order[i] owns the pieces starts[i]:starts[i + 1]
-    cuts = np.flatnonzero(np.diff(counts, prepend=-1, append=-1)).tolist()
-    runs = list(zip(cuts[:-1], cuts[1:]))  # the fibers of a run have equal counts
-    a, b = ends[:, 0], ends[:, 1]
+    D = section.fiber_distances()  # refuses an empty fiber first
+    groups = fiber_groups(section.space.fibers)
+    starts = np.cumsum([0] + [len(a) for _, _, a, _ in groups])  # group g owns the pieces starts[g]:starts[g + 1]
+    pieces = int(starts[-1])
+    first_segment = sum(len(a) for _, _, a, b in groups if b is a)  # the point pieces come first
+    # rows: the first end of every piece, then the second ends of the segments
+    rows = np.concatenate([a for _, _, a, _ in groups] + [b for _, _, a, b in groups if b is not a])
     m = section.n_base
     H = np.empty((m, m))
-    for start, stop in runs:
-        c = counts[start]
-        step = max(1, max(m * m // 8, MIN_BLOCK_FLOATS) // (len(ends) * c))  # fibers F_y per block
-        for y0 in range(start, stop, step):
-            y1 = min(stop, y0 + step)
+    for run, c, a, b in groups:
+        step = max(1, max(m * m // 8, MIN_BLOCK_FLOATS) // (len(rows) * c))  # fibers F_y per block
+        for k in range(0, len(run), step):
+            cols = run[k : k + step]
+            q = slice(k * c, (k + step) * c)
+            d = pairwise_distances(rows, a[q]) if b is a else segment_distances(rows, a[q], b[q])
+            np.maximum(d[first_segment:pieces], d[pieces:], out=d[first_segment:pieces])
             # d[n, y, j]: piece n of any F_z to piece j of F_y; min over j, then max over the pieces of each F_z
-            d = _endpoint_distances(a, b, starts[y0], starts[y1]).reshape(len(ends), y1 - y0, c)
+            d = d[:pieces].reshape(pieces, len(cols), c)
             nearest = d[..., 0]
             for j in range(1, c):
                 np.minimum(nearest, d[..., j], out=nearest)
-            for z0, z1 in runs:
-                far = nearest[starts[z0] : starts[z1]].reshape(z1 - z0, counts[z0], y1 - y0)
-                for i in range(1, counts[z0]):
+            for (zs, cz, _, _), z0, z1 in zip(groups, starts[:-1], starts[1:]):
+                far = nearest[z0:z1].reshape(len(zs), cz, len(cols))
+                for i in range(1, cz):
                     np.maximum(far[:, 0], far[:, i], out=far[:, 0])
-                H[np.ix_(order[y0:y1], order[z0:z1])] = far[:, 0].T
-    magnitudes = (np.abs(ends).max(), np.abs(section.values).max(), H.max(), section.fiber_distances().max())
+                H[np.ix_(cols, zs)] = far[:, 0].T
+    magnitudes = (np.abs(rows).max(), np.abs(section.values).max(), H.max(), D.max())
     H += PRUNE_MARGIN * float(max(magnitudes))
     return H
 

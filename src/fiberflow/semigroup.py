@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError
-from .lagrangian import MODEL_QUADRATIC, AxiomReport, Lagrangian, check_axioms, model_quadratic
+from .lagrangian import AxiomReport, Lagrangian, check_axioms, model_quadratic
 from .section import Section, bound_K, g_field, global_ILS
 
 Array = np.ndarray
@@ -42,14 +42,16 @@ FD_STEP_SCALE = float(np.sqrt(np.finfo(float).eps))
 def _branches(section: Section, L: Lagrangian, t: float, rows=slice(None)) -> Array:
     """B[k, z] = t L(d(f(y), fiber(z)) / t) + g(z) for the k-th base point y
     of `rows` (default: all), every branch at one time."""
-    if t <= 0:
-        raise PreconditionError("t must be positive")
+    if not (0 < t < math.inf):
+        raise PreconditionError(f"t must be positive and finite, got {t!r}")
     return t * L(section.fiber_distances()[rows] / t) + g_field(section)[None, :]
 
 
 def evolve_all(section: Section, L: Lagrangian, t: float, tau_tie: float = DEFAULT_TAU_TIE) -> tuple[Array, Array]:
     """Evolved values u[y] and argmin masks for every base point at one time;
     mask[y, z] holds when z attains the minimum at y within `tau_tie`."""
+    if not (tau_tie >= 0):
+        raise PreconditionError(f"tau_tie must be nonnegative, got {tau_tie!r}")
     B = _branches(section, L, t)
     u = B.min(axis=1)
     return u, B <= u[:, None] + tau_tie
@@ -94,6 +96,8 @@ def _hj_setup(section: Section, t: float, radius: float, nodes=None, u=None) -> 
     h = FD_STEP_SCALE * t
     if not (0 < h < t):
         raise PreconditionError("need 0 < h < t for the forward difference")
+    if not (radius > 0):
+        raise PreconditionError(f"the neighbor radius must be positive, got {radius!r}")
     cols = slice(None) if nodes is None else nodes
     near = section.space.base_distance_matrix()[:, cols]
     near = (near > 0) & (near <= radius)
@@ -148,7 +152,7 @@ def slope_estimate_check(section: Section, table: EvolutionTable, ti: int) -> Ar
     u(z,t) - u(y,t) <= (d(f(z),f(y)) / 2t) * (D-(y,t) + d(f(z), fiber(y)))
     at the grid time t = table.times[ti] of the model evolution: slack[z, y]
     is the left side minus the right side, and the diagonal is -inf."""
-    if table.penalty != MODEL_QUADRATIC:
+    if not table.is_model_quadratic:
         raise PreconditionError("the slope estimate is defined for the quadratic model penalty only")
     t, u, iDm = table.times[ti], table.u[ti], table.iD_minus[ti]
     D = section.fiber_distances()
@@ -179,6 +183,8 @@ def quasi_minimizer_trace(
     levels: int = 20,
     tau_tie: float = DEFAULT_TAU_TIE,
 ) -> QuasiMinimizerTrace:
+    if not (levels >= 0 and tau_tie >= 0):
+        raise PreconditionError(f"levels and tau_tie must be nonnegative, got {levels!r} and {tau_tie!r}")
     L = model_quadratic()
     sup = section.sup_norm()
     D = section.fiber_distances()
@@ -271,7 +277,7 @@ def proposition_suite(
     to `table`, which must then be the model's.
     """
     model = table if model is None else model
-    if model.penalty != MODEL_QUADRATIC or not np.array_equal(model.times, table.times):
+    if not model.is_model_quadratic or not np.array_equal(model.times, table.times):
         raise PreconditionError("the suite needs the model penalty's evolution on the same times")
     order = np.argsort(table.times, kind="stable")
     times, u = table.times[order], table.u[order]
@@ -393,7 +399,7 @@ class EvolutionTable:
     hj_residual: Array
     hj_no_neighbors: np.ndarray
     tau_tie: float
-    penalty: str  # the name of the evolving penalty
+    is_model_quadratic: bool  # L.is_model_quadratic of the evolving penalty L
 
 
 def evolution_table(
@@ -430,5 +436,5 @@ def evolution_table(
         hj_residual=resid,
         hj_no_neighbors=flags,
         tau_tie=tau_tie,
-        penalty=L.name,
+        is_model_quadratic=L.is_model_quadratic,
     )

@@ -218,6 +218,8 @@ def test_variational_out_naming_a_file_fails_before_the_solve(two_point_file, tm
             ("reference_triple",), {"x": "b0", "y": "b1", "z": "b0", "stated_constant": None},
             "reference_triple.stated_constant", id="stated_constant-null",
         ),
+        # above KAPPA_MAX = 2^20; at 2^70 a fiber of no points had no array shape
+        pytest.param(("kappa",), 2**70, "kappa", id="kappa-2^70"),
         pytest.param(("meta", "name"), "../x", "meta.name", id="name-parent-path"),
         pytest.param(("meta", "name"), "..", "meta.name", id="name-dot-dot"),
         pytest.param(("meta", "name"), ".", "meta.name", id="name-dot"),

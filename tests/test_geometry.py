@@ -12,7 +12,7 @@ from fiberflow.geometry import (
     FiberedSpace,
     PointSet,
     SegmentUnion,
-    fiber_distances_to_points,
+    distances_to_fibers,
     fiber_min_distance,
     segment_segment_distance,
     validate_space,
@@ -27,7 +27,7 @@ from fiberflow.scenario import (
     write_scenario,
 )
 from fiberflow.section import Section
-from test_section import segments_section, two_line_section
+from test_section import _random_section, segments_section, two_line_section
 
 
 class FiberDistance(NamedTuple):
@@ -90,7 +90,7 @@ def test_distance_to_second_slice():
 def test_empty_fiber_raises():
     empty = PointSet(np.empty((0, 2)))
     with pytest.raises(GeometryError):
-        fiber_distances_to_points(np.zeros((1, 2)), empty)
+        distances_to_fibers(np.zeros((1, 2)), [empty])
     with pytest.raises(GeometryError):
         fiber_min_distance(SLICE_AT_7, empty)
 
@@ -220,6 +220,11 @@ def test_identical_fibers_flagged_as_overlap():
     assert report.overlaps and report.overlaps[0][:2] == (0, 1)
 
 
+def test_space_refuses_kappa_below_one():
+    with pytest.raises(GeometryError, match="kappa must be at least 1"):
+        FiberedSpace(kappa=0, base_points=np.empty((1, 0)), fibers=(PointSet(np.empty((1, 0))),))
+
+
 def test_empty_fiber_reported():
     space = FiberedSpace(
         kappa=2,
@@ -343,11 +348,22 @@ def _ordered_sum(terms):
     return total
 
 
+def reference_norms(diffs):
+    """Euclidean norms over the last axis: numpy's for fewer than 8
+    coordinates, which it sums in order, and in-order sums of Python floats
+    otherwise (numpy sums longer rows pairwise)."""
+    diffs = np.asarray(diffs, dtype=float)
+    if diffs.shape[-1] < 8:
+        return np.linalg.norm(diffs, axis=-1)
+    rows = diffs.reshape(-1, diffs.shape[-1]).tolist()
+    return np.array([math.sqrt(_ordered_sum([d * d for d in row])) for row in rows]).reshape(diffs.shape[:-1])
+
+
 def reference_segment_distances(points, fiber):
     """Distances from the rows of `points` to a segment union, one point and
     one segment at a time in Python floats, each dot product summed in
     coordinate order; the clamp min(max(s, 0), 1) passes NaN on like np.clip.
-    The norm of the differences to the closest points is numpy's."""
+    The norm of the differences p - (a + s (b - a)) is `reference_norms`."""
     best = np.full(len(points), np.inf)
     for a, b in fiber.segments.tolist():
         ab = [bk - ak for ak, bk in zip(a, b)]
@@ -359,44 +375,24 @@ def reference_segment_distances(points, fiber):
                 s = min(max(_ordered_sum([r * u for r, u in zip(rel, ab)]) / denom, 0.0), 1.0)
                 rel = [pk - (ak + s * u) for pk, ak, u in zip(p, a, ab)]
             diffs.append(rel)
-        np.minimum(best, np.linalg.norm(np.array(diffs), axis=1), out=best)
+        np.minimum(best, reference_norms(diffs), out=best)
     return best
 
 
 def reference_distance_tables(section):
-    """(D, E, base distances) from np.linalg.norm over (m, n, kappa)
+    """(D, E, base distances) from `reference_norms` over (m, n, kappa)
     differences, one fiber at a time; segment fibers take the projection of
     `reference_segment_distances`."""
     values, space = section.values, section.space
     cols = [
-        np.linalg.norm(values[:, None] - fib.points[None], axis=2).min(axis=1)
+        reference_norms(values[:, None] - fib.points[None]).min(axis=1)
         if isinstance(fib, PointSet)
         else reference_segment_distances(values, fib)
         for fib in space.fibers
     ]
-    E = np.linalg.norm(values[:, None] - values[None], axis=2)
-    base = np.linalg.norm(space.base_points[:, None] - space.base_points[None], axis=2)
+    E = reference_norms(values[:, None] - values[None])
+    base = reference_norms(space.base_points[:, None] - space.base_points[None])
     return np.column_stack(cols), E, base
-
-
-def _random_section(rng, m, kappa, scale, segment_every=0, counts=None):
-    """Point fibers of 1-3 points, or of counts[j % len(counts)] points when
-    `counts` is given (every `segment_every`-th fiber a union of 1-2
-    segments), coordinates drawn from {-1, -0.0, 0.0, 1} plus noise, times
-    `scale`; each value is a point of its own fiber."""
-
-    def coords(*shape):
-        signed_zeros = rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape)
-        return (signed_zeros + np.where(rng.random(shape) < 0.5, 0.0, rng.normal(size=shape))) * scale
-
-    fibers = [
-        SegmentUnion(coords(int(rng.integers(1, 3)), 2, kappa))
-        if segment_every and j % segment_every == segment_every - 1
-        else PointSet(coords(counts[j % len(counts)] if counts else int(rng.integers(1, 4)), kappa))
-        for j in range(m)
-    ]
-    values = np.array([f.points[0] if isinstance(f, PointSet) else f.segments[0, 1] for f in fibers])
-    return Section(space=FiberedSpace(kappa=kappa, base_points=coords(m, kappa), fibers=tuple(fibers)), values=values)
 
 
 def test_distance_tables_equal_the_norm_reference_bit_for_bit():
@@ -404,7 +400,7 @@ def test_distance_tables_equal_the_norm_reference_bit_for_bit():
     bundled = [b() for b in (paper_counterexample, singleton_constant_scenario, tie_scenario, two_point_scenario)]
     sections = [sc.section() for sc in bundled + [random_scenario(seed) for seed in range(40)]]
     sections += [two_line_section(60), segments_section(12)]
-    # kappa >= 8 is summed pairwise by numpy and takes its norm
+    # numpy's norm sums kappa >= 8 pairwise; the tables sum in order for every kappa
     for kappa in (1, 2, 3, 8, 9):
         # 200 base points make several blocks of point fibers; 1e200 overflows
         # the squares to inf, 1e154 overflows some sums of squares, 1e-200

@@ -87,7 +87,7 @@ def test_column_writers_equal_the_per_cell_writers(tmp_path, seed):
         hj_residual=special(T, m),
         hj_no_neighbors=rng.random((T, m)) < 0.5,
         tau_tie=1e-9,
-        penalty="model-quadratic",
+        is_model_quadratic=True,
     )
     assert not table.argmins.any(axis=2).all() and (table.argmins.sum(axis=2) > 1).any()
     report = SlopeReport(radii=special(R), ils=special(R, m), ils_a=special(R, m), ILS=math.inf, K=-0.0)

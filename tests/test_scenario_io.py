@@ -13,6 +13,7 @@ from fiberflow.geometry import DEFAULT_TAU_GEO, PointSet, SegmentUnion
 from fiberflow.lagrangian import MODEL_QUADRATIC, SPEC_NAMES
 from fiberflow.scenario import (
     COORD_MAX,
+    KAPPA_MAX,
     SCHEMA_VERSION,
     XI_RESOLUTION_MAX,
     GridSpec,
@@ -201,7 +202,7 @@ def reference_scenario_from_dict(doc: dict) -> Scenario:
         "meta.name: expected a file name (not empty, '.' or '..', and no '/', '\\' or NUL)",
     )
     kappa = doc.get("kappa")
-    _ref_expect(_ref_is_count(kappa), "kappa: expected a positive integer")
+    _ref_expect(_ref_is_count(kappa) and kappa <= KAPPA_MAX, f"kappa: expected an integer in [1, {KAPPA_MAX}]")
 
     base = doc.get("base")
     _ref_expect(isinstance(base, list) and base, "base: expected a nonempty list")

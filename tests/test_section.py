@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -129,9 +130,35 @@ def mixed_section():
     return Section(space=mixed, values=np.array([[0.0, 1.0], [3.0, 1.0], [6.0, 0.0], [2.0, 7.0]]))
 
 
+def _random_section(rng, m, kappa, scale, segment_every=0, counts=None):
+    """Point fibers of 1-3 points, or of counts[j % len(counts)] points when
+    `counts` is given (every `segment_every`-th fiber a union of 1-2
+    segments), coordinates drawn from {-1, -0.0, 0.0, 1} plus noise, times
+    `scale`; each value is a point of its own fiber."""
+
+    def coords(*shape):
+        signed_zeros = rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape)
+        return (signed_zeros + np.where(rng.random(shape) < 0.5, 0.0, rng.normal(size=shape))) * scale
+
+    fibers = [
+        SegmentUnion(coords(int(rng.integers(1, 3)), 2, kappa))
+        if segment_every and j % segment_every == segment_every - 1
+        else PointSet(coords(counts[j % len(counts)] if counts else int(rng.integers(1, 4)), kappa))
+        for j in range(m)
+    ]
+    values = np.array([f.points[0] if isinstance(f, PointSet) else f.segments[0, 1] for f in fibers])
+    return Section(space=FiberedSpace(kappa=kappa, base_points=coords(m, kappa), fibers=tuple(fibers)), values=values)
+
+
 def reference_fiber_excess_bound(section):
     """fiber_excess_bound with the fibers in input order and their pieces
-    reduced by np.minimum.reduceat and np.maximum.reduceat."""
+    reduced by np.minimum.reduceat and np.maximum.reduceat; each distance
+    is |p - (a + s (b - a))|, every dot product and norm summed in
+    coordinate order."""
+
+    def ordered_sum(terms):
+        return functools.reduce(np.add, terms)
+
     fibers = section.space.fibers
     pieces = [np.stack([f.points, f.points], axis=1) if isinstance(f, PointSet) else f.segments for f in fibers]
     counts = [len(piece) for piece in pieces]
@@ -139,7 +166,7 @@ def reference_fiber_excess_bound(section):
     ends = np.concatenate(pieces)
     a, b = ends[:, 0], ends[:, 1]
     ab = b - a
-    denom = (ab * ab).sum(axis=1)
+    denom = ordered_sum([u * u for u in ab.T])
     m = section.n_base
     H = np.empty((m, m))
     step = max(1, m * m // (8 * len(ends) * max(counts)))
@@ -151,16 +178,23 @@ def reference_fiber_excess_bound(section):
         for p in (a,) if np.array_equal(a, b) else (a, b):
             rel = [p[:, k, None] - seg_a[k] for k in range(p.shape[1])]
             if seg_denom.any():
-                s = sum(r * u for r, u in zip(rel, seg_ab))
+                s = ordered_sum([r * u for r, u in zip(rel, seg_ab)])
                 s = np.clip(np.divide(s, seg_denom, out=np.zeros_like(s), where=seg_denom > 0), 0.0, 1.0)
-                rel = [r - s * u for r, u in zip(rel, seg_ab)]
-            dist = np.sqrt(sum(r * r for r in rel))
+                rel = [p[:, k, None] - (seg_a[k] + s * seg_ab[k]) for k in range(p.shape[1])]
+            dist = np.sqrt(ordered_sum([r * r for r in rel]))
             d = dist if d is None else np.maximum(d, dist)
         nearest = np.minimum.reduceat(d, starts[y0:y1] - k0, axis=1)
         H[y0:y1] = np.maximum.reduceat(nearest, starts[:-1], axis=0).T
     magnitudes = (np.abs(ends).max(), np.abs(section.values).max(), H.max(), section.fiber_distances().max())
     H += PRUNE_MARGIN * float(max(magnitudes))
     return H
+
+
+def oblique_segment_sections():
+    """Random sections in kappa 2 and 3 whose every second fiber is a union
+    of one or two segments in general position."""
+    rng = np.random.default_rng(11)
+    return [_random_section(rng, m, kappa, 1.0, segment_every=2) for kappa in (2, 3) for m in (4, 7, 12, 30, 9, 20) * 3]
 
 
 def reference_asymmetry_violations(section, excess_tol=1e-9):
@@ -336,6 +370,9 @@ def test_local_slopes_bad_radii(two_point):
         local_slopes(two_point.section(), [1.0, 2.0])
     with pytest.raises(PreconditionError):
         local_slopes(two_point.section(), [])
+    for radii in ([math.nan], [2.0, math.nan]):
+        with pytest.raises(PreconditionError, match="radii must be positive"):
+            local_slopes(two_point.section(), radii)
 
 
 def test_section_residuals_and_validation(paper):
@@ -424,6 +461,7 @@ def test_pruned_reverse_form_equals_all_triples(paper, tie, singleton):
     sections = [paper.section(), tie.section(), singleton.section(), segments_section(12), unequal_section(16)]
     sections += [random_scenario(seed).section() for seed in range(40)]
     sections.append(mixed_section())
+    sections += oblique_segment_sections()
     found = 0
     for sec in sections:
         for tol in (1e-9, 0.0, -0.5):
@@ -463,6 +501,7 @@ def test_excess_bound_equals_the_reduceat_reference_bit_for_bit(paper, tie):
         tie.section(),
     ]
     sections += [random_scenario(seed).section() for seed in range(40)]
+    sections += oblique_segment_sections()
     for sec in sections:
         want = reference_fiber_excess_bound(sec)
         assert np.array_equal(fiber_excess_bound(sec).view(np.uint64), want.view(np.uint64))

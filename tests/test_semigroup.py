@@ -7,7 +7,7 @@ import pytest
 from fiberflow import runner
 from fiberflow.errors import PreconditionError
 from fiberflow.geometry import FiberedSpace, PointSet
-from fiberflow.lagrangian import conjugate, model_quadratic, power_lagrangian
+from fiberflow.lagrangian import Lagrangian, conjugate, default_cert_grid, model_quadratic, power_lagrangian
 from fiberflow.scenario import random_scenario
 from fiberflow.section import Section, g_field, global_ILS
 from fiberflow.semigroup import (
@@ -487,6 +487,34 @@ def test_table_readers_refuse_another_penalty(two_point):
     model = evolution_table(sec, model_quadratic(), two_point.grids.times[:2])
     with pytest.raises(PreconditionError):
         proposition_suite(sec, quartic, table, model)  # on other times
+
+
+def test_a_penalty_named_model_quadratic_is_not_the_model(two_point):
+    sec = two_point.section()
+    mislabeled = Lagrangian(fn=lambda v: v**4 / 4, name="model-quadratic", cert_grid=default_cert_grid())
+    assert not mislabeled.is_model_quadratic and power_lagrangian(2.0, 1.0).is_model_quadratic
+    table = evolution_table(sec, mislabeled, two_point.grids.times, hj_radius=2.0)
+    assert not table.is_model_quadratic and np.isnan(table.hj_residual).all()
+    with pytest.raises(PreconditionError, match="the suite needs the model penalty"):
+        proposition_suite(sec, mislabeled, table)
+
+
+@pytest.mark.parametrize("t, tau_tie", [(math.nan, 1e-9), (0.0, 1e-9), (math.inf, 1e-9), (1.0, math.nan), (1.0, -1e-9)])
+def test_evolve_all_refuses_a_bad_time_or_tie_tolerance(two_point, t, tau_tie):
+    with pytest.raises(PreconditionError, match="t must be positive|tau_tie must be nonnegative"):
+        evolve_all(two_point.section(), model_quadratic(), t, tau_tie)
+
+
+@pytest.mark.parametrize("radius", [math.nan, 0.0, -1.0])
+def test_hj_residuals_refuse_a_nonpositive_radius(two_point, radius):
+    with pytest.raises(PreconditionError, match="radius must be positive"):
+        hj_residuals(two_point.section(), 1.0, radius)
+
+
+@pytest.mark.parametrize("levels, tau_tie", [(-1, 1e-9), (3, math.nan), (3, -1.0)])
+def test_quasi_minimizer_trace_refuses_negative_levels_or_tie_tolerance(two_point, levels, tau_tie):
+    with pytest.raises(PreconditionError, match="levels and tau_tie must be nonnegative"):
+        quasi_minimizer_trace(two_point.section(), levels=levels, tau_tie=tau_tie)
 
 
 def test_quasi_minimizer_trace(paper):
