@@ -257,31 +257,27 @@ def fiber_min_distance(fa: FiberGeometry, fb: FiberGeometry) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FiberedSpace:
-    """Finite sample of a fibered space: base points of Y plus one fiber each.
+    """Finite sample of a fibered space: base points of Y in R^kappa, an
+    (m, kappa) array, plus one fiber each.
 
     Immutable after construction; the base-distance matrix is computed on
     first use by `pairwise_distances` (the m x m result and one m x m
     temporary) and cached in the private field.
     """
 
-    kappa: int
     base_points: Array
     fibers: tuple[FiberGeometry, ...]
     _base_dist: Array | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.kappa >= 1):
-            raise GeometryError(f"the ambient dimension kappa must be at least 1, got {self.kappa!r}")
         pts = _as_float_array(self.base_points, "base_points")
-        if pts.ndim != 2 or pts.shape[1] != self.kappa:
-            raise GeometryError(f"base_points must have shape (m, {self.kappa})")
-        if pts.shape[0] == 0:
-            raise GeometryError("base_points must be nonempty")
+        if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] < 1:
+            raise GeometryError(f"base_points need m >= 1 rows, and kappa must be at least 1; got shape {pts.shape}")
         if len(self.fibers) != pts.shape[0]:
             raise GeometryError("need exactly one fiber per base point")
         for i, fib in enumerate(self.fibers):
-            if fib.kappa != self.kappa:
-                raise GeometryError(f"fiber {i} has ambient dimension {fib.kappa} != {self.kappa}")
+            if fib.kappa != pts.shape[1]:
+                raise GeometryError(f"fiber {i} has ambient dimension {fib.kappa} != {pts.shape[1]}")
         object.__setattr__(self, "base_points", pts)
         object.__setattr__(self, "fibers", tuple(self.fibers))
 

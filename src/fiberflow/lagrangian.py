@@ -11,13 +11,14 @@ transform and the biconjugate are finite maxima taken by `conjugate`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import PreconditionError
-from .section import Section, bound_K, global_ILS, pair_differences
+from .section import Section, base_index, bound_K, global_ILS, pair_differences
 
 Array = np.ndarray
 
@@ -34,52 +35,49 @@ COMPATIBILITY_TOL = 1e-9
 SCALING_TOL = 1e-12
 # the largest |claim_linear - lstar| that counts as agreement
 CLAIM_TOL = 1e-9
+# largest transform grid: one transform's xi-by-m score table stays under 2.6 m^2 floats at m = 1600
+XI_RESOLUTION_MAX = 4096
 
 
 @dataclass(eq=False)
 class Lagrangian:
-    """Convex penalty L on R+, supplied as a black box plus a certification grid.
+    """Convex penalty L on R+: a function of the speed alone.
 
-    The certification grid records where the convexity and time-scaling
-    properties were checked (see `check_axioms`); it is not used in
-    evaluation.  `fn` must accept numpy arrays elementwise and a single
-    float alike, with the same value for a float as for that float in an
-    array; numpy ufuncs do.  The curve solver calls `fn` on floats directly.
+    `fn` must accept numpy arrays elementwise and a single float alike, with
+    the same value for a float as for that float in an array; numpy ufuncs
+    do.  The curve solver calls `fn` on floats directly.
     `nondecreasing_convex` declares, from L's closed form, that L is
     nondecreasing and convex on R+; only the factories below set it, and
     `check_axioms` prunes its compatibility scan only for such penalties.
+    The speeds L is certified on come from the scenario: `certification_grid`.
     """
 
     fn: Callable[[Array], Array]
-    name: str
-    cert_grid: Array
     nondecreasing_convex: bool = False
-
-    def __post_init__(self):
-        self.cert_grid = np.asarray(self.cert_grid, dtype=float)
 
     def __call__(self, w):
         return np.asarray(self.fn(np.asarray(w, dtype=float)), dtype=float)
 
     @property
     def is_model_quadratic(self) -> bool:
-        """Whether L is the model penalty: its `fn` is this module's
-        half-square function, whatever its name says."""
+        """Whether L is the model penalty: its `fn` is this module's half-square function."""
         return self.fn is _half_square
 
 
-def default_cert_grid(w_max: float = 10.0, n: int = 257) -> Array:
-    return np.linspace(0.0, max(w_max, 1e-6), n)
+def certification_grid(section: Section, times) -> Array:
+    """257 speeds over [0, D.max() / min t] (at least 1e-6), the speeds the scenario reaches, where
+    `check_axioms` certifies convexity and suite item (a) checks L >= 0."""
+    w_max = float(section.fiber_distances().max()) / float(np.min(times))
+    return np.linspace(0.0, max(w_max, 1e-6), 257)
 
 
 def _half_square(v):
     return 0.5 * v * v
 
 
-def model_quadratic(cert_grid: Array | None = None) -> Lagrangian:
+def model_quadratic() -> Lagrangian:
     """The model penalty L(v) = v^2 / 2, normalized so that t L(d/t) = d^2/(2t)."""
-    grid = default_cert_grid() if cert_grid is None else cert_grid
-    return Lagrangian(fn=_half_square, name=MODEL_QUADRATIC, cert_grid=grid, nondecreasing_convex=True)
+    return Lagrangian(fn=_half_square, nondecreasing_convex=True)
 
 
 def _power_chain(v, n: int):
@@ -99,7 +97,7 @@ def _power_chain(v, n: int):
         v = v * v
 
 
-def power_lagrangian(exponent: float, scale: float = 1.0, cert_grid: Array | None = None) -> Lagrangian:
+def power_lagrangian(exponent: float, scale: float = 1.0) -> Lagrangian:
     """L(v) = scale * v^exponent / exponent, convex for finite exponent >= 1.
 
     Exponent 2 at scale 1 is the model penalty, `model_quadratic`.  Another
@@ -112,37 +110,28 @@ def power_lagrangian(exponent: float, scale: float = 1.0, cert_grid: Array | Non
     if not math.isfinite(scale):
         raise PreconditionError(f"power_lagrangian needs a finite scale, got {scale!r}")
     if exponent == 2.0 and scale == 1.0:
-        return model_quadratic(cert_grid)
-    grid = default_cert_grid() if cert_grid is None else cert_grid
+        return model_quadratic()
     if float(exponent).is_integer():
         n = int(exponent)
         fn = lambda v: scale * _power_chain(v, n) / exponent
     else:
         fn = lambda v: scale * np.power(v, exponent) / exponent
-    return Lagrangian(
-        fn=fn,
-        name=f"power-{exponent:g}",
-        cert_grid=grid,
-        nondecreasing_convex=scale >= 0,
-    )
+    return Lagrangian(fn=fn, nondecreasing_convex=scale >= 0)
 
 
-def zero_lagrangian(cert_grid: Array | None = None) -> Lagrangian:
-    grid = default_cert_grid() if cert_grid is None else cert_grid
-    return Lagrangian(
-        fn=lambda v: np.zeros_like(np.asarray(v, dtype=float)), name="zero", cert_grid=grid, nondecreasing_convex=True
-    )
+def zero_lagrangian() -> Lagrangian:
+    return Lagrangian(fn=lambda v: np.zeros_like(np.asarray(v, dtype=float)), nondecreasing_convex=True)
 
 
-def lagrangian_from_spec(spec: dict, cert_grid: Array | None = None) -> Lagrangian:
+def lagrangian_from_spec(spec: dict) -> Lagrangian:
     name = spec.get("name", MODEL_QUADRATIC)
     params = spec.get("params", {}) or {}
     if name == MODEL_QUADRATIC:
-        return model_quadratic(cert_grid)
+        return model_quadratic()
     if name == "power":
-        return power_lagrangian(float(params.get("exponent", 2.0)), float(params.get("scale", 1.0)), cert_grid)
+        return power_lagrangian(float(params.get("exponent", 2.0)), float(params.get("scale", 1.0)))
     if name == "zero":
-        return zero_lagrangian(cert_grid)
+        return zero_lagrangian()
     raise PreconditionError(f"unknown lagrangian name {name!r}")
 
 
@@ -150,7 +139,7 @@ def lagrangian_from_spec(spec: dict, cert_grid: Array | None = None) -> Lagrangi
 class AxiomReport:
     """Worst slacks of the three penalty axioms over a scenario.
 
-    * convexity: midpoint inequality on all certification-grid pairs
+    * convexity: midpoint inequality on all pairs of `certification_grid`
     * compatibility: t L(d(f(y),F_z)/t) - t L(d(f(x),F_z)/t)
       <= 2 K sqrt(L(d(f(y),f(x))/t)) over all triples and all t
     * time scaling: t L(D/t) <= s L(D/s) for 0 < s < t and achievable D
@@ -173,7 +162,7 @@ class AxiomReport:
 
 
 def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:
-    """Certify `L` against a concrete scenario.
+    """Certify `L` against a concrete scenario, convexity on `certification_grid(section, t_list)`.
 
     A failed axiom does not raise; proposition checks that rely on the axiom
     are expected to skip when `passed` is false.
@@ -194,17 +183,16 @@ def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:
     diagonal's slack or the worst slack of the earlier times, which only a
     strictly larger slack replaces.  A skipped pair cannot attain or replace
     the maximum, so the worst slack and its first-wins witness (x, y, z, t)
-    are those of the full scan.  Any other penalty is scanned in full,
-    whatever its name.
+    are those of the full scan.  Any other penalty is scanned in full.
     """
     t_list = np.asarray(t_list, dtype=float)
-    if t_list.size == 0 or not np.all(t_list > 0):  # NaN too
-        raise PreconditionError("t_list must be nonempty and positive")
+    if t_list.size == 0 or not np.all((0 < t_list) & (t_list < math.inf)):  # NaN too
+        raise PreconditionError("t_list must be nonempty and positive, with every time finite")
 
-    grid = np.unique(L.cert_grid)
+    grid = certification_grid(section, t_list)
     Lg = L(grid)
     mids = L((grid[:, None] + grid[None, :]) / 2.0)
-    convex_worst = float((mids - (Lg[:, None] + Lg[None, :]) / 2.0).max()) if grid.size else 0.0
+    convex_worst = float((mids - (Lg[:, None] + Lg[None, :]) / 2.0).max())
 
     D = section.fiber_distances()
     E = section.value_distances()
@@ -306,20 +294,24 @@ def legendre_transform(
     """Exact finite-max transform over the achievable speeds at (y, t).
 
     With no explicit grid, xi samples [0, ILS] uniformly at `xi_resolution`
-    points, ILS being the computable global estimate.
+    points, an integer in [1, XI_RESOLUTION_MAX], ILS being the computable
+    global estimate.
     """
-    if not t > 0:  # NaN too
-        raise PreconditionError("t must be positive")
+    y = base_index(section, y)
+    if not (0 < t < math.inf):  # NaN too
+        raise PreconditionError("t must be positive and finite")
     w = np.sort(section.fiber_distances()[y] / t)  # the achievable speeds
     if xi_grid is None:
         ils = global_ILS(section)
         if not math.isfinite(ils):
             raise PreconditionError("default xi grid needs a finite ILS estimate")
+        if not (isinstance(xi_resolution, numbers.Integral) and 1 <= xi_resolution <= XI_RESOLUTION_MAX):
+            raise PreconditionError(f"xi_resolution must be an integer in [1, {XI_RESOLUTION_MAX}]")
         xi_grid = np.linspace(0.0, ils, xi_resolution)
     else:
         xi_grid = np.asarray(xi_grid, dtype=float)
-        if not np.all(xi_grid >= 0):  # NaN too
-            raise PreconditionError("xi grid must be nonnegative")
+        if xi_grid.size == 0 or not np.all((0 <= xi_grid) & (xi_grid < math.inf)):  # NaN too
+            raise PreconditionError("xi grid must be nonnegative, finite and nonempty")
     Lw = L(w)
     lstar, idx = conjugate(xi_grid, w, Lw)  # w is sorted: idx is the smallest maximizing w
     K = bound_K(section)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ScenarioFormatError, ScenarioValidationError
 from .geometry import DEFAULT_TAU_GEO, FiberGeometry, FiberedSpace, PointSet, SegmentUnion, SpaceReport, validate_space
-from .lagrangian import MODEL_QUADRATIC, SPEC_NAMES, Lagrangian, default_cert_grid, lagrangian_from_spec
+from .lagrangian import MODEL_QUADRATIC, SPEC_NAMES, XI_RESOLUTION_MAX, Lagrangian, lagrangian_from_spec
 from .section import DEFAULT_TAU_SEC, Section, validate_section
 from .semigroup import DEFAULT_TAU_TIE
 
@@ -34,9 +34,6 @@ _FLOAT_MAX = sys.float_info.max
 COORD_MAX = 2.0**500
 # largest ambient dimension: a sum of KAPPA_MAX such squares stays below 2^1022
 KAPPA_MAX = 2**20
-# largest transform grid: one transform's xi-by-m score table stays under
-# 2.6 m^2 floats at m = 1600
-XI_RESOLUTION_MAX = 4096
 
 
 @dataclass
@@ -126,7 +123,7 @@ class Scenario:
 
     def space(self) -> FiberedSpace:
         if self._space is None:
-            self._space = FiberedSpace(kappa=self.kappa, base_points=self.base_points, fibers=self.fibers)
+            self._space = FiberedSpace(base_points=self.base_points, fibers=self.fibers)
         return self._space
 
     def section(self) -> Section:
@@ -141,9 +138,7 @@ class Scenario:
         return self._space_report
 
     def lagrangian(self) -> Lagrangian:
-        D = self.section().fiber_distances()
-        w_max = float(D.max()) / min(self.grids.times)
-        return lagrangian_from_spec(self.lagrangian_spec, cert_grid=default_cert_grid(w_max))
+        return lagrangian_from_spec(self.lagrangian_spec)
 
 
 def _expect(cond: bool, message: str, *args):

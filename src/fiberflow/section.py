@@ -8,6 +8,7 @@ asymmetry is what the probe at the bottom of this module quantifies.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -33,6 +34,8 @@ GAP_BLOCK_FLOATS = 1 << 15
 # and more, the peak RSS of long check-two-line-400 benchmark runs grew by
 # about 1 MB inside the compatibility scan
 PAIR_BLOCK_FLOATS = 1 << 13
+# `asymmetry_probe` lists a reverse-form triple when D[x, y] - D[x, z] - E[y, z] exceeds this
+EXCESS_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -54,10 +57,8 @@ class Section:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.space.n_base, self.space.kappa):
-            raise GeometryError(
-                f"section values must have shape ({self.space.n_base}, {self.space.kappa})"
-            )
+        if vals.shape != self.space.base_points.shape:
+            raise GeometryError(f"section values must have shape {self.space.base_points.shape}")
         self.values = vals
 
     @property
@@ -78,6 +79,13 @@ class Section:
 
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
+
+
+def base_index(section: Section, y) -> int:
+    """y as an index of the base set, refused unless it is an integer in [0, m)."""
+    if not (isinstance(y, numbers.Integral) and 0 <= y < section.n_base):
+        raise PreconditionError(f"base index must be an integer in [0, {section.n_base}), got {y!r}")
+    return int(y)
 
 
 def g_field(section: Section) -> Array:
@@ -153,8 +161,8 @@ def local_slopes(section: Section, radii) -> SlopeReport:
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
         raise PreconditionError("radius schedule must be nonempty")
-    if not np.all(radii > 0) or np.any(np.diff(radii) >= 0):
-        raise PreconditionError("radii must be positive and strictly decreasing")
+    if not np.all((0 < radii) & (radii < np.inf)) or np.any(np.diff(radii) >= 0):
+        raise PreconditionError("radii must be positive, finite and strictly decreasing")
     ILS = global_ILS(section)  # before R, so that its own ratio table is gone
     R = _ratios(section)
     base_dist = section.space.base_distance_matrix()
@@ -293,10 +301,10 @@ def fiber_excess_bound(section: Section) -> Array:
     return H
 
 
-def asymmetry_probe(section: Section, excess_tol: float = 1e-9) -> AsymmetryReport:
+def asymmetry_probe(section: Section) -> AsymmetryReport:
     """The section-anchored form scans every triple.  The reverse form lists
-    every (x, y, z) with D[x, y] - D[x, z] - E[y, z] > excess_tol, and scans
-    the anchors x of a pair (y, z) only when H[y, z] - E[y, z] > excess_tol,
+    every (x, y, z) with D[x, y] - D[x, z] - E[y, z] > EXCESS_TOL, and scans
+    the anchors x of a pair (y, z) only when H[y, z] - E[y, z] > EXCESS_TOL,
     H being `fiber_excess_bound`.  A skipped pair has no violating anchor,
     so the violations are those of a scan over all triples.  Each block of
     pairs appends its column chunks; one concatenation and one lexsort give
@@ -318,12 +326,12 @@ def asymmetry_probe(section: Section, excess_tol: float = 1e-9) -> AsymmetryRepo
     # reverse form: anchors x of the pairs (y, z) that the bound H does not clear
     excess = fiber_excess_bound(section)
     excess -= E
-    ys, zs = np.nonzero(excess > excess_tol)
+    ys, zs = np.nonzero(excess > EXCESS_TOL)
     chunks = [(np.empty(0, dtype=np.intp),) * 3 + (np.empty(0),) * 2]  # x, y, z, lhs, rhs
     for k, lhs in pair_differences(D.T, ys, zs):  # lhs[j, x] = D[x, ys[k + j]] - D[x, zs[k + j]]
         pair_y, pair_z = ys[k : k + len(lhs)], zs[k : k + len(lhs)]
         rhs = E[pair_y, pair_z]
-        j, xs = np.nonzero(lhs - rhs[:, None] > excess_tol)
+        j, xs = np.nonzero(lhs - rhs[:, None] > EXCESS_TOL)
         chunks.append((xs, pair_y[j], pair_z[j], lhs[j, xs], rhs[j]))
     vx, vy, vz, lhs, rhs = map(np.concatenate, zip(*chunks))
     order = np.lexsort((vz, vy, vx))

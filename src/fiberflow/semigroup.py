@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError
-from .lagrangian import AxiomReport, Lagrangian, check_axioms, model_quadratic
-from .section import Section, bound_K, g_field, global_ILS
+from .lagrangian import AxiomReport, Lagrangian, certification_grid, check_axioms, model_quadratic
+from .section import Section, base_index, bound_K, g_field, global_ILS
 
 Array = np.ndarray
 
@@ -37,6 +37,8 @@ DEFAULT_TAU_TIE = 1e-9
 SLACK_TOLERANCE = 1e-9
 # forward-difference step scale: sqrt(eps) * t balances truncation against roundoff
 FD_STEP_SCALE = float(np.sqrt(np.finfo(float).eps))
+# the quasi-minimizer trace halves its time this many times
+TRACE_LEVELS = 20
 
 
 def _branches(section: Section, L: Lagrangian, t: float, rows=slice(None)) -> Array:
@@ -50,8 +52,8 @@ def _branches(section: Section, L: Lagrangian, t: float, rows=slice(None)) -> Ar
 def evolve_all(section: Section, L: Lagrangian, t: float, tau_tie: float = DEFAULT_TAU_TIE) -> tuple[Array, Array]:
     """Evolved values u[y] and argmin masks for every base point at one time;
     mask[y, z] holds when z attains the minimum at y within `tau_tie`."""
-    if not (tau_tie >= 0):
-        raise PreconditionError(f"tau_tie must be nonnegative, got {tau_tie!r}")
+    if not (0 <= tau_tie < math.inf):
+        raise PreconditionError(f"tau_tie must be nonnegative and finite, got {tau_tie!r}")
     B = _branches(section, L, t)
     u = B.min(axis=1)
     return u, B <= u[:, None] + tau_tie
@@ -96,8 +98,8 @@ def _hj_setup(section: Section, t: float, radius: float, nodes=None, u=None) -> 
     h = FD_STEP_SCALE * t
     if not (0 < h < t):
         raise PreconditionError("need 0 < h < t for the forward difference")
-    if not (radius > 0):
-        raise PreconditionError(f"the neighbor radius must be positive, got {radius!r}")
+    if not (0 < radius < math.inf):
+        raise PreconditionError(f"the neighbor radius must be positive and finite, got {radius!r}")
     cols = slice(None) if nodes is None else nodes
     near = section.space.base_distance_matrix()[:, cols]
     near = (near > 0) & (near <= radius)
@@ -133,7 +135,7 @@ def hj_residuals(section: Section, t: float, radius: float, nodes=None) -> tuple
     and uses 2 / ILS^2, and is None unless the global ILS estimate is finite
     and nonzero.
     """
-    nodes = None if nodes is None else np.asarray(nodes, dtype=int)
+    nodes = None if nodes is None else np.array([base_index(section, y) for y in nodes], dtype=int)
     near, u, fd = _hj_setup(section, t, radius, nodes)
     ils = global_ILS(section)
     lipschitz = None
@@ -165,7 +167,7 @@ def slope_estimate_check(section: Section, table: EvolutionTable, ti: int) -> Ar
 @dataclass
 class QuasiMinimizerTrace:
     """Fiber distances of every base point along the shrinking-time schedule
-    t_n = scale * 2^-n.
+    t_n = scale * 2^-n, n = 0, ..., TRACE_LEVELS, scale = max(1, sup |f|).
 
     `argmin_dist[n, y]` uses the tie-tolerance argmin set; `quasi_dist[n, y]`
     allows the 1/n slack of a quasi-minimizing sequence and `quasi_bound[n]`
@@ -173,23 +175,20 @@ class QuasiMinimizerTrace:
     """
 
     times: Array
-    argmin_dist: Array  # (levels + 1, m)
-    quasi_dist: Array  # (levels + 1, m)
-    quasi_bound: Array  # (levels + 1,)
+    argmin_dist: Array  # (TRACE_LEVELS + 1, m)
+    quasi_dist: Array  # (TRACE_LEVELS + 1, m)
+    quasi_bound: Array  # (TRACE_LEVELS + 1,)
 
 
-def quasi_minimizer_trace(
-    section: Section,
-    levels: int = 20,
-    tau_tie: float = DEFAULT_TAU_TIE,
-) -> QuasiMinimizerTrace:
-    if not (levels >= 0 and tau_tie >= 0):
-        raise PreconditionError(f"levels and tau_tie must be nonnegative, got {levels!r} and {tau_tie!r}")
+def quasi_minimizer_trace(section: Section, tau_tie: float = DEFAULT_TAU_TIE) -> QuasiMinimizerTrace:
+    """The trace of every base point at TRACE_LEVELS + 1 times, one branch table per time."""
+    if not (0 <= tau_tie < math.inf):
+        raise PreconditionError(f"tau_tie must be nonnegative and finite, got {tau_tie!r}")
     L = model_quadratic()
     sup = section.sup_norm()
     D = section.fiber_distances()
-    times = max(1.0, sup) * 2.0 ** -np.arange(levels + 1.0)
-    slacks = 1.0 / np.maximum(np.arange(levels + 1.0), 1.0)
+    times = max(1.0, sup) * 2.0 ** -np.arange(TRACE_LEVELS + 1.0)
+    slacks = 1.0 / np.maximum(np.arange(TRACE_LEVELS + 1.0), 1.0)
     a_dist, q_dist = [], []
     for t_n, slack in zip(times, slacks):
         B = _branches(section, L, float(t_n))
@@ -305,8 +304,7 @@ def proposition_suite(
 
     # (a) pointwise bounds: min of all coordinates <= u <= g + t L(0)
     L0 = float(L(0.0))
-    nonneg = float(np.min(L(L.cert_grid))) >= -1e-12
-    if not nonneg:
+    if not float(np.min(L(certification_grid(section, times)))) >= -1e-12:
         skip("a_bounds", "penalty takes negative values; the lower bound does not apply")
     else:
         lower = float(section.values.min())
@@ -413,6 +411,8 @@ def evolution_table(
     otherwise) when a radius is given and L is the model penalty.  The
     residuals at t read u at t from the table's own row."""
     times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise PreconditionError("times must be nonempty")
     rows = [evolve_all(section, L, float(t), tau_tie) for t in times]
     u = np.array([row[0] for row in rows])
     argmins = np.array([row[1] for row in rows])

@@ -13,18 +13,24 @@ numerically instead of assuming it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
 from .lagrangian import Lagrangian
-from .section import Section, g_field
+from .section import Section, base_index, g_field
 from .semigroup import evolve_all
 
 Array = np.ndarray
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# golden section stops at a bracket this narrow, the descent after a sweep moving no node this far
+GOLDEN_TOL = 1e-12
+SWEEP_TOL = 1e-10
+# the most time steps of a curve: the descent is a Python loop over the nodes
+MAX_STEPS = 1 << 16
 
 
 def action(nodes: Array, t: float, L: Lagrangian) -> float:
@@ -33,14 +39,12 @@ def action(nodes: Array, t: float, L: Lagrangian) -> float:
     return float(np.sum(L(np.diff(nodes) / ds)) * ds)
 
 
-def _golden_section(fun, lo: float, hi: float, tol: float = 1e-12) -> float:
-    if hi - lo < tol:
-        return (lo + hi) / 2.0
+def _golden_section(fun, lo: float, hi: float) -> float:
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = fun(c), fun(d)
-    while b - a > tol:
+    while b - a > GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -56,7 +60,6 @@ def minimize_interior(
     nodes: Array,
     t: float,
     L: Lagrangian,
-    tol: float = 1e-10,
     max_sweeps: int = 10_000,
 ) -> tuple[Array, int]:
     """Cyclic coordinate descent over the interior nodes.
@@ -64,7 +67,7 @@ def minimize_interior(
     The per-node problem is convex in the node value; the quadratic model
     penalty has the closed-form midpoint update, anything else uses golden
     section between the neighbors.  Stops when the largest node movement in a
-    sweep drops below `tol`.  The end nodes stay fixed; `nodes` is copied.
+    sweep drops below SWEEP_TOL.  The end nodes stay fixed; `nodes` is copied.
     The search runs on floats and calls `L.fn` on them directly (see
     `Lagrangian`), with the same bits as on 0-d arrays.
     """
@@ -88,7 +91,7 @@ def minimize_interior(
                 new = _golden_section(local, lo, hi)
             max_change = max(max_change, abs(new - nodes[k]))
             nodes[k] = new
-        if max_change < tol:
+        if max_change < SWEEP_TOL:
             break
     return np.array(nodes), sweeps
 
@@ -111,7 +114,6 @@ def solve_variational(
     t: float,
     m: int,
     params: Array | None,
-    tol: float = 1e-10,
     max_sweeps: int = 10_000,
 ) -> VariationalResult:
     """Outer exact scan over candidate start points, inner descent per curve.
@@ -125,12 +127,15 @@ def solve_variational(
             "this scenario does not provide one"
         )
     params = np.asarray(params, dtype=float)
-    if params.shape != (section.n_base,):
-        raise PreconditionError("need exactly one scalar parameter per base point")
-    if m < 1:
-        raise PreconditionError(f"need at least one time step, got m={m}")
-    if not t > 0:  # NaN too
-        raise PreconditionError("t must be positive")
+    if params.shape != (section.n_base,) or not np.all(np.isfinite(params)):
+        raise PreconditionError("need exactly one finite scalar parameter per base point")
+    y = base_index(section, y)
+    if not (isinstance(m, numbers.Integral) and m >= 1):
+        raise PreconditionError(f"need at least one time step, got m={m!r}")
+    if not (m <= MAX_STEPS and isinstance(max_sweeps, numbers.Integral) and max_sweeps >= 1):
+        raise PreconditionError(f"need m <= {MAX_STEPS} time steps and max_sweeps >= 1, got {m!r} and {max_sweeps!r}")
+    if not (0 < t < math.inf):  # NaN too
+        raise PreconditionError("t must be positive and finite")
     D = section.fiber_distances()
     g = g_field(section)
     best: tuple[float, int, Array] | None = None
@@ -138,7 +143,7 @@ def solve_variational(
     for z in range(section.n_base):
         # the straight curve from the parameter of z across the fiber distance
         nodes = float(params[z]) + np.linspace(0.0, float(D[y, z]), m + 1)
-        nodes, sweeps = minimize_interior(nodes, t, L, tol=tol, max_sweeps=max_sweeps)
+        nodes, sweeps = minimize_interior(nodes, t, L, max_sweeps=max_sweeps)
         converged = converged and sweeps < max_sweeps
         val = action(nodes, t, L) + float(g[z])
         if best is None or val < best[0]:

@@ -35,7 +35,6 @@ def tie():
 def reduced_paper_section():
     """The three pinned points of the two-line example, in (x, y, z) order."""
     space = FiberedSpace(
-        kappa=2,
         base_points=np.array([[1.0, 0.0], [7.0, 0.0], [6.0, 0.0]]),
         fibers=(
             PointSet(np.array([[1.0, 8.0], [1.0, 3.5], [1.0, 4.0]])),

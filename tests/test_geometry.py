@@ -211,7 +211,6 @@ def test_validate_paper_space(paper):
 
 def test_identical_fibers_flagged_as_overlap():
     space = FiberedSpace(
-        kappa=2,
         base_points=np.array([[0.0, 0.0], [1.0, 0.0]]),
         fibers=(PointSet(np.array([[5.0, 5.0]])), PointSet(np.array([[5.0, 5.0]]))),
     )
@@ -222,12 +221,11 @@ def test_identical_fibers_flagged_as_overlap():
 
 def test_space_refuses_kappa_below_one():
     with pytest.raises(GeometryError, match="kappa must be at least 1"):
-        FiberedSpace(kappa=0, base_points=np.empty((1, 0)), fibers=(PointSet(np.empty((1, 0))),))
+        FiberedSpace(base_points=np.empty((1, 0)), fibers=(PointSet(np.empty((1, 0))),))
 
 
 def test_empty_fiber_reported():
     space = FiberedSpace(
-        kappa=2,
         base_points=np.array([[0.0, 0.0]]),
         fibers=(PointSet(np.empty((0, 2))),),
     )
@@ -238,7 +236,6 @@ def test_empty_fiber_reported():
 
 def test_degenerate_segment_reported():
     space = FiberedSpace(
-        kappa=2,
         base_points=np.array([[0.0, 0.0]]),
         fibers=(SegmentUnion(np.array([[[1.0, 1.0], [1.0, 1.0]]])),),
     )
@@ -261,7 +258,7 @@ def reference_overlaps(space, tau_geo):
 
 def _space(kappa, fibers):
     base = np.arange(len(fibers) * kappa, dtype=float).reshape(len(fibers), kappa)
-    return FiberedSpace(kappa=kappa, base_points=base, fibers=tuple(fibers))
+    return FiberedSpace(base_points=base, fibers=tuple(fibers))
 
 
 def _segments(*segs):
@@ -318,7 +315,7 @@ def test_duplicate_base_points_equal_the_zero_distance_pairs():
             # few distinct coordinates, -0.0 among them: many duplicates, in any order
             base = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(m, kappa))
             fibers = tuple(PointSet(np.array([[float(k)] * kappa])) for k in range(m))
-            spaces.append(FiberedSpace(kappa=kappa, base_points=base, fibers=fibers))
+            spaces.append(FiberedSpace(base_points=base, fibers=fibers))
     found = 0
     for space in spaces:
         pairs = validate_space(space).duplicate_base_pairs
@@ -335,7 +332,7 @@ def test_load_leaves_the_base_distance_matrix_unbuilt(tmp_path):
 def test_duplicate_base_points_in_order():
     fibers = [PointSet(np.array([[float(k), 9.0]])) for k in range(4)]
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    report = validate_space(FiberedSpace(kappa=2, base_points=base, fibers=tuple(fibers)))
+    report = validate_space(FiberedSpace(base_points=base, fibers=tuple(fibers)))
     assert report.duplicate_base_pairs == [(0, 2), (1, 3)]
 
 
@@ -428,7 +425,7 @@ def test_distance_tables_equal_the_norm_reference_bit_for_bit():
 def test_distances_to_an_empty_fiber_raise(empty):
     fibers = [PointSet(np.array([[float(k), 5.0]])) for k in range(6)]
     fibers[3] = empty
-    space = FiberedSpace(kappa=2, base_points=np.arange(12.0).reshape(6, 2), fibers=tuple(fibers))
+    space = FiberedSpace(base_points=np.arange(12.0).reshape(6, 2), fibers=tuple(fibers))
     with pytest.raises(GeometryError):
         Section(space=space, values=np.array([[float(k), 5.0] for k in range(6)])).fiber_distances()
 

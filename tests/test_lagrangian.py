@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -11,13 +12,14 @@ from fiberflow.lagrangian import (
     SCALING_TOL,
     Lagrangian,
     biconjugate,
+    certification_grid,
     check_axioms,
     legendre_transform,
     model_quadratic,
     power_lagrangian,
     zero_lagrangian,
 )
-from fiberflow.scenario import random_scenario
+from fiberflow.scenario import paper_counterexample, random_scenario
 from fiberflow.section import Section, bound_K, max_row_gaps
 from test_section import segments_section, two_line_section
 
@@ -42,7 +44,7 @@ def test_zero_lagrangian_zero_slack(two_point):
 
 
 def test_exponential_violates_compatibility(paper):
-    L = Lagrangian(fn=np.exp, name="exp", cert_grid=np.linspace(0, 5, 64))
+    L = Lagrangian(fn=np.exp)
     report = check_axioms(L, paper.section(), [1.0])
     assert report.compatibility_worst > 0.0
     assert not report.passed
@@ -166,7 +168,7 @@ def test_refinement_monotone_exact(two_point):
 def _dense_line_section(n: int = 101, spacing: float = 0.01) -> Section:
     pts = np.array([[spacing * i] for i in range(n)])
     fibers = tuple(PointSet(np.array([[spacing * i]])) for i in range(n))
-    space = FiberedSpace(kappa=1, base_points=np.array([[float(i)] for i in range(n)]), fibers=fibers)
+    space = FiberedSpace(base_points=np.array([[float(i)] for i in range(n)]), fibers=fibers)
     return Section(space=space, values=pts)
 
 
@@ -182,7 +184,6 @@ def test_biconjugate_recovers_L_in_dense_classical_case():
 
 def test_default_grid_needs_finite_ils():
     space = FiberedSpace(
-        kappa=1,
         base_points=np.array([[0.0], [1.0]]),
         fibers=(PointSet(np.array([[0.0]])), PointSet(np.array([[0.0], [5.0]]))),
     )
@@ -207,6 +208,64 @@ def test_transform_refuses_a_nonpositive_time(two_point, t):
 def test_axioms_refuse_a_nonpositive_time(two_point, t_list):
     with pytest.raises(PreconditionError, match="t_list must be nonempty and positive"):
         check_axioms(two_point.lagrangian(), two_point.section(), t_list)
+
+
+def test_axioms_refuse_an_infinite_time(paper):
+    # an infinite time gave compatibility_worst = -inf and a passing report
+    for t_list in ([math.inf], [0.01, math.inf]):
+        with pytest.raises(PreconditionError, match="with every time finite"):
+            check_axioms(paper.lagrangian(), paper.section(), t_list)
+
+
+def test_transform_refuses_an_infinite_time_or_xi(paper):
+    # an infinite t gave all-zero speeds and L*, an infinite xi a NaN row of L*
+    L, sec = paper.lagrangian(), paper.section()
+    with pytest.raises(PreconditionError, match="t must be positive and finite"):
+        legendre_transform(L, sec, 0, math.inf)
+    for xi_grid in ([0.0, math.inf], []):
+        with pytest.raises(PreconditionError, match="xi grid must be nonnegative, finite and nonempty"):
+            legendre_transform(L, sec, 0, 0.02, xi_grid=xi_grid)
+    for xi_resolution in (0, 4097, 11.0):
+        with pytest.raises(PreconditionError, match=r"xi_resolution must be an integer in \[1, 4096\]"):
+            legendre_transform(L, sec, 0, 0.02, xi_resolution=xi_resolution)
+
+
+def test_biconjugate_refuses_an_infinite_time(paper):
+    with pytest.raises(PreconditionError, match="t must be positive and finite"):
+        biconjugate(paper.lagrangian(), paper.section(), 0, math.inf, [0.0])
+
+
+@pytest.mark.parametrize("y", [-1, 81, 1.0, math.nan])
+def test_transforms_refuse_a_base_index_outside_the_base_set(paper, y):
+    # y = -1 took the last base point, y = 81 raised IndexError
+    L, sec = paper.lagrangian(), paper.section()
+    with pytest.raises(PreconditionError, match=r"base index must be an integer in \[0, 81\)"):
+        legendre_transform(L, sec, y, 0.02)
+    with pytest.raises(PreconditionError, match=r"base index must be an integer in \[0, 81\)"):
+        biconjugate(L, sec, y, 0.02, [0.0])
+
+
+def test_a_penalty_is_its_function_and_its_declaration():
+    assert [f.name for f in dataclasses.fields(Lagrangian)] == ["fn", "nondecreasing_convex"]
+    scenario = paper_counterexample()
+    scenario.section = None  # the penalty of a scenario does not read its section
+    assert scenario.lagrangian().is_model_quadratic
+
+
+def test_convexity_is_certified_over_the_speeds_the_scenario_reaches(paper):
+    # convex on [0, 10] and concave beyond; the paper's speeds D / t reach 20 at the fast time
+    def fn(v):
+        return np.where(v <= 10.0, 0.5 * v * v, 50.0 + 10.0 * (v - 10.0) - (v - 10.0) ** 2)
+
+    L = Lagrangian(fn=fn)
+    sec = paper.section()
+    w_max = float(sec.fiber_distances().max())
+    slow, fast = [w_max / 5.0], [w_max / 20.0]
+    assert certification_grid(sec, slow)[-1] == pytest.approx(5.0)
+    assert certification_grid(sec, fast)[-1] == pytest.approx(20.0)
+    assert check_axioms(L, sec, slow).convexity_worst <= CONVEXITY_TOL
+    report = check_axioms(L, sec, fast)
+    assert report.convexity_worst > CONVEXITY_TOL and not report.passed
 
 
 def reference_compatibility(L, section, t_list):
@@ -236,22 +295,20 @@ def test_factories_declare_nondecreasing_convex():
     assert model_quadratic().nondecreasing_convex and zero_lagrangian().nondecreasing_convex
     assert power_lagrangian(4.0).nondecreasing_convex and power_lagrangian(1.0, 0.0).nondecreasing_convex
     assert not power_lagrangian(2.0, -1.0).nondecreasing_convex
-    assert not Lagrangian(fn=np.square, name="power-2", cert_grid=np.linspace(0, 1, 5)).nondecreasing_convex
+    assert not Lagrangian(fn=np.square).nondecreasing_convex
 
 
 def test_pruned_compatibility_equals_full_scan(paper, two_point, singleton, tie):
     sections = [sc.section() for sc in (paper, two_point, singleton, tie)]
     sections += [random_scenario(seed).section() for seed in range(40)]
     sections += [two_line_section(40), segments_section(30)]
-    grid = np.linspace(0.0, 1.0, 3)
-    penalties = [model_quadratic(grid), power_lagrangian(4.0, cert_grid=grid), power_lagrangian(1.5, 0.3, grid)]
-    penalties.append(zero_lagrangian(grid))
+    penalties = [model_quadratic(), power_lagrangian(4.0), power_lagrangian(1.5, 0.3), zero_lagrangian()]
     positive = 0
     for sec in sections:
-        for L in penalties:
+        for k, L in enumerate(penalties):
             for times in ([0.01, 0.5, 2.0], [2.0, 0.04, 0.3]):
                 got = _compatibility(L, sec, times)
-                assert got == reference_compatibility(L, sec, times), (L.name, times)
+                assert got == reference_compatibility(L, sec, times), (k, times)
                 positive += got[0] > 0
     assert positive > 50  # failing verdicts are covered, not only the diagonal's zero
 
@@ -268,7 +325,7 @@ def test_compatibility_bound_margin_on_near_ties():
             PointSet(np.vstack([v, v + rng.uniform(-3, 3, (int(rng.integers(0, 2)), kappa))])) for v in values
         )
         base = np.arange(n * kappa, dtype=float).reshape(n, kappa)
-        space = FiberedSpace(kappa=kappa, base_points=base, fibers=fibers)
+        space = FiberedSpace(base_points=base, fibers=fibers)
         sec = Section(space=space, values=values)
         p = float(rng.choice([1.0, 1.5, 2.0, 3.0, 4.0]))
         L1 = power_lagrangian(p)
@@ -281,15 +338,15 @@ def test_compatibility_bound_margin_on_near_ties():
         if not 0 < scale < math.inf:
             continue
         for k in range(-4, 5):
-            L = power_lagrangian(p, scale * (1 + k * 2.0**-52), cert_grid=np.array([0.0, 1.0]))
+            L = power_lagrangian(p, scale * (1 + k * 2.0**-52))
             assert _compatibility(L, sec, [1.0]) == reference_compatibility(L, sec, [1.0]), (p, k)
             cases += 1
     assert cases > 500
 
 
 def test_hand_built_penalty_keeps_the_full_scan(paper):
-    # decreasing, so the bound does not hold; the name does not turn pruning on
-    L = Lagrangian(fn=lambda v: np.exp(-v), name="power-4", cert_grid=np.linspace(0, 5, 64))
+    # decreasing, so the bound does not hold; undeclared, so pruning stays off
+    L = Lagrangian(fn=lambda v: np.exp(-v))
     sec = paper.section()
     expected = reference_compatibility(L, sec, [0.05, 1.0])
     assert _compatibility(L, sec, [0.05, 1.0]) == expected

@@ -67,7 +67,6 @@ def brute_force_local_slopes(section, radii):
 def degenerate_section():
     """f(y0) sits on the fiber of y1; invalid geometry with an infinite ratio."""
     space = FiberedSpace(
-        kappa=1,
         base_points=np.array([[0.0], [1.0]]),
         fibers=(PointSet(np.array([[0.0]])), PointSet(np.array([[0.0], [5.0]]))),
     )
@@ -79,7 +78,7 @@ def two_line_section(m):
     the section on the lower line."""
     x = np.linspace(0.0, 8.0, m)
     fibers = tuple(PointSet(np.array([[xi, 8.0], [xi, 3.0 + xi / 2.0]])) for xi in x)
-    space = FiberedSpace(kappa=2, base_points=np.column_stack([x, np.zeros(m)]), fibers=fibers)
+    space = FiberedSpace(base_points=np.column_stack([x, np.zeros(m)]), fibers=fibers)
     return Section(space=space, values=np.column_stack([x, 3.0 + x / 2.0]))
 
 
@@ -91,7 +90,7 @@ def segments_section(m):
     fibers = tuple(
         SegmentUnion(np.array([[[xi, 7.75], [xi, 8.25]], [[xi, yi - 0.2], [xi, yi + 0.2]]])) for xi, yi in zip(x, y)
     )
-    space = FiberedSpace(kappa=2, base_points=np.column_stack([x, np.zeros(m)]), fibers=fibers)
+    space = FiberedSpace(base_points=np.column_stack([x, np.zeros(m)]), fibers=fibers)
     return Section(space=space, values=np.column_stack([x, y]))
 
 
@@ -111,14 +110,13 @@ def unequal_section(m):
         else:
             fibers.append(PointSet(pts))
             values.append(pts[(k // 4) % len(pts)])
-    space = FiberedSpace(kappa=2, base_points=np.column_stack([x, np.zeros(m)]), fibers=tuple(fibers))
+    space = FiberedSpace(base_points=np.column_stack([x, np.zeros(m)]), fibers=tuple(fibers))
     return Section(space=space, values=np.array(values))
 
 
 def mixed_section():
     """Point and segment fibers in one space, a segment of zero length among them."""
     mixed = FiberedSpace(
-        kappa=2,
         base_points=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),
         fibers=(
             SegmentUnion(np.array([[[0.0, 0.0], [0.0, 2.0]], [[0.0, 5.0], [1.0, 6.0]]])),
@@ -147,7 +145,7 @@ def _random_section(rng, m, kappa, scale, segment_every=0, counts=None):
         for j in range(m)
     ]
     values = np.array([f.points[0] if isinstance(f, PointSet) else f.segments[0, 1] for f in fibers])
-    return Section(space=FiberedSpace(kappa=kappa, base_points=coords(m, kappa), fibers=tuple(fibers)), values=values)
+    return Section(space=FiberedSpace(base_points=coords(m, kappa), fibers=tuple(fibers)), values=values)
 
 
 def reference_fiber_excess_bound(section):
@@ -236,7 +234,7 @@ def test_g_field_values(paper):
 
 
 def test_g_field_all_equal_coordinates():
-    space = FiberedSpace(kappa=3, base_points=np.zeros((1, 3)), fibers=(PointSet(np.array([[2.0, 2.0, 2.0]])),))
+    space = FiberedSpace(base_points=np.zeros((1, 3)), fibers=(PointSet(np.array([[2.0, 2.0, 2.0]])),))
     sec = Section(space=space, values=np.array([[2.0, 2.0, 2.0]]))
     assert g_field(sec)[0] == 2.0
 
@@ -263,7 +261,7 @@ def test_bound_K_two_point(two_point):
 
 
 def test_bound_K_single_point():
-    space = FiberedSpace(kappa=2, base_points=np.zeros((1, 2)), fibers=(PointSet(np.array([[1.0, 1.0]])),))
+    space = FiberedSpace(base_points=np.zeros((1, 2)), fibers=(PointSet(np.array([[1.0, 1.0]])),))
     sec = Section(space=space, values=np.array([[1.0, 1.0]]))
     assert bound_K(sec) == 0.0
 
@@ -292,7 +290,7 @@ def test_ils_at_least_one_on_valid_scenarios(paper, two_point, singleton):
 
 
 def test_single_point_ils_warns():
-    space = FiberedSpace(kappa=2, base_points=np.zeros((1, 2)), fibers=(PointSet(np.array([[1.0, 0.0]])),))
+    space = FiberedSpace(base_points=np.zeros((1, 2)), fibers=(PointSet(np.array([[1.0, 0.0]])),))
     sec = Section(space=space, values=np.array([[1.0, 0.0]]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -372,6 +370,13 @@ def test_local_slopes_bad_radii(two_point):
         local_slopes(two_point.section(), [])
     for radii in ([math.nan], [2.0, math.nan]):
         with pytest.raises(PreconditionError, match="radii must be positive"):
+            local_slopes(two_point.section(), radii)
+
+
+def test_local_slopes_refuse_an_infinite_radius(two_point):
+    # an infinite radius was echoed into the report's radii
+    for radii in ([math.inf], [math.inf, 1.0]):
+        with pytest.raises(PreconditionError, match="radii must be positive, finite"):
             local_slopes(two_point.section(), radii)
 
 
@@ -457,7 +462,7 @@ def test_first_form_equals_per_row_reference(paper, tie, singleton):
             assert math.copysign(1.0, probe.first_form_worst) == math.copysign(1.0, worst)
 
 
-def test_pruned_reverse_form_equals_all_triples(paper, tie, singleton):
+def test_pruned_reverse_form_equals_all_triples(paper, tie, singleton, monkeypatch):
     sections = [paper.section(), tie.section(), singleton.section(), segments_section(12), unequal_section(16)]
     sections += [random_scenario(seed).section() for seed in range(40)]
     sections.append(mixed_section())
@@ -465,10 +470,12 @@ def test_pruned_reverse_form_equals_all_triples(paper, tie, singleton):
     found = 0
     for sec in sections:
         for tol in (1e-9, 0.0, -0.5):
-            got = violation_rows(asymmetry_probe(sec, excess_tol=tol))
+            monkeypatch.setattr("fiberflow.section.EXCESS_TOL", tol)
+            got = violation_rows(asymmetry_probe(sec))
             assert got == reference_asymmetry_violations(sec, tol)
             found += len(got)
     assert found > 1000
+    monkeypatch.undo()
     # the paper's reverse form: 93 pairs (y, z) pass the bound, 92 of them with violations
     sec = paper.section()
     assert int((fiber_excess_bound(sec) - sec.value_distances() > 1e-9).sum()) == 93
@@ -482,7 +489,7 @@ def test_excess_bound_equals_the_reduceat_reference_bit_for_bit(paper, tie):
         # fibers of the given sizes over base points (k, 0), at distinct heights
         fibers = tuple(PointSet(np.column_stack([np.full(n, k), rng.uniform(1, 9, n)])) for k, n in enumerate(sizes))
         base = np.column_stack([np.arange(len(sizes), dtype=float), np.zeros(len(sizes))])
-        space = FiberedSpace(kappa=2, base_points=base, fibers=fibers)
+        space = FiberedSpace(base_points=base, fibers=fibers)
         return Section(space=space, values=np.array([f.points[0] for f in fibers]))
 
     sections = [
@@ -513,7 +520,7 @@ def test_excess_bound_memory_with_one_large_fiber():
     x = np.linspace(0.0, 8.0, m)
     fibers = [PointSet(np.array([[xi, 3.0 + xi / 2.0]])) for xi in x]
     fibers[0] = PointSet(np.column_stack([np.zeros(40), np.linspace(3.0, 20.0, 40)]))
-    space = FiberedSpace(kappa=2, base_points=np.column_stack([x, np.zeros(m)]), fibers=tuple(fibers))
+    space = FiberedSpace(base_points=np.column_stack([x, np.zeros(m)]), fibers=tuple(fibers))
     sec = Section(space=space, values=np.column_stack([x, 3.0 + x / 2.0]))
     sec.fiber_distances()  # cached before measuring
     tracemalloc.start()
@@ -526,12 +533,13 @@ def test_excess_bound_memory_with_one_large_fiber():
     assert np.array_equal(H.view(np.uint64), reference_fiber_excess_bound(sec).view(np.uint64))
 
 
-def test_reverse_form_bound_margin_keeps_rounding_violations():
+def test_reverse_form_bound_margin_keeps_rounding_violations(monkeypatch):
     # on the two-line geometry sup over F_z of d(p, F_y) equals E[y, z] exactly,
-    # so every violation at excess_tol 0 is rounding that the margin must keep
+    # so every violation at EXCESS_TOL 0 is rounding that the margin must keep
     sec = two_line_section(20)
     for tol in (0.0, 1e-15):
-        got = violation_rows(asymmetry_probe(sec, excess_tol=tol))
+        monkeypatch.setattr("fiberflow.section.EXCESS_TOL", tol)
+        got = violation_rows(asymmetry_probe(sec))
         ref = reference_asymmetry_violations(sec, tol)
         assert got == ref and ref
 

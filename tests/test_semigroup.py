@@ -7,7 +7,7 @@ import pytest
 from fiberflow import runner
 from fiberflow.errors import PreconditionError
 from fiberflow.geometry import FiberedSpace, PointSet
-from fiberflow.lagrangian import Lagrangian, conjugate, default_cert_grid, model_quadratic, power_lagrangian
+from fiberflow.lagrangian import Lagrangian, conjugate, model_quadratic, power_lagrangian
 from fiberflow.scenario import random_scenario
 from fiberflow.section import Section, g_field, global_ILS
 from fiberflow.semigroup import (
@@ -381,7 +381,6 @@ def test_hj_residuals_at_nodes_equal_all_nodes(request, name, times, radius):
 def test_hj_residuals_at_a_node_without_neighbors_among_nodes_with_them():
     # base points 0, 1, 2 and an isolated 10; radius 1.5
     space = FiberedSpace(
-        kappa=1,
         base_points=np.array([[0.0], [1.0], [2.0], [10.0]]),
         fibers=tuple(PointSet(np.array([[x], [x + 20.0]])) for x in (0.0, 1.0, 2.0, 10.0)),
     )
@@ -424,7 +423,6 @@ def test_hj_lipschitz_two_point(two_point):
 
 def test_hj_lipschitz_refuses_infinite_ils():
     space = FiberedSpace(
-        kappa=1,
         base_points=np.array([[0.0], [1.0]]),
         fibers=(PointSet(np.array([[0.0]])), PointSet(np.array([[0.0], [5.0]]))),
     )
@@ -491,7 +489,8 @@ def test_table_readers_refuse_another_penalty(two_point):
 
 def test_a_penalty_named_model_quadratic_is_not_the_model(two_point):
     sec = two_point.section()
-    mislabeled = Lagrangian(fn=lambda v: v**4 / 4, name="model-quadratic", cert_grid=default_cert_grid())
+    # a penalty is its function: only the module's own half-square function is the model
+    mislabeled = Lagrangian(fn=lambda v: v**4 / 4)
     assert not mislabeled.is_model_quadratic and power_lagrangian(2.0, 1.0).is_model_quadratic
     table = evolution_table(sec, mislabeled, two_point.grids.times, hj_radius=2.0)
     assert not table.is_model_quadratic and np.isnan(table.hj_residual).all()
@@ -505,16 +504,41 @@ def test_evolve_all_refuses_a_bad_time_or_tie_tolerance(two_point, t, tau_tie):
         evolve_all(two_point.section(), model_quadratic(), t, tau_tie)
 
 
+@pytest.mark.parametrize("tau_tie", [math.inf])
+def test_evolve_all_and_the_trace_refuse_an_infinite_tie_tolerance(two_point, tau_tie):
+    with pytest.raises(PreconditionError, match="tau_tie must be nonnegative and finite"):
+        evolve_all(two_point.section(), model_quadratic(), 1.0, tau_tie)
+    with pytest.raises(PreconditionError, match="tau_tie must be nonnegative and finite"):
+        quasi_minimizer_trace(two_point.section(), tau_tie=tau_tie)
+
+
+def test_evolution_table_refuses_no_times(two_point):
+    # an empty time list raised a broadcasting ValueError
+    with pytest.raises(PreconditionError, match="times must be nonempty"):
+        evolution_table(two_point.section(), model_quadratic(), [])
+
+
+@pytest.mark.parametrize("nodes", [[-1], [2], [0.0], [0, 2**64]])
+def test_hj_residuals_refuse_a_node_outside_the_base_set(two_point, nodes):
+    with pytest.raises(PreconditionError, match=r"base index must be an integer in \[0, 2\)"):
+        hj_residuals(two_point.section(), 1.0, 1.0, nodes)
+
+
+def test_hj_residuals_refuse_an_infinite_radius(two_point):
+    with pytest.raises(PreconditionError, match="radius must be positive and finite"):
+        hj_residuals(two_point.section(), 1.0, math.inf)
+
+
 @pytest.mark.parametrize("radius", [math.nan, 0.0, -1.0])
 def test_hj_residuals_refuse_a_nonpositive_radius(two_point, radius):
     with pytest.raises(PreconditionError, match="radius must be positive"):
         hj_residuals(two_point.section(), 1.0, radius)
 
 
-@pytest.mark.parametrize("levels, tau_tie", [(-1, 1e-9), (3, math.nan), (3, -1.0)])
-def test_quasi_minimizer_trace_refuses_negative_levels_or_tie_tolerance(two_point, levels, tau_tie):
-    with pytest.raises(PreconditionError, match="levels and tau_tie must be nonnegative"):
-        quasi_minimizer_trace(two_point.section(), levels=levels, tau_tie=tau_tie)
+@pytest.mark.parametrize("tau_tie", [math.nan, -1.0])
+def test_quasi_minimizer_trace_refuses_a_negative_tie_tolerance(two_point, tau_tie):
+    with pytest.raises(PreconditionError, match="tau_tie must be nonnegative"):
+        quasi_minimizer_trace(two_point.section(), tau_tie=tau_tie)
 
 
 def test_quasi_minimizer_trace(paper):
@@ -524,12 +548,13 @@ def test_quasi_minimizer_trace(paper):
         assert np.all(trace.quasi_dist[:, y] ** 2 <= trace.quasi_bound + 1e-9)
 
 
-def test_quasi_minimizer_trace_matches_per_point_reference(paper, tie, singleton, two_point):
+def test_quasi_minimizer_trace_matches_per_point_reference(paper, tie, singleton, two_point, monkeypatch):
     sections = [paper.section(), tie.section(), singleton.section(), two_point.section(), two_line_section(60)]
     sections += [random_scenario(seed).section() for seed in (0, 9, 14, 16)]
     for sec in sections:
         for levels, tau_tie in ((20, DEFAULT_TAU_TIE), (6, 0.5)):
-            trace = quasi_minimizer_trace(sec, levels=levels, tau_tie=tau_tie)
+            monkeypatch.setattr("fiberflow.semigroup.TRACE_LEVELS", levels)
+            trace = quasi_minimizer_trace(sec, tau_tie=tau_tie)
             for y in range(sec.n_base):
                 times, a_dist, q_dist, q_bound = reference_trace(sec, y, levels, tau_tie)
                 assert np.array_equal(trace.times, times)
@@ -585,13 +610,13 @@ def test_boundary_rate_from_the_transform_ends_equals_full_grid(paper, two_point
             table = evolution_table(sec, L, times)
             suite = proposition_suite(sec, L, table, evolution_table(sec, model, times))
             item = suite.item("suite_e_boundary_rate")
-            assert (item.worst_slack, item.location) == reference_boundary_rate(sec, L, table), L.name
+            assert (item.worst_slack, item.location) == reference_boundary_rate(sec, L, table), L
 
 
 def test_suite_skips_axiom_items_for_bad_lagrangian(paper):
     from fiberflow.lagrangian import Lagrangian
 
-    L = Lagrangian(fn=np.exp, name="exp", cert_grid=np.linspace(0, 5, 64))
+    L = Lagrangian(fn=np.exp)
     sec = paper.section()
     table, model = evolution_table(sec, L, [0.02]), evolution_table(sec, model_quadratic(), [0.02])
     suite = proposition_suite(sec, L, table, model)

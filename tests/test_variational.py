@@ -117,6 +117,24 @@ def test_refuses_a_nonpositive_time(two_point, t):
         solve_variational(two_point.section(), two_point.lagrangian(), 1, t, 4, two_point.params)
 
 
+def test_refuses_an_infinite_time(two_point):
+    # an infinite t ran every descent under RuntimeWarnings before evolve_all refused it
+    with pytest.raises(PreconditionError, match="t must be positive and finite"):
+        solve_variational(two_point.section(), two_point.lagrangian(), 1, math.inf, 4, two_point.params)
+
+
+@pytest.mark.parametrize("y", [-1, 2, 1.0])
+def test_refuses_a_base_index_outside_the_base_set(two_point, y):
+    with pytest.raises(PreconditionError, match=r"base index must be an integer in \[0, 2\)"):
+        solve_variational(two_point.section(), two_point.lagrangian(), y, 1.0, 4, two_point.params)
+
+
+@pytest.mark.parametrize("m, max_sweeps", [(2.0, 10), (2**16 + 1, 10), (2, 0), (2, 10.0)])
+def test_refuses_a_step_count_or_sweep_cap_out_of_range(two_point, m, max_sweeps):
+    with pytest.raises(PreconditionError, match="time step|max_sweeps"):
+        solve_variational(two_point.section(), two_point.lagrangian(), 1, 1.0, m, two_point.params, max_sweeps)
+
+
 REFERENCE_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -171,9 +189,9 @@ def reference_minimize_interior(nodes, t, L, tol=1e-10, max_sweeps=10_000):
         power_lagrangian(1.5),
         power_lagrangian(3.5),
         power_lagrangian(4.0),
-        Lagrangian(fn=np.exp, name="exp", cert_grid=np.linspace(0, 5, 64)),
+        Lagrangian(fn=np.exp),
     ],
-    ids=lambda L: L.name,
+    ids=["power-1.5", "power-3.5", "power-4", "exp"],
 )
 def test_float_search_equals_the_array_search_bit_for_bit(two_point, paper, penalty, max_sweeps):
     for scenario, y in ((two_point, 1), (paper, 0), (paper, 40)):
