@@ -118,11 +118,9 @@ def segment_distances(points: Array, a: Array, b: Array) -> Array:
     """d[n, q] = |p - (a + s (b - a))| for p = points[n], a = a[q], b = b[q],
     with the clamped projection s = (p - a).(b - a) / |b - a|^2 in [0, 1]
     (Ericson, Real-Time Collision Detection, 2005, 5.1.2), or s = 0 where
-    b = a; every sum in coordinate order, in three (n, q) arrays.  When no
-    piece has length, this is `pairwise_distances(points, a)`."""
+    b = a; every sum in coordinate order, in three (n, q) arrays.  Point
+    fibers take `pairwise_distances`, equal bit for bit to zero-length pieces."""
     ab = b - a
-    if not ab.any():
-        return pairwise_distances(points, a)
     denom = ab[:, 0] * ab[:, 0]
     for k in range(1, ab.shape[1]):
         denom += ab[:, k] * ab[:, k]
@@ -247,7 +245,8 @@ def fiber_min_distance(fa: FiberGeometry, fb: FiberGeometry) -> float:
         fa, fb = fb, fa
     if isinstance(fa, PointSet):
         _, _, a, b = fiber_groups([fb])[0]
-        return float(segment_distances(fa.points, a, b).min())
+        d = pairwise_distances(fa.points, a) if b is a else segment_distances(fa.points, a, b)
+        return float(d.min())
     best = np.inf
     for a1, b1 in fa.segments:
         for a2, b2 in fb.segments:

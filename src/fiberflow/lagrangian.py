@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError
-from .section import Section, base_index, bound_K, global_ILS, pair_differences
+from .section import FLOAT_MAX, Section, as_floats, bound_K, checked_index, global_ILS, pair_differences
 
 Array = np.ndarray
 
@@ -105,9 +105,9 @@ def power_lagrangian(exponent: float, scale: float = 1.0) -> Lagrangian:
     same bits on every CPU.  Any other exponent goes through `np.power`,
     whose last bits may differ by CPU (numpy dispatches it to SIMD kernels).
     """
-    if not 1 <= exponent < math.inf:
+    if not 1 <= exponent <= FLOAT_MAX:
         raise PreconditionError(f"power_lagrangian needs a finite exponent >= 1 for convexity, got {exponent!r}")
-    if not math.isfinite(scale):
+    if not -FLOAT_MAX <= scale <= FLOAT_MAX:
         raise PreconditionError(f"power_lagrangian needs a finite scale, got {scale!r}")
     if exponent == 2.0 and scale == 1.0:
         return model_quadratic()
@@ -184,8 +184,12 @@ def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:
     strictly larger slack replaces.  A skipped pair cannot attain or replace
     the maximum, so the worst slack and its first-wins witness (x, y, z, t)
     are those of the full scan.  Any other penalty is scanned in full.
+
+    Time scaling takes t L(d / t) against the running minimum of s L(d / s)
+    over earlier times: rounding is monotone, so it equals the pair maximum
+    bit for bit.  Fewer than two times give 0; an inf or NaN slack fails.
     """
-    t_list = np.asarray(t_list, dtype=float)
+    t_list = as_floats(t_list, "t_list")
     if t_list.size == 0 or not np.all((0 < t_list) & (t_list < math.inf)):  # NaN too
         raise PreconditionError("t_list must be nonempty and positive, with every time finite")
 
@@ -234,21 +238,15 @@ def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:
             witness = (x, y, z, float(t))
 
     dvals = np.unique(D)
-    scaling_worst = -math.inf
     ts = np.sort(t_list)
-    for i, s in enumerate(ts):
-        for t in ts[i + 1 :]:
-            gap = t * L(dvals / t) - s * L(dvals / s)
-            scaling_worst = max(scaling_worst, float(gap.max()))
-    if not math.isfinite(scaling_worst):
-        scaling_worst = 0.0  # single time value: nothing to compare
+    scaling_worst = 0.0 if ts.size < 2 else -math.inf  # fewer than two times: nothing to compare
+    low = ts[0] * L(dvals / ts[0])
+    for t in ts[1:]:
+        phi = t * L(dvals / t)
+        scaling_worst = float(np.maximum(scaling_worst, (phi - low).max()))  # NaN propagates
+        np.minimum(low, phi, out=low)
 
-    return AxiomReport(
-        convexity_worst=convex_worst,
-        compatibility_worst=compat_worst,
-        compatibility_witness=witness,
-        scaling_worst=scaling_worst,
-    )
+    return AxiomReport(convex_worst, compat_worst, witness, scaling_worst)
 
 
 @dataclass
@@ -297,9 +295,9 @@ def legendre_transform(
     points, an integer in [1, XI_RESOLUTION_MAX], ILS being the computable
     global estimate.
     """
-    y = base_index(section, y)
-    if not (0 < t < math.inf):  # NaN too
-        raise PreconditionError("t must be positive and finite")
+    y = checked_index(y, section.n_base)
+    if not (0 < t <= FLOAT_MAX):  # NaN too
+        raise PreconditionError(f"t must be positive and finite, got {t!r}")
     w = np.sort(section.fiber_distances()[y] / t)  # the achievable speeds
     if xi_grid is None:
         ils = global_ILS(section)
@@ -309,7 +307,7 @@ def legendre_transform(
             raise PreconditionError(f"xi_resolution must be an integer in [1, {XI_RESOLUTION_MAX}]")
         xi_grid = np.linspace(0.0, ils, xi_resolution)
     else:
-        xi_grid = np.asarray(xi_grid, dtype=float)
+        xi_grid = as_floats(xi_grid, "xi grid")
         if xi_grid.size == 0 or not np.all((0 <= xi_grid) & (xi_grid < math.inf)):  # NaN too
             raise PreconditionError("xi grid must be nonnegative, finite and nonempty")
     Lw = L(w)
@@ -327,12 +325,6 @@ def legendre_transform(
     )
 
 
-@dataclass
-class BiconjugateTable:
-    hstar: Array
-    gap: Array  # L(w) - H*(w), nonnegative up to grid resolution
-
-
 def biconjugate(
     L: Lagrangian,
     section: Section,
@@ -341,16 +333,17 @@ def biconjugate(
     w_grid: Array,
     xi_grid: Array | None = None,
     xi_resolution: int = 101,
-) -> BiconjugateTable:
-    """H*(w) = max over the xi grid of (xi w - H(xi)), compared with L(w).
+) -> tuple[Array, Array]:
+    """(H*, L - H*) on `w_grid`: H*(w) = max over the xi grid of (xi w - H(xi)),
+    and its gap to L(w), nonnegative up to grid resolution.
 
     Only achievable speeds are allowed in `w_grid`; the one-sided inequality
     H* <= L is grid-exact, while equality appears only under refinement.
     """
     table = legendre_transform(L, section, y, t, xi_grid=xi_grid, xi_resolution=xi_resolution)
-    w_grid = np.asarray(w_grid, dtype=float)
+    w_grid = as_floats(w_grid, "w grid")
     bad = ~(np.abs(table.achievable_w - w_grid[:, None]).min(axis=1) <= 1e-12)  # NaN too
     if bad.any():
         raise PreconditionError(f"w={w_grid[bad][0]!r} is not an achievable speed at this (y, t)")
     hstar = conjugate(w_grid, table.xi_grid, table.lstar)[0]
-    return BiconjugateTable(hstar=hstar, gap=L(w_grid) - hstar)
+    return hstar, L(w_grid) - hstar

@@ -61,8 +61,7 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
         model = evolution_table(section, model_quadratic(), grids.times, tau_tie=grids.tau_tie)
 
     # proposition suite; its penalty-axiom report gives the axiom verdicts
-    suite = proposition_suite(section, L, table, model, labels=scenario.base_ids)
-    axioms = suite.axiom_report
+    suite, axioms = proposition_suite(section, L, table, model, labels=scenario.base_ids)
     verdicts.append(Verdict.from_slack("axiom_convexity", axioms.convexity_worst, CONVEXITY_TOL, None))
     loc = None
     if axioms.compatibility_witness is not None:
@@ -130,7 +129,7 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
         )
     )
 
-    verdicts.extend(suite.items)
+    verdicts.extend(suite)
 
     # finite pair scan of the slope estimate, one grid time's slack table at a time
     violations = []

@@ -36,6 +36,8 @@ GAP_BLOCK_FLOATS = 1 << 15
 PAIR_BLOCK_FLOATS = 1 << 13
 # `asymmetry_probe` lists a reverse-form triple when D[x, y] - D[x, z] - E[y, z] exceeds this
 EXCESS_TOL = 1e-9
+# arguments are checked `<= FLOAT_MAX`, not `< inf`: a Python int too large for a float compares below inf
+FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(eq=False)
@@ -81,11 +83,19 @@ class Section:
         return float(np.abs(self.values).max())
 
 
-def base_index(section: Section, y) -> int:
-    """y as an index of the base set, refused unless it is an integer in [0, m)."""
-    if not (isinstance(y, numbers.Integral) and 0 <= y < section.n_base):
-        raise PreconditionError(f"base index must be an integer in [0, {section.n_base}), got {y!r}")
-    return int(y)
+def checked_index(i, n: int, what: str = "base index") -> int:
+    """i as an index of n items, refused unless it is an integer in [0, n)."""
+    if not (isinstance(i, numbers.Integral) and 0 <= i < n):
+        raise PreconditionError(f"{what} must be an integer in [0, {n}), got {i!r}")
+    return int(i)
+
+
+def as_floats(values, what: str) -> Array:
+    """`values` as a float array, refused when it holds a Python int too large for a float."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise PreconditionError(f"{what} must be finite, got a Python int too large for a float") from None
 
 
 def g_field(section: Section) -> Array:
@@ -158,11 +168,9 @@ def local_slopes(section: Section, radii) -> SlopeReport:
     maximum, so ils[r, z] is the maximum of R[I[z], z] and ils_a[r, z] that
     of R[I[z]][:, I[z]], gathered for at most m^2 / w^2 centres at a time.
     """
-    radii = np.asarray(radii, dtype=float)
-    if radii.size == 0:
-        raise PreconditionError("radius schedule must be nonempty")
-    if not np.all((0 < radii) & (radii < np.inf)) or np.any(np.diff(radii) >= 0):
-        raise PreconditionError("radii must be positive, finite and strictly decreasing")
+    radii = as_floats(radii, "radii")
+    if radii.size == 0 or not np.all((0 < radii) & (radii < np.inf)) or np.any(np.diff(radii) >= 0):
+        raise PreconditionError("radii must be positive, finite, strictly decreasing and nonempty")
     ILS = global_ILS(section)  # before R, so that its own ratio table is gone
     R = _ratios(section)
     base_dist = section.space.base_distance_matrix()

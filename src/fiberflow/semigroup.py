@@ -13,9 +13,10 @@ residual checks.
 
 The readers behind `check` return arrays: `hj_residuals` the residuals of one
 time at chosen base points, `slope_estimate_check` the pair scan's slack table
-at one grid time.  `worst_case` reduces such arrays to a worst slack and its
-first location, and `Verdict.from_slack` turns that into a status; the
-proposition suite returns its items as Verdicts.
+at one grid time, `quasi_minimizer_trace` four arrays over its times.
+`worst_case` reduces such arrays to a worst slack and its first location, and
+`Verdict.from_slack` turns that into a status; `proposition_suite` returns its
+items as a list of Verdicts beside the penalty-axiom report.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .lagrangian import AxiomReport, Lagrangian, certification_grid, check_axioms, model_quadratic
-from .section import Section, base_index, bound_K, g_field, global_ILS
+from .section import FLOAT_MAX, Section, as_floats, bound_K, checked_index, g_field, global_ILS
 
 Array = np.ndarray
 
@@ -44,7 +45,7 @@ TRACE_LEVELS = 20
 def _branches(section: Section, L: Lagrangian, t: float, rows=slice(None)) -> Array:
     """B[k, z] = t L(d(f(y), fiber(z)) / t) + g(z) for the k-th base point y
     of `rows` (default: all), every branch at one time."""
-    if not (0 < t < math.inf):
+    if not (0 < t <= FLOAT_MAX):
         raise PreconditionError(f"t must be positive and finite, got {t!r}")
     return t * L(section.fiber_distances()[rows] / t) + g_field(section)[None, :]
 
@@ -52,7 +53,7 @@ def _branches(section: Section, L: Lagrangian, t: float, rows=slice(None)) -> Ar
 def evolve_all(section: Section, L: Lagrangian, t: float, tau_tie: float = DEFAULT_TAU_TIE) -> tuple[Array, Array]:
     """Evolved values u[y] and argmin masks for every base point at one time;
     mask[y, z] holds when z attains the minimum at y within `tau_tie`."""
-    if not (0 <= tau_tie < math.inf):
+    if not (0 <= tau_tie <= FLOAT_MAX):
         raise PreconditionError(f"tau_tie must be nonnegative and finite, got {tau_tie!r}")
     B = _branches(section, L, t)
     u = B.min(axis=1)
@@ -95,10 +96,10 @@ def _hj_setup(section: Section, t: float, radius: float, nodes=None, u=None) -> 
     neighbors, and fd[k] is the forward time difference at the k-th node.
     nodes=None means every base point, read through slices.  A given u must
     be the model evolution at t over every base point."""
+    if not (0 < t <= FLOAT_MAX and 0 < FD_STEP_SCALE * t):
+        raise PreconditionError(f"need 0 < h < t for the forward difference, got t={t!r}")
     h = FD_STEP_SCALE * t
-    if not (0 < h < t):
-        raise PreconditionError("need 0 < h < t for the forward difference")
-    if not (0 < radius < math.inf):
+    if not (0 < radius <= FLOAT_MAX):
         raise PreconditionError(f"the neighbor radius must be positive and finite, got {radius!r}")
     cols = slice(None) if nodes is None else nodes
     near = section.space.base_distance_matrix()[:, cols]
@@ -135,7 +136,7 @@ def hj_residuals(section: Section, t: float, radius: float, nodes=None) -> tuple
     and uses 2 / ILS^2, and is None unless the global ILS estimate is finite
     and nonzero.
     """
-    nodes = None if nodes is None else np.array([base_index(section, y) for y in nodes], dtype=int)
+    nodes = None if nodes is None else np.array([checked_index(y, section.n_base) for y in nodes], dtype=int)
     near, u, fd = _hj_setup(section, t, radius, nodes)
     ils = global_ILS(section)
     lipschitz = None
@@ -156,6 +157,7 @@ def slope_estimate_check(section: Section, table: EvolutionTable, ti: int) -> Ar
     is the left side minus the right side, and the diagonal is -inf."""
     if not table.is_model_quadratic:
         raise PreconditionError("the slope estimate is defined for the quadratic model penalty only")
+    ti = checked_index(ti, table.times.size, "grid time index")
     t, u, iDm = table.times[ti], table.u[ti], table.iD_minus[ti]
     D = section.fiber_distances()
     E = section.value_distances()
@@ -164,44 +166,30 @@ def slope_estimate_check(section: Section, table: EvolutionTable, ti: int) -> Ar
     return slack
 
 
-@dataclass
-class QuasiMinimizerTrace:
+def quasi_minimizer_trace(section: Section, tau_tie: float = DEFAULT_TAU_TIE) -> tuple[Array, Array, Array, Array]:
     """Fiber distances of every base point along the shrinking-time schedule
-    t_n = scale * 2^-n, n = 0, ..., TRACE_LEVELS, scale = max(1, sup |f|).
+    t_n = scale * 2^-n, n = 0, ..., TRACE_LEVELS, scale = max(1, sup |f|),
+    one branch table per time: (times, argmin_dist, quasi_dist, quasi_bound).
 
-    `argmin_dist[n, y]` uses the tie-tolerance argmin set; `quasi_dist[n, y]`
-    allows the 1/n slack of a quasi-minimizing sequence and `quasi_bound[n]`
-    is the a-priori bound 2 t_n (2 ||f||_inf + 1/n) on its squared distance.
+    `quasi_dist[n, y]` is D+ over the quasi-argmin set, which allows the 1/n
+    slack of a quasi-minimizing sequence, and `quasi_bound[n]` is the
+    a-priori bound 2 t_n (2 ||f||_inf + 1/n) on its square.  `argmin_dist[y]`
+    is D+ over the tie-tolerance argmin set at the last time only.
     """
-
-    times: Array
-    argmin_dist: Array  # (TRACE_LEVELS + 1, m)
-    quasi_dist: Array  # (TRACE_LEVELS + 1, m)
-    quasi_bound: Array  # (TRACE_LEVELS + 1,)
-
-
-def quasi_minimizer_trace(section: Section, tau_tie: float = DEFAULT_TAU_TIE) -> QuasiMinimizerTrace:
-    """The trace of every base point at TRACE_LEVELS + 1 times, one branch table per time."""
-    if not (0 <= tau_tie < math.inf):
+    if not (0 <= tau_tie <= FLOAT_MAX):
         raise PreconditionError(f"tau_tie must be nonnegative and finite, got {tau_tie!r}")
     L = model_quadratic()
     sup = section.sup_norm()
     D = section.fiber_distances()
     times = max(1.0, sup) * 2.0 ** -np.arange(TRACE_LEVELS + 1.0)
     slacks = 1.0 / np.maximum(np.arange(TRACE_LEVELS + 1.0), 1.0)
-    a_dist, q_dist = [], []
-    for t_n, slack in zip(times, slacks):
+    quasi_dist = np.empty((times.size, section.n_base))
+    for n, (t_n, slack) in enumerate(zip(times, slacks)):
         B = _branches(section, L, float(t_n))
         u = B.min(axis=1)[:, None]
-        # D+ over the argmin and the quasi-argmin sets
-        a_dist.append(np.where(B <= u + tau_tie, D, -np.inf).max(axis=1))
-        q_dist.append(np.where(B <= u + slack, D, -np.inf).max(axis=1))
-    return QuasiMinimizerTrace(
-        times=times,
-        argmin_dist=np.array(a_dist),
-        quasi_dist=np.array(q_dist),
-        quasi_bound=2.0 * times * (2.0 * sup + slacks),
-    )
+        quasi_dist[n] = np.where(B <= u + slack, D, -np.inf).max(axis=1)
+    argmin_dist = np.where(B <= u + tau_tie, D, -np.inf).max(axis=1)  # B and u of the last time
+    return times, argmin_dist, quasi_dist, 2.0 * times * (2.0 * sup + slacks)
 
 
 @dataclass
@@ -244,29 +232,17 @@ def worst_case(cases, labels: list[str]) -> tuple[float, str | None]:
     return worst, loc
 
 
-@dataclass
-class SuiteReport:
-    items: list[Verdict]  # checks named suite_<item key>
-    axiom_report: AxiomReport
-
-    def item(self, check: str) -> Verdict:
-        for it in self.items:
-            if it.check == check:
-                return it
-        raise KeyError(check)
-
-
 def proposition_suite(
     section: Section,
     L: Lagrangian,
     table: EvolutionTable,
     model: EvolutionTable | None = None,
     labels: list[str] | None = None,
-) -> SuiteReport:
+) -> tuple[list[Verdict], AxiomReport]:
     """Run the full battery of evolution properties over `table`, the
-    evolution under `L`, and report one verdict per item, named
-    suite_<item key>, with locations in sorted time order; an item passes
-    when its worst slack is at most SLACK_TOLERANCE.
+    evolution under `L`: one verdict per item, named suite_<item key>, with
+    locations in sorted time order, and the penalty-axiom report.  An item
+    passes when its worst slack is at most SLACK_TOLERANCE.
 
     Items whose hypotheses fail (penalty axioms, finite ILS) are SKIPPED, not
     failed.  Items tied to the quadratic-penalty theory always evaluate the
@@ -282,6 +258,8 @@ def proposition_suite(
     times, u = table.times[order], table.u[order]
     tau_tie = table.tau_tie
     lab = labels if labels is not None else [str(i) for i in range(section.n_base)]
+    if len(lab) != section.n_base:
+        raise PreconditionError(f"need one label per base point, got {len(lab)} labels for {section.n_base}")
 
     g = g_field(section)
     E = section.value_distances()
@@ -314,9 +292,9 @@ def proposition_suite(
         record("a_bounds", *worst_case(((row, "y", f"t={t:g}") for t, row in zip(times, both)), lab))
 
     # (b) quasi-minimizing sequences collapse onto the fiber of y as t -> 0
-    trace = quasi_minimizer_trace(section, tau_tie=tau_tie)
-    worst_final, loc_final = worst_case([(trace.argmin_dist[-1], "y", f"t={trace.times[-1]:g}")], lab)
-    worst_bound = float((trace.quasi_dist**2 - trace.quasi_bound[:, None]).max())
+    trace_times, argmin_dist, quasi_dist, quasi_bound = quasi_minimizer_trace(section, tau_tie=tau_tie)
+    worst_final, loc_final = worst_case([(argmin_dist, "y", f"t={trace_times[-1]:g}")], lab)
+    worst_bound = float((quasi_dist**2 - quasi_bound[:, None]).max())
     record(
         "b_quasi_minimizer",
         max(worst_final - 1e-6, worst_bound),
@@ -381,7 +359,7 @@ def proposition_suite(
         gaps.append((np.abs(model_u[ti] - model_u[si]) - K * K * (s - t) / (2.0 * t * s), "y", f"t={t:g},s={s:g}"))
     record("i_time_lipschitz", *worst_case(gaps, lab))
 
-    return SuiteReport(items=items, axiom_report=axioms)
+    return items, axioms
 
 
 @dataclass
@@ -410,12 +388,10 @@ def evolution_table(
     """The evolution at every grid time; the plain HJ residuals (NaN
     otherwise) when a radius is given and L is the model penalty.  The
     residuals at t read u at t from the table's own row."""
-    times = np.asarray(times, dtype=float)
+    times = as_floats(times, "times")
     if times.size == 0:
         raise PreconditionError("times must be nonempty")
-    rows = [evolve_all(section, L, float(t), tau_tie) for t in times]
-    u = np.array([row[0] for row in rows])
-    argmins = np.array([row[1] for row in rows])
+    u, argmins = map(np.array, zip(*[evolve_all(section, L, float(t), tau_tie) for t in times]))
     iD_minus, iD_plus = _speeds(section.fiber_distances(), argmins)
     resid = np.full(u.shape, np.nan)
     flags = np.zeros(u.shape, dtype=bool)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .lagrangian import Lagrangian
-from .section import Section, base_index, g_field
+from .section import FLOAT_MAX, Section, as_floats, checked_index, g_field
 from .semigroup import evolve_all
 
 Array = np.ndarray
@@ -126,16 +126,16 @@ def solve_variational(
             "variational solve needs a scalar parametrization of the base set; "
             "this scenario does not provide one"
         )
-    params = np.asarray(params, dtype=float)
+    params = as_floats(params, "params")
     if params.shape != (section.n_base,) or not np.all(np.isfinite(params)):
         raise PreconditionError("need exactly one finite scalar parameter per base point")
-    y = base_index(section, y)
+    y = checked_index(y, section.n_base)
     if not (isinstance(m, numbers.Integral) and m >= 1):
         raise PreconditionError(f"need at least one time step, got m={m!r}")
     if not (m <= MAX_STEPS and isinstance(max_sweeps, numbers.Integral) and max_sweeps >= 1):
         raise PreconditionError(f"need m <= {MAX_STEPS} time steps and max_sweeps >= 1, got {m!r} and {max_sweeps!r}")
-    if not (0 < t < math.inf):  # NaN too
-        raise PreconditionError("t must be positive and finite")
+    if not (0 < t <= FLOAT_MAX):  # NaN too
+        raise PreconditionError(f"t must be positive and finite, got {t!r}")
     D = section.fiber_distances()
     g = g_field(section)
     best: tuple[float, int, Array] | None = None

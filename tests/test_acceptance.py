@@ -90,8 +90,9 @@ def test_criterion_3_proposition_suite_green(paper, two_point):
     for scenario in scenarios:
         sec, L = scenario.section(), scenario.lagrangian()
         table = evolution_table(sec, L, scenario.grids.times)
-        suite = proposition_suite(sec, L, table)
-        for item in suite.items:
+        items, axioms = proposition_suite(sec, L, table)
+        assert axioms.passed, scenario.name
+        for item in items:
             assert item.status == "PASS", (scenario.name, item)
     _report(3, "proposition suite on shipped + 50 random scenarios")
 
@@ -142,10 +143,7 @@ def test_criterion_6_legendre_properties(paper, two_point):
                 # one-sided biconjugacy plus exact monotone refinement
                 xi_full = np.linspace(0.0, global_ILS(sec), 1001)
                 w_unique = np.unique(w)
-                gaps = [
-                    biconjugate(L, sec, y, t, w_unique, xi_grid=xi_full[::step]).gap
-                    for step in (100, 10, 1)
-                ]
+                gaps = [biconjugate(L, sec, y, t, w_unique, xi_grid=xi_full[::step])[1] for step in (100, 10, 1)]
                 assert np.all(gaps[2] >= -1e-12)  # H* <= L + 1e-12
                 assert np.all(gaps[0] - gaps[1] >= 0.0)
                 assert np.all(gaps[1] - gaps[2] >= 0.0)

@@ -2,9 +2,10 @@
 arguments with a FiberflowError or returns values that are all finite.
 
 Every numeric argument is drawn from NaN, +-inf, 0, -1 and 2^1000 (as ints
-and as floats) or one valid value; every list argument is [], a one-element
-list of such a number, or one valid list.  The section is the bundled paper
-counterexample under its own (model) penalty.
+and as floats), the int 2^1024, which no float holds, or one valid value;
+every list argument is [], a one-element list of such a number, or one valid
+list.  The section is the bundled paper counterexample under its own (model)
+penalty.  A penalty factory's result is read through its values on [0, 1].
 """
 
 import dataclasses
@@ -23,7 +24,9 @@ from fiberflow import (
     legendre_transform,
     local_slopes,
     paper_counterexample,
+    power_lagrangian,
     quasi_minimizer_trace,
+    slope_estimate_check,
     solve_variational,
 )
 from fiberflow.errors import FiberflowError
@@ -31,7 +34,9 @@ from fiberflow.semigroup import hj_residuals
 
 SCENARIO = paper_counterexample()
 SECTION, PENALTY = SCENARIO.section(), SCENARIO.lagrangian()
-EXTREMES = [math.nan, math.inf, -math.inf, 0, 0.0, -1, -1.0, 2**1000, 2.0**1000]
+EXTREMES = [math.nan, math.inf, -math.inf, 0, 0.0, -1, -1.0, 2**1000, 2.0**1000, 2**1024]
+TABLE = evolution_table(SECTION, PENALTY, [0.01, 0.02])
+OFF_DIAGONAL = ~np.eye(SECTION.n_base, dtype=bool)  # the slope estimate's diagonal is -inf by definition
 
 
 def number(valid):
@@ -67,13 +72,21 @@ ENTRY_POINTS = {
         lambda **kw: biconjugate(PENALTY, SECTION, **kw),
         dict(y=number(40), t=number(0.02), w_grid=numbers([0.0]), xi_grid=numbers(None), xi_resolution=number(11)),
     ),
+    "slope_estimate_check": (
+        lambda **kw: slope_estimate_check(SECTION, TABLE, **kw)[OFF_DIAGONAL],
+        dict(ti=number(1)),
+    ),
+    "power_lagrangian": (
+        lambda **kw: power_lagrangian(**kw)(np.linspace(0.0, 1.0, 5)),
+        dict(exponent=number(4.0), scale=number(1.0)),
+    ),
     "solve_variational": (
         lambda **kw: solve_variational(SECTION, PENALTY, **kw),
         dict(
             y=number(40),
             t=number(0.02),
             m=number(2),
-            params=st.sampled_from([[], SCENARIO.params] + [np.full(SECTION.n_base, float(v)) for v in EXTREMES]),
+            params=st.sampled_from([[], SCENARIO.params] + [[v] * SECTION.n_base for v in EXTREMES]),
             max_sweeps=number(50),
         ),
     ),

@@ -14,6 +14,8 @@ from fiberflow.geometry import (
     SegmentUnion,
     distances_to_fibers,
     fiber_min_distance,
+    pairwise_distances,
+    segment_distances,
     segment_segment_distance,
     validate_space,
 )
@@ -196,6 +198,21 @@ def test_segment_segment_distance_sums_in_coordinate_order(kappa):
     cases[::70, 3] = cases[::70, 2]  # second ones, and both
     got = [segment_segment_distance(*case) for case in cases]
     assert got == [reference_segment_segment_distance(*case) for case in cases]
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 3, 8, 9])
+def test_segment_distances_to_zero_length_pieces_equal_pairwise_distances(kappa):
+    # point fibers take pairwise_distances; the projection's s = 0 path gives the same bits
+    rng = np.random.default_rng(40 + kappa)
+    for case in range(50):
+        points = rng.normal(size=(int(rng.integers(1, 9)), kappa)) * 10.0 ** rng.integers(-3, 4)
+        ends = rng.normal(size=(int(rng.integers(1, 9)), kappa)) * 10.0 ** rng.integers(-3, 4)
+        for array in (points, ends):
+            array[rng.random(array.shape) < 0.2] = -0.0
+            array[rng.random(array.shape) < 0.1] = 0.0
+        expected = pairwise_distances(points, ends)
+        got = segment_distances(points, ends, ends.copy())
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), case
 
 
 def test_fiber_min_distance_mixed_kinds():

@@ -57,6 +57,45 @@ def test_power_lagrangian_convexity_certified(two_point):
     assert report.scaling_worst <= SCALING_TOL
 
 
+def reference_scaling_worst(L, section, t_list):
+    """The time-scaling slack over every pair s < t of the sorted times, one pair at a time."""
+    dvals, ts = np.unique(section.fiber_distances()), np.sort(np.asarray(t_list, dtype=float))
+    gaps = [float((t * L(dvals / t) - s * L(dvals / s)).max()) for i, s in enumerate(ts) for t in ts[i + 1 :]]
+    return max(gaps, default=0.0)
+
+
+def test_time_scaling_running_minimum_equals_the_pair_loop():
+    rng = np.random.default_rng(5)
+    penalties = [model_quadratic(), power_lagrangian(4.0), power_lagrangian(1.5, 0.2), zero_lagrangian()]
+    penalties += [Lagrangian(fn=np.sqrt), Lagrangian(fn=lambda v: np.sin(v) + v), Lagrangian(fn=np.exp)]
+    nonzero = 0
+    for seed in range(12):
+        sec = random_scenario(seed).section()
+        t_list = rng.uniform(0.01, 3.0, size=int(rng.integers(1, 12))).tolist()
+        for L in penalties:
+            worst = check_axioms(L, sec, t_list).scaling_worst
+            assert worst == reference_scaling_worst(L, sec, t_list), (seed, t_list)
+            nonzero += worst != 0.0
+    assert nonzero > 20  # the comparison covers slacks away from 0
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda v: 1e300 * np.exp(-np.asarray(v)),  # t L(d / t) overflows to inf at t = 1e10, s L(d / s) does not
+        lambda v: np.where(np.asarray(v) > 1e-9, np.nan, 0.0),  # NaN at every positive speed
+    ],
+)
+def test_time_scaling_fails_an_infinite_or_nan_slack(two_point, fn):
+    # an infinite slack used to read 0.0 and pass; only fewer than two times give 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = check_axioms(Lagrangian(fn=fn), two_point.section(), [1.0, 1e10])
+    assert not report.scaling_worst <= SCALING_TOL
+    assert math.isinf(report.scaling_worst) or math.isnan(report.scaling_worst)
+    assert not report.passed
+    assert check_axioms(Lagrangian(fn=fn), two_point.section(), [1.0]).scaling_worst == 0.0
+
+
 def test_power_needs_exponent_at_least_one():
     with pytest.raises(PreconditionError):
         power_lagrangian(0.5)
@@ -138,9 +177,10 @@ def test_biconjugate_one_sided(two_point):
     sec = two_point.section()
     L = two_point.lagrangian()
     w = math.sqrt(2.0)
-    table = biconjugate(L, sec, 1, 1.0, w_grid=np.array([0.0, w]), xi_grid=np.linspace(0, 1, 101))
-    assert np.all(table.gap >= -1e-12)  # H* <= L on achievable speeds
-    assert table.hstar[0] <= 0.0 + 1e-15  # H*(0) = -min H <= 0 = L(0)
+    hstar, gap = biconjugate(L, sec, 1, 1.0, w_grid=np.array([0.0, w]), xi_grid=np.linspace(0, 1, 101))
+    assert np.all(gap >= -1e-12)  # H* <= L on achievable speeds
+    assert hstar[0] <= 0.0 + 1e-15  # H*(0) = -min H <= 0 = L(0)
+    assert np.array_equal(gap, L(np.array([0.0, w])) - hstar)
 
 
 def test_biconjugate_requires_achievable_w(two_point):
@@ -157,9 +197,9 @@ def test_refinement_monotone_exact(two_point):
     L = two_point.lagrangian()
     xi_full = np.linspace(0.0, 1.0, 1001)
     w = np.array([0.0, math.sqrt(2.0)])
-    g11 = biconjugate(L, sec, 1, 1.0, w, xi_grid=xi_full[::100]).gap
-    g101 = biconjugate(L, sec, 1, 1.0, w, xi_grid=xi_full[::10]).gap
-    g1001 = biconjugate(L, sec, 1, 1.0, w, xi_grid=xi_full).gap
+    g11 = biconjugate(L, sec, 1, 1.0, w, xi_grid=xi_full[::100])[1]
+    g101 = biconjugate(L, sec, 1, 1.0, w, xi_grid=xi_full[::10])[1]
+    g1001 = biconjugate(L, sec, 1, 1.0, w, xi_grid=xi_full)[1]
     # nested grids: the finite max can only grow, the gap can only shrink
     assert np.all(g11 - g101 >= 0.0)
     assert np.all(g101 - g1001 >= 0.0)
@@ -178,8 +218,8 @@ def test_biconjugate_recovers_L_in_dense_classical_case():
     sec = _dense_line_section()
     L = model_quadratic()
     w = np.sort(sec.fiber_distances()[0])  # 0, 0.01, ..., 1.0
-    table = biconjugate(L, sec, 0, 1.0, w_grid=w, xi_grid=np.linspace(0, 1, 1001))
-    assert float(np.abs(table.gap).max()) <= 1e-3
+    _, gap = biconjugate(L, sec, 0, 1.0, w_grid=w, xi_grid=np.linspace(0, 1, 1001))
+    assert float(np.abs(gap).max()) <= 1e-3
 
 
 def test_default_grid_needs_finite_ils():

@@ -1,9 +1,11 @@
 import dataclasses
 import functools
 import hashlib
+import importlib.util
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +52,13 @@ BUNDLE_DIGESTS = {
     "segments-12": "4fc912368939438be7c2756afe9ec91e5d6604a78732c1bc88748bd5dbd9a796",
     "unequal-16": "85d202357aa748f372331edd18703a0f911b038ae9d0fa53f8d1606f4d6aa6ab",
 }
+# the same digest over the bundles of the benchmark's check workloads, whose
+# scenarios benchmarks/workloads.py writes as JSON
+BENCHMARK_DIGESTS = {
+    "two_line_doc": "289e9434a3764e4f1a5a10258adf8873e149c25136f3289c407e7f45473234f7",
+    "segments_power_doc": "e17e97e8bb11be502802848031bd2a461ee3ad2efcc1b012e298f3b554a9d42e",
+}
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
 BUNDLED = {b().name: b for b in (two_point_scenario, paper_counterexample, singleton_constant_scenario, tie_scenario)}
 
 
@@ -128,10 +137,33 @@ def test_check_builds_each_array_once(tmp_path, monkeypatch, build):
 def test_bundle_bytes_match_recorded_digests(tmp_path, name):
     scenario = random_scenario(int(name[7:])) if name.startswith("random-") else {**BUNDLED, **LINES}[name]()
     bundle, _, _ = run_check(scenario, tmp_path)
+    assert _bundle_digest(bundle) == BUNDLE_DIGESTS[name]
+
+
+def _bundle_digest(bundle) -> str:
     digest = hashlib.sha256()
     for path in bundle.all_files():
         digest.update(path.read_bytes())
-    assert digest.hexdigest() == BUNDLE_DIGESTS[name]
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no __pycache__ in benchmarks/
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+@pytest.mark.parametrize("doc, m", [("two_line_doc", 400), ("segments_power_doc", 300)])
+def test_benchmark_bundle_bytes_match_recorded_digests(tmp_path, workloads, doc, m):
+    path = workloads.write_doc(getattr(workloads, doc)(m), tmp_path / "scenario.json")
+    bundle, _, _ = run_check(load_scenario(path), tmp_path / "reports")
+    assert _bundle_digest(bundle) == BENCHMARK_DIGESTS[doc]
 
 
 def _verdict(verdicts, check):

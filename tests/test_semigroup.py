@@ -7,7 +7,7 @@ import pytest
 from fiberflow import runner
 from fiberflow.errors import PreconditionError
 from fiberflow.geometry import FiberedSpace, PointSet
-from fiberflow.lagrangian import Lagrangian, conjugate, model_quadratic, power_lagrangian
+from fiberflow.lagrangian import Lagrangian, check_axioms, conjugate, model_quadratic, power_lagrangian
 from fiberflow.scenario import random_scenario
 from fiberflow.section import Section, g_field, global_ILS
 from fiberflow.semigroup import (
@@ -542,10 +542,12 @@ def test_quasi_minimizer_trace_refuses_a_negative_tie_tolerance(two_point, tau_t
 
 
 def test_quasi_minimizer_trace(paper):
-    trace = quasi_minimizer_trace(paper.section())
+    times, argmin_dist, quasi_dist, quasi_bound = quasi_minimizer_trace(paper.section())
+    assert times.shape == quasi_bound.shape == (21,) and quasi_dist.shape == (21, 81)
+    assert argmin_dist.shape == (81,)
     for y in (0, paper.id_index("y010"), 80):
-        assert trace.argmin_dist[-1, y] <= 1e-6
-        assert np.all(trace.quasi_dist[:, y] ** 2 <= trace.quasi_bound + 1e-9)
+        assert argmin_dist[y] <= 1e-6
+        assert np.all(quasi_dist[:, y] ** 2 <= quasi_bound + 1e-9)
 
 
 def test_quasi_minimizer_trace_matches_per_point_reference(paper, tie, singleton, two_point, monkeypatch):
@@ -554,35 +556,41 @@ def test_quasi_minimizer_trace_matches_per_point_reference(paper, tie, singleton
     for sec in sections:
         for levels, tau_tie in ((20, DEFAULT_TAU_TIE), (6, 0.5)):
             monkeypatch.setattr("fiberflow.semigroup.TRACE_LEVELS", levels)
-            trace = quasi_minimizer_trace(sec, tau_tie=tau_tie)
+            times, argmin_dist, quasi_dist, quasi_bound = quasi_minimizer_trace(sec, tau_tie=tau_tie)
             for y in range(sec.n_base):
-                times, a_dist, q_dist, q_bound = reference_trace(sec, y, levels, tau_tie)
-                assert np.array_equal(trace.times, times)
-                assert np.array_equal(trace.argmin_dist[:, y], a_dist)
-                assert np.array_equal(trace.quasi_dist[:, y], q_dist)
-                assert np.array_equal(trace.quasi_bound, q_bound)
+                ref_times, a_dist, q_dist, q_bound = reference_trace(sec, y, levels, tau_tie)
+                assert np.array_equal(times, ref_times)
+                # the argmin distance is built at the last time only, the one item (b) reads
+                assert np.array_equal(argmin_dist[y], a_dist[-1])
+                assert np.array_equal(quasi_dist[:, y], q_dist)
+                assert np.array_equal(quasi_bound, q_bound)
 
 
 def test_suite_singleton_zero_slack(singleton):
     sec, L = singleton.section(), singleton.lagrangian()
-    suite = proposition_suite(sec, L, evolution_table(sec, L, singleton.grids.times))
-    for item in suite.items:
+    items, _ = proposition_suite(sec, L, evolution_table(sec, L, singleton.grids.times))
+    for item in items:
         assert item.status == "PASS", item
         assert item.worst_slack <= 1e-9
 
 
 def test_suite_two_point_passes_and_monotone_strict(two_point):
     sec, L = two_point.section(), two_point.lagrangian()
-    suite = proposition_suite(sec, L, evolution_table(sec, L, two_point.grids.times))
-    assert all(item.status == "PASS" for item in suite.items)
+    items, _ = proposition_suite(sec, L, evolution_table(sec, L, two_point.grids.times))
+    assert all(item.status == "PASS" for item in items)
     # strictly decreasing past the kink
     assert evolve_all(sec, L, 1.5)[0][1] < evolve_all(sec, L, 1.0)[0][1] - 1e-3
 
 
 def test_suite_paper_passes(paper):
     sec, L = paper.section(), paper.lagrangian()
-    suite = proposition_suite(sec, L, evolution_table(sec, L, paper.grids.times), labels=paper.base_ids)
-    assert all(item.status == "PASS" for item in suite.items)
+    items, axioms = proposition_suite(sec, L, evolution_table(sec, L, paper.grids.times), labels=paper.base_ids)
+    assert all(item.status == "PASS" for item in items)
+    assert axioms.passed
+
+
+def suite_item(items, check):
+    return next(item for item in items if item.check == check)
 
 
 def reference_boundary_rate(section, L, table, xi_resolution=101):
@@ -608,8 +616,8 @@ def test_boundary_rate_from_the_transform_ends_equals_full_grid(paper, two_point
         for L in (model, power_lagrangian(4.0), power_lagrangian(1.5, 0.2)):
             times = [0.05, 0.5, 2.0, 0.2]
             table = evolution_table(sec, L, times)
-            suite = proposition_suite(sec, L, table, evolution_table(sec, model, times))
-            item = suite.item("suite_e_boundary_rate")
+            items, _ = proposition_suite(sec, L, table, evolution_table(sec, model, times))
+            item = suite_item(items, "suite_e_boundary_rate")
             assert (item.worst_slack, item.location) == reference_boundary_rate(sec, L, table), L
 
 
@@ -619,20 +627,39 @@ def test_suite_skips_axiom_items_for_bad_lagrangian(paper):
     L = Lagrangian(fn=np.exp)
     sec = paper.section()
     table, model = evolution_table(sec, L, [0.02]), evolution_table(sec, model_quadratic(), [0.02])
-    suite = proposition_suite(sec, L, table, model)
-    assert suite.item("suite_c_spatial_estimate").status == "SKIPPED"
-    assert suite.item("suite_d_cross_time_estimate").status == "SKIPPED"
+    items, axioms = proposition_suite(sec, L, table, model)
+    assert not axioms.passed
+    assert suite_item(items, "suite_c_spatial_estimate").status == "SKIPPED"
+    assert suite_item(items, "suite_d_cross_time_estimate").status == "SKIPPED"
 
 
 def test_suite_items_are_verdicts_named_by_item_key(paper):
     sec, L = paper.section(), paper.lagrangian()
-    suite = proposition_suite(sec, L, evolution_table(sec, L, paper.grids.times), labels=paper.base_ids)
+    items, axioms = proposition_suite(sec, L, evolution_table(sec, L, paper.grids.times), labels=paper.base_ids)
     keys = "a_bounds b_quasi_minimizer c_spatial_estimate d_cross_time_estimate e_boundary_rate"
     keys += " f_time_monotone g_speed_monotone h_speed_bound i_time_lipschitz"
-    assert [item.check for item in suite.items] == [f"suite_{key}" for key in keys.split()]
-    assert all(isinstance(item, Verdict) for item in suite.items)
-    with pytest.raises(KeyError):
-        suite.item("a_bounds")
+    assert [item.check for item in items] == [f"suite_{key}" for key in keys.split()]
+    assert all(isinstance(item, Verdict) for item in items)
+    # the axiom report is the one of the table's times in sorted order
+    assert axioms == check_axioms(L, sec, np.sort(paper.grids.times))
+
+
+@pytest.mark.parametrize("labels", [["a", "b"], []])
+def test_suite_refuses_labels_that_do_not_name_every_base_point(paper, labels):
+    # two labels for 81 base points ended in an IndexError from the item locations
+    sec, L = paper.section(), paper.lagrangian()
+    table = evolution_table(sec, L, paper.grids.times)
+    with pytest.raises(PreconditionError, match=f"need one label per base point, got {len(labels)} labels for 81"):
+        proposition_suite(sec, L, table, labels=labels)
+
+
+@pytest.mark.parametrize("ti", [-1, 2, 5, 1.5, 2**1024, np.float64(1.0)])
+def test_slope_estimate_check_refuses_a_time_index_outside_the_grid(two_point, ti):
+    # -1 read the last time, and 5 and 1.5 raised an IndexError
+    sec = two_point.section()
+    table = evolution_table(sec, model_quadratic(), [0.5, 1.0])
+    with pytest.raises(PreconditionError, match=r"grid time index must be an integer in \[0, 2\)"):
+        slope_estimate_check(sec, table, ti)
 
 
 def reference_worse(worst, residual, t, labels):

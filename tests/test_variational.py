@@ -83,6 +83,8 @@ def test_golden_section_path_with_quartic_penalty(two_point):
     assert np.abs(nodes - linear).max() <= 1e-6
     r = solve_variational(two_point.section(), L, y=1, t=2.0, m=6, params=two_point.params)
     assert abs(r.gap) <= 1e-9
+    # the variational-quartic benchmark solve: its nodes' bytes are the run's recorded digest
+    assert hashlib.sha256(r.nodes.tobytes()).hexdigest() == "7daeab6a5a7da82cd0ea2edd5150614d90cc65661c445e1caa11cc616f4109c2"
 
 
 def test_refining_steps_never_increases_value(paper):
