@@ -183,7 +183,10 @@ def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:
     diagonal's slack or the worst slack of the earlier times, which only a
     strictly larger slack replaces.  A skipped pair cannot attain or replace
     the maximum, so the worst slack and its first-wins witness (x, y, z, t)
-    are those of the full scan.  Any other penalty is scanned in full.
+    are those of the full scan.  Any other penalty is scanned in full.  A
+    NaN slack is the worst: the first NaN, in time order and row-major
+    within a time, keeps the witness, and the scan stops there, so no
+    pruning threshold is taken from a NaN.
 
     Time scaling takes t L(d / t) against the running minimum of s L(d / s)
     over earlier times: rounding is monotone, so it equals the pair maximum
@@ -229,13 +232,15 @@ def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:
         lhs = np.empty(ys.size)
         for k, G in pair_differences(A, ys, xs):
             G.max(axis=1, out=lhs[k : k + len(G)])
-        slack = lhs - rhs[ys, xs]  # row-major over the scanned pairs: the first maximum wins
+        slack = lhs - rhs[ys, xs]  # row-major over the scanned pairs: the first maximum, or NaN, wins
         k = int(np.argmax(slack))
-        if slack[k] > compat_worst:
+        if not slack[k] <= compat_worst:
             compat_worst = float(slack[k])
             y, x = int(ys[k]), int(xs[k])
             z = int(np.argmax(A[y] - A[x]))
             witness = (x, y, z, float(t))
+            if math.isnan(compat_worst):
+                break  # no later slack replaces the first NaN
 
     dvals = np.unique(D)
     ts = np.sort(t_list)

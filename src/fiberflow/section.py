@@ -28,7 +28,7 @@ from .geometry import (
 Array = np.ndarray
 
 DEFAULT_TAU_SEC = 1e-9
-# floats in one difference block of `max_row_gaps`: 256 KB, a cache-sized block
+# floats in one difference block of the first form in `asymmetry_probe`: 256 KB, a cache-sized block
 GAP_BLOCK_FLOATS = 1 << 15
 # floats in one block of `pair_differences`: 64 KB.  With blocks of 128 KB
 # and more, the peak RSS of long check-two-line-400 benchmark runs grew by
@@ -213,42 +213,6 @@ class AsymmetryReport:
     rhs: Array
 
 
-def max_row_gaps(A: Array) -> Array:
-    """G[i, j] = max over k of (A[i, k] - A[j, k]) in O(m^2) memory, equal bit
-    for bit to a scan of every ordered pair of rows.
-
-    IEEE subtraction rounds symmetrically: fl(a - b) = -fl(b - a) for every
-    nonzero, non-NaN difference (Goldberg, "What every computer scientist
-    should know about floating-point arithmetic", ACM Comput. Surv. 1991).
-    So one difference block A[i] - A[j] over the rows j > i gives both
-    orientations: its row maxima are G[i, j], and its negated row minima are
-    G[j, i].  The lower-triangle entries that come out zero or NaN, where the
-    sign of zero or the NaN payload depends on the orientation, are
-    recomputed as A[j] - A[i].  The diagonal is computed, not assumed: the
-    blocks start at j = i, and G[i, i] is NaN on a row holding inf or NaN.
-    The rows j of one block fill GAP_BLOCK_FLOATS floats, so the block stays
-    in cache between its minima and maxima.
-    """
-    A = np.ascontiguousarray(A, dtype=float)
-    m, n = A.shape
-    G = np.empty((m, m))
-    step = max(1, min(m, GAP_BLOCK_FLOATS // max(1, n)))  # rows j per block
-    buf = np.empty((step, n))
-    for i in range(m):
-        for j0 in range(i, m, step):
-            j1 = min(m, j0 + step)
-            block = np.subtract(A[i], A[j0:j1], out=buf[: j1 - j0])
-            np.negative(block.min(axis=1), out=G[j0:j1, i])
-            block.max(axis=1, out=G[i, j0:j1])  # last, so that G[i, i] is the maximum of A[i] - A[i]
-    j, i = np.nonzero((G == 0.0) | (G != G))
-    below = j > i  # the lower-triangle zeros and NaNs, recomputed in their own orientation
-    j, i = j[below], i[below]
-    for k in range(0, j.size, step):
-        jk, ik = j[k : k + step], i[k : k + step]
-        G[jk, ik] = (A[jk] - A[ik]).max(axis=1)
-    return G
-
-
 def pair_differences(A: Array, rows: Array, others: Array):
     """Yield (k, A[rows[k:k + s]] - A[others[k:k + s]]) for k = 0, s, 2s, ...:
     a scan of the selected row pairs of A in blocks of about
@@ -310,13 +274,22 @@ def fiber_excess_bound(section: Section) -> Array:
 
 
 def asymmetry_probe(section: Section) -> AsymmetryReport:
-    """The section-anchored form scans every triple.  The reverse form lists
-    every (x, y, z) with D[x, y] - D[x, z] - E[y, z] > EXCESS_TOL, and scans
-    the anchors x of a pair (y, z) only when H[y, z] - E[y, z] > EXCESS_TOL,
-    H being `fiber_excess_bound`.  A skipped pair has no violating anchor,
-    so the violations are those of a scan over all triples.  Each block of
-    pairs appends its column chunks; one concatenation and one lexsort give
-    the report's columns.
+    """The section-anchored form is the maximum over (y, z) of
+    max_x (D[y, x] - D[z, x]) - E[y, z].  IEEE subtraction rounds
+    symmetrically (Goldberg, ACM Comput. Surv. 1991), so the Chebyshev row
+    distance c[y, z] = max_x |D[y, x] - D[z, x]| over z >= y, in blocks of
+    GAP_BLOCK_FLOATS floats, is the larger orientation of a pair, and the
+    worst is the maximum of fl(c - E), NaN counting largest.  Only the pairs
+    attaining it are evaluated in both orientations, for the first ordered
+    pair in row-major order that attains it, as `np.argmax` would give.
+
+    The reverse form lists every (x, y, z) with
+    D[x, y] - D[x, z] - E[y, z] > EXCESS_TOL, and scans the anchors x of a
+    pair (y, z) only when H[y, z] - E[y, z] > EXCESS_TOL, H being
+    `fiber_excess_bound`.  A skipped pair has no violating anchor, so the
+    violations are those of a scan over all triples.  Each block of pairs
+    appends its column chunks; one concatenation and one lexsort give the
+    report's columns.
     """
     m = section.n_base
     if m < 3:
@@ -324,12 +297,27 @@ def asymmetry_probe(section: Section) -> AsymmetryReport:
     E = section.value_distances()
     D = section.fiber_distances()
 
-    # first form: max over (y, z) of max_x (D[y,x] - D[z,x]) - E[y,z]
-    gaps = max_row_gaps(D) - E
-    yz = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
-    y, z = int(yz[0]), int(yz[1])
+    # first form: gaps[y, z] = fl(c[y, z] - E[y, z]) for z >= y, -inf below the diagonal
+    gaps = np.full((m, m), -np.inf)
+    step = max(1, GAP_BLOCK_FLOATS // m)  # rows z per block
+    buf = np.empty((min(m, step), m))
+    for y in range(m):
+        for z0 in range(y, m, step):
+            z1 = min(m, z0 + step)
+            block = np.subtract(D[y], D[z0:z1], out=buf[: z1 - z0])
+            np.abs(block, out=block).max(axis=1, out=gaps[y, z0:z1])
+        gaps[y, y:] -= E[y, y:]
+    worst = gaps.max()
+    i, j = np.nonzero((gaps == worst) | (gaps != gaps))  # the pairs that attain the worst
+    del gaps
+    ys, zs = np.divmod(np.unique(np.concatenate((i * m + j, j * m + i))), m)  # both orientations, row-major
+    for k, diff in pair_differences(D, ys, zs):
+        pair_gaps = diff.max(axis=1) - E[ys[k : k + len(diff)], zs[k : k + len(diff)]]
+        hits = np.flatnonzero((pair_gaps == worst) | (pair_gaps != pair_gaps))
+        if hits.size:
+            y, z, worst = int(ys[k + hits[0]]), int(zs[k + hits[0]]), float(pair_gaps[hits[0]])
+            break
     x = int(np.argmax(D[y] - D[z]))
-    worst = float(gaps[y, z])
 
     # reverse form: anchors x of the pairs (y, z) that the bound H does not clear
     excess = fiber_excess_bound(section)

@@ -220,14 +220,17 @@ def worst_case(cases, labels: list[str]) -> tuple[float, str | None]:
     """Largest entry over the (gap, axis names, suffix) cases and its
     location, each index of the gap named by `labels` (a scalar gap has no
     axes and its suffix is the whole location).  The first case and, within
-    it, the first index attaining the largest entry win; a gap holding NaN is
-    never chosen, and no cases give (-inf, None)."""
+    it, the first index attaining the largest entry win.  A NaN entry is the
+    worst: the first case holding NaN and its first NaN give the location,
+    and no later case is read.  No cases give (-inf, None)."""
     worst, loc = -math.inf, None
     for gap, axes, suffix in cases:
         w = float(gap.max())
-        if w > worst:
+        if not w <= worst:  # a larger entry, or NaN
             idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
             worst, loc = w, ",".join([f"{a}={labels[i]}" for a, i in zip(axes, idx)] + [suffix])
+            if math.isnan(w):
+                break
         del gap  # a generator may build the next case now: keep one alive at a time
     return worst, loc
 

@@ -43,3 +43,16 @@ def reduced_paper_section():
         ),
     )
     return Section(space=space, values=np.array([[1.0, 4.0], [8.0, 7.0], [8.0, 6.0]]))
+
+
+def reference_max_row_gaps(A):
+    """G[i, j] = max over k of (A[i, k] - A[j, k]), one anchor row i at a time."""
+    return np.array([(row - A).max(axis=1) for row in A])
+
+
+def reference_first_form(section):
+    """(worst, (x, y, z)) of the first form from the per-row gaps."""
+    D, E = section.fiber_distances(), section.value_distances()
+    gaps = reference_max_row_gaps(D) - E
+    y, z = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+    return float(gaps[y, z]), (int(np.argmax(D[y] - D[z])), int(y), int(z))

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import reference_max_row_gaps
 from fiberflow.errors import PreconditionError
 from fiberflow.geometry import FiberedSpace, PointSet
 from fiberflow.lagrangian import (
@@ -19,8 +20,9 @@ from fiberflow.lagrangian import (
     power_lagrangian,
     zero_lagrangian,
 )
+from fiberflow.runner import run_check
 from fiberflow.scenario import paper_counterexample, random_scenario
-from fiberflow.section import Section, bound_K, max_row_gaps
+from fiberflow.section import Section, bound_K
 from test_section import segments_section, two_line_section
 
 
@@ -310,18 +312,21 @@ def test_convexity_is_certified_over_the_speeds_the_scenario_reaches(paper):
 
 def reference_compatibility(L, section, t_list):
     """The compatibility scan over all triples, one time at a time:
-    (worst slack, witness (x, y, z, t)), the first maximum winning."""
+    (worst slack, witness (x, y, z, t)), the first maximum winning.  A NaN
+    slack is the worst, and the first NaN stays."""
     D, E, K = section.fiber_distances(), section.value_distances(), bound_K(section)
     worst, witness = -math.inf, None
     for t in t_list:
+        if math.isnan(worst):
+            break
         A = t * L(D / t)
         Lvals = L(E / t)
         if np.any(Lvals < 0):
             worst, witness = math.inf, None
             continue
-        slack = max_row_gaps(A) - 2.0 * K * np.sqrt(Lvals)
-        y, x = np.unravel_index(int(np.argmax(slack)), slack.shape)
-        if slack[y, x] > worst:
+        slack = reference_max_row_gaps(A) - 2.0 * K * np.sqrt(Lvals)
+        y, x = np.unravel_index(int(np.argmax(slack)), slack.shape)  # the first NaN, if any
+        if math.isnan(slack[y, x]) or slack[y, x] > worst:
             worst, witness = float(slack[y, x]), (int(x), int(y), int(np.argmax(A[y] - A[x])), float(t))
     return worst, witness
 
@@ -369,7 +374,7 @@ def test_compatibility_bound_margin_on_near_ties():
         sec = Section(space=space, values=values)
         p = float(rng.choice([1.0, 1.5, 2.0, 3.0, 4.0]))
         L1 = power_lagrangian(p)
-        lhs = max_row_gaps(L1(sec.fiber_distances()))
+        lhs = reference_max_row_gaps(L1(sec.fiber_distances()))
         rhs = 2.0 * bound_K(sec) * np.sqrt(L1(sec.value_distances()))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(lhs > 0, rhs / lhs, np.inf)
@@ -391,3 +396,24 @@ def test_hand_built_penalty_keeps_the_full_scan(paper):
     expected = reference_compatibility(L, sec, [0.05, 1.0])
     assert _compatibility(L, sec, [0.05, 1.0]) == expected
     assert expected[0] > 0
+
+
+def test_a_nan_compatibility_slack_fails_the_axiom(tmp_path):
+    # exp up to the top of the certification grid, NaN beyond.  L(E / t) reaches past that top at the
+    # first time only: in reverse order its NaN replaces the finite worst of the later times, and in
+    # time order their finite slacks do not replace it
+    scenario = random_scenario(13)
+    sec, times = scenario.section(), scenario.grids.times
+    top = float(certification_grid(sec, times)[-1])
+    fn = lambda v: np.where(v <= top, np.exp(np.minimum(v, top)), np.nan)
+    for declared in (False, True):  # the full scan and the pruned one
+        L = Lagrangian(fn=fn, nondecreasing_convex=declared)
+        for ts in (times, times[::-1]):
+            worst, witness = _compatibility(L, sec, ts)
+            want = reference_compatibility(L, sec, ts)
+            assert math.isnan(worst) and math.isnan(want[0]) and witness == want[1] == (5, 3, 5, times[0])
+    assert _compatibility(Lagrangian(fn=fn), sec, times[1:])[0] < 0
+    scenario.lagrangian = lambda: Lagrangian(fn=fn)
+    verdict = {v.check: v for v in run_check(scenario, tmp_path)[1]}["axiom_compatibility"]
+    assert verdict.status == "FAIL" and math.isnan(verdict.worst_slack)
+    assert verdict.location == "x=r05,y=r03,z=r05,t=1.58711"

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import reference_first_form, reference_max_row_gaps
 from fiberflow.errors import PreconditionError
 from fiberflow.geometry import PRUNE_MARGIN, FiberedSpace, PointSet, SegmentUnion
 from fiberflow.lagrangian import check_axioms, model_quadratic, power_lagrangian
@@ -19,7 +20,6 @@ from fiberflow.section import (
     g_field,
     global_ILS,
     local_slopes,
-    max_row_gaps,
     validate_section,
 )
 
@@ -211,19 +211,6 @@ def reference_asymmetry_violations(section, excess_tol=1e-9):
 def violation_rows(probe):
     """The probe's violation columns as (x, y, z, lhs, rhs) tuples, in row order."""
     return list(zip(*probe.violations.T.tolist(), probe.lhs.tolist(), probe.rhs.tolist()))
-
-
-def reference_max_row_gaps(A):
-    """G[i, j] = max over k of (A[i, k] - A[j, k]), one anchor row i at a time."""
-    return np.array([(row - A).max(axis=1) for row in A])
-
-
-def reference_first_form(section):
-    """(worst, (x, y, z)) of the first form from the per-row gaps."""
-    D, E = section.fiber_distances(), section.value_distances()
-    gaps = reference_max_row_gaps(D) - E
-    y, z = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
-    return float(gaps[y, z]), (int(np.argmax(D[y] - D[z])), int(y), int(z))
 
 
 def test_g_field_values(paper):
@@ -422,35 +409,6 @@ def test_asymmetry_violations_match_per_anchor_reference(paper, tie, singleton):
     assert found > 0  # the comparison covers nonempty violation lists
 
 
-@pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (7, 3), (40, 5), (300, 300), (120, 700)])
-def test_max_row_gaps_equals_per_row_reference_bit_for_bit(m, n):
-    # few distinct values, so that differences are often zero; the larger
-    # shapes span several blocks of rows per anchor
-    rng = np.random.default_rng(m * 1000 + n)
-    values = np.array([-2.5, -1.0, -0.0, 0.0, 0.0, 1.0, 3.0, np.inf, -np.inf, np.nan, -np.nan])
-    cases = [
-        rng.choice(values, size=(m, n)),
-        rng.choice(values[2:5], size=(m, n)),  # only signed zeros
-        rng.choice(values[:7], size=(m, n)),  # finite
-        rng.standard_normal((m, n)),
-    ]
-    repeated = rng.standard_normal((m, n))
-    repeated[rng.integers(0, m, size=m // 2)] = repeated[0]  # repeated rows
-    cases.append(repeated)
-    for A in cases:
-        with np.errstate(invalid="ignore"):  # inf - inf
-            got, want = max_row_gaps(A), reference_max_row_gaps(A)
-        assert got.shape == (m, m)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-def test_max_row_gaps_diagonal_is_nan_on_rows_with_inf_or_nan():
-    A = np.array([[1.0, 2.0], [np.inf, 0.0], [0.0, np.nan], [-np.inf, 5.0]])
-    with np.errstate(invalid="ignore"):
-        G = max_row_gaps(A)
-    assert np.isnan(np.diagonal(G)).tolist() == [False, True, True, True]
-
-
 def test_first_form_equals_per_row_reference(paper, tie, singleton):
     sections = [paper.section(), tie.section(), singleton.section(), two_line_section(60), segments_section(12)]
     sections += [random_scenario(seed).section() for seed in range(40)]
@@ -460,6 +418,48 @@ def test_first_form_equals_per_row_reference(paper, tie, singleton):
             worst, argmax = reference_first_form(sec)
             assert (probe.first_form_worst, probe.first_form_argmax) == (worst, argmax)
             assert math.copysign(1.0, probe.first_form_worst) == math.copysign(1.0, worst)
+
+
+def first_form_sections():
+    """Hand-built sections on point fibers over base points (i, 0): repeated
+    rows of D, for ties; rows of D holding inf, from values near 2^1000 whose
+    distances to the other fibers overflow; and a NaN section value.  At
+    m = 200 a row spans two difference blocks."""
+    rng = np.random.default_rng(21)
+    out = []
+    for m in (3, 4, 9, 40, 200):
+        x = rng.choice(np.linspace(0.0, 8.0, 33), m)  # repeats give repeated rows
+        values = np.column_stack([x, 3.0 + x / 2.0])  # the two-line geometry, near ties by rounding
+        fibers = [np.array([[xi, 8.0], [xi, 3.0 + xi / 2.0], [xi, 1.0 + xi]]) for xi in x]
+        far_values, far_fibers = values.copy(), list(fibers)
+        for i in rng.choice(m, size=max(1, m // 4), replace=False):
+            far_values[i] = 2.0**1000 * (1.0 + values[i] / 4.0)
+            far_fibers[i] = np.vstack([far_values[i], fibers[i]])  # near points too: D mixes inf and finite
+        nan_values = values.copy()
+        nan_values[rng.integers(0, m), rng.integers(0, 2)] = np.nan
+        base = np.column_stack([np.arange(m, dtype=float), np.zeros(m)])
+        for vals, fibs in ((values, fibers), (far_values, far_fibers), (nan_values, fibers)):
+            space = FiberedSpace(base_points=base, fibers=tuple(PointSet(f) for f in fibs))
+            out.append(Section(space=space, values=vals))
+    return out
+
+
+def test_first_form_equals_per_row_reference_on_ties_inf_and_nan():
+    ties = positive = infs = nans = 0
+    for sec in first_form_sections():
+        with np.errstate(over="ignore", invalid="ignore"):  # distances past the float range, inf - inf
+            probe = asymmetry_probe(sec)
+            worst, argmax = reference_first_form(sec)
+            gaps = reference_max_row_gaps(sec.fiber_distances()) - sec.value_distances()
+        got = probe.first_form_worst
+        assert probe.first_form_argmax == argmax
+        assert got == worst or (math.isnan(got) and math.isnan(worst))
+        assert math.isnan(got) or math.copysign(1.0, got) == math.copysign(1.0, worst)
+        ties += int((gaps == worst).sum()) > 1
+        positive += worst > 0
+        infs += bool(np.isinf(sec.fiber_distances()).any())
+        nans += math.isnan(worst)
+    assert ties >= 5 and positive >= 3 and infs == 5 and nans == 10
 
 
 def test_pruned_reverse_form_equals_all_triples(paper, tie, singleton, monkeypatch):

@@ -664,15 +664,21 @@ def test_slope_estimate_check_refuses_a_time_index_outside_the_grid(two_point, t
 
 def reference_worse(worst, residual, t, labels):
     """Reference per-time reducer for the HJ grid verdicts: a later time
-    replaces the worst only when strictly larger, and argmax picks the first
-    index, a NaN if there is one, which then never wins."""
+    replaces the worst when strictly larger or when it holds the first NaN,
+    and argmax picks the first index, a NaN if there is one.  A NaN worst
+    stays."""
     k = int(np.argmax(residual))
-    if residual[k] > worst[0]:
+    if not math.isnan(worst[0]) and (math.isnan(residual[k]) or residual[k] > worst[0]):
         return float(residual[k]), f"y={labels[k]},t={t:g}"
     return worst
 
 
-def test_worst_case_first_wins_and_never_picks_nan():
+def same_worst(got, want):
+    """Equal worst slacks and locations, NaN equal to NaN."""
+    return got[1] == want[1] and (got[0] == want[0] or math.isnan(got[0]) and math.isnan(want[0]))
+
+
+def test_worst_case_first_wins_and_picks_the_first_nan():
     labels = ["a", "b", "c"]
     # across cases the first case wins a tie; within a case the first index
     tie = [(np.array([0.0, 2.0, 2.0]), "y", "t=1"), (np.array([2.0, 1.0, 0.0]), "y", "t=2")]
@@ -681,16 +687,18 @@ def test_worst_case_first_wins_and_never_picks_nan():
     # several axes name the row-major first index attaining the maximum
     gap = np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 3.0], [1.0, 1.0, 0.0]])
     assert worst_case([(gap, "xy", "s=1,t=2")], labels) == (3.0, "x=a,y=b,s=1,t=2")
-    # a gap holding NaN is never chosen, whatever its other entries
-    nan_gap = np.array([np.nan, 9.0, 0.0])
-    assert worst_case([(nan_gap, "y", "t=1"), (np.array([1.0, 0.5, 0.0]), "y", "t=2")], labels) == (1.0, "y=a,t=2")
-    assert worst_case([(nan_gap, "y", "t=1")], labels) == (-math.inf, None)
+    # a NaN entry is the worst: the first case holding NaN and its first NaN win, and no later case is read
+    nan_gap = np.array([0.0, np.nan, 5.0, np.nan])
+    assert same_worst(worst_case([(np.array([np.nan, 5.0]), "y", "t=1")], labels), (math.nan, "y=a,t=1"))
+    cases = [(np.array([9.0, 0.0, 0.0, 0.0]), "y", "t=1"), (nan_gap, "y", "t=2"), (nan_gap[::-1], "y", "t=3")]
+    assert same_worst(worst_case(iter(cases + [None]), labels + ["d"]), (math.nan, "y=b,t=2"))
     assert worst_case([], labels) == (-math.inf, None)
     assert worst_case(iter(()), labels) == (-math.inf, None)
     # a scalar gap has no axes: its suffix is the whole location
-    scalars = [(np.float64(np.nan), "", "z=c,y=c,t=0"), (np.float64(1.0), "", "z=a,y=b,t=1")]
+    scalars = [(np.float64(0.5), "", "z=c,y=c,t=0"), (np.float64(1.0), "", "z=a,y=b,t=1")]
     scalars.append((np.float64(1.0), "", "z=c,y=a,t=2"))
     assert worst_case(scalars, labels) == (1.0, "z=a,y=b,t=1")
+    assert same_worst(worst_case(scalars + [(np.float64(np.nan), "", "z=a,y=a,t=3")], labels), (math.nan, "z=a,y=a,t=3"))
     # labels map the indices, e.g. HJ nodes to their base ids
     assert worst_case([(np.array([0.0, 1.0]), "y", "t=0.5")], ["y0000", "y0100"]) == (1.0, "y=y0100,t=0.5")
 
@@ -705,7 +713,21 @@ def test_worst_case_equals_the_per_time_reducer_on_ties_and_nans():
         expected = (-math.inf, None)
         for t, row in zip(times, rows):
             expected = reference_worse(expected, row, t, labels)
-        assert worst_case([(row, "y", f"t={t:g}") for t, row in zip(times, rows)], labels) == expected
+        assert same_worst(worst_case([(row, "y", f"t={t:g}") for t, row in zip(times, rows)], labels), expected)
+
+
+def test_suite_items_fail_a_nan_gap_at_its_node(paper):
+    # u holds NaN at one node: every item that reads u there fails with NaN at the first gap that holds it
+    L, sec = paper.lagrangian(), paper.section()
+    table = evolution_table(sec, L, paper.grids.times)
+    table.u[1, 5] = np.nan
+    items = {v.check: v for v in proposition_suite(sec, L, table, labels=paper.base_ids)[0]}
+    failed = {key for key, v in items.items() if v.status == "FAIL"}
+    keys = "a_bounds c_spatial_estimate d_cross_time_estimate e_boundary_rate f_time_monotone i_time_lipschitz"
+    assert failed == {f"suite_{key}" for key in keys.split()}
+    assert all(math.isnan(items[key].worst_slack) for key in failed)
+    assert items["suite_a_bounds"].location == "y=y005,t=0.02"
+    assert items["suite_f_time_monotone"].location == "y=y005,s=0.01,t=0.02"
 
 
 def test_verdict_from_slack_and_strict_json():
