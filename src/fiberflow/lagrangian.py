@@ -10,6 +10,7 @@ transform and the biconjugate are finite maxima taken by `conjugate`.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -80,30 +81,39 @@ def model_quadratic() -> Lagrangian:
     return Lagrangian(fn=_half_square, nondecreasing_convex=True)
 
 
-def _power_chain(v, n: int):
-    """v^n for an integer n >= 1 by square-and-multiply, low bit of n first.
+@functools.lru_cache(maxsize=64)
+def _power_factory(n: int):
+    """`make(scale, exponent)`, giving v -> scale * v^n / exponent in one frame.
 
+    v^n is square-and-multiply unrolled from the bits of n, low bit first:
     v^3 = v * v^2, v^4 = v^2 * v^2, v^5 = v * v^4, v^6 = v^2 * v^4.  Each
     step is one correctly rounded IEEE multiplication, so the result is the
-    same for a float and for an array, and on every CPU.
+    same for a float and for an array, and on every CPU.  The source holds
+    only the chain's steps, so building it once per n costs O(log n).
     """
-    result = None
+    steps, started = [], False
     while True:
         if n & 1:
-            result = v if result is None else result * v
+            steps.append("r = r * v" if started else "r = v")
+            started = True
         n >>= 1
         if not n:
-            return result
-        v = v * v
+            break
+        steps.append("v = v * v")
+    body = "".join(f"        {step}\n" for step in steps)
+    namespace = {}
+    exec(f"def make(scale, exponent):\n    def fn(v):\n{body}        return scale * r / exponent\n    return fn", namespace)
+    return namespace["make"]
 
 
 def power_lagrangian(exponent: float, scale: float = 1.0) -> Lagrangian:
     """L(v) = scale * v^exponent / exponent, convex for finite exponent >= 1.
 
     Exponent 2 at scale 1 is the model penalty, `model_quadratic`.  Another
-    integer exponent evaluates v^exponent by `_power_chain`, so L gives the
-    same bits on every CPU.  Any other exponent goes through `np.power`,
-    whose last bits may differ by CPU (numpy dispatches it to SIMD kernels).
+    integer exponent evaluates v^exponent by the unrolled multiplication chain
+    of `_power_factory`, so L gives the same bits on every CPU.  Any other
+    exponent goes through `np.power`, whose last bits may differ by CPU (numpy
+    dispatches it to SIMD kernels).
     """
     if not 1 <= exponent <= FLOAT_MAX:
         raise PreconditionError(f"power_lagrangian needs a finite exponent >= 1 for convexity, got {exponent!r}")
@@ -112,8 +122,7 @@ def power_lagrangian(exponent: float, scale: float = 1.0) -> Lagrangian:
     if exponent == 2.0 and scale == 1.0:
         return model_quadratic()
     if float(exponent).is_integer():
-        n = int(exponent)
-        fn = lambda v: scale * _power_chain(v, n) / exponent
+        fn = _power_factory(int(exponent))(scale, exponent)
     else:
         fn = lambda v: scale * np.power(v, exponent) / exponent
     return Lagrangian(fn=fn, nondecreasing_convex=scale >= 0)

@@ -26,7 +26,7 @@ from .semigroup import evolve_all
 Array = np.ndarray
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# golden section stops at a bracket this narrow, the descent after a sweep moving no node this far
+# golden section stops at a bracket this narrow (see _golden_node), the descent after a sweep moving no node this far
 GOLDEN_TOL = 1e-12
 SWEEP_TOL = 1e-10
 # the most time steps of a curve: the descent is a Python loop over the nodes
@@ -39,21 +39,30 @@ def action(nodes: Array, t: float, L: Lagrangian) -> float:
     return float(np.sum(L(np.diff(nodes) / ds)) * ds)
 
 
-def _golden_section(fun, lo: float, hi: float) -> float:
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > GOLDEN_TOL:
+def _golden_node(fn, a: float, b: float, ds: float) -> float:
+    """Golden-section minimum over w between a and b of fn((w - a) / ds) + fn((b - w) / ds).
+
+    Stops at a bracket of GOLDEN_TOL, or of one ulp of its end of larger
+    magnitude where that is wider: from 2^13 up one float step exceeds
+    GOLDEN_TOL, and a bracket one step wide stalls with both probes rounded
+    onto its ends.
+    """
+    lo, hi = (a, b) if a <= b else (b, a)
+    tol = max(GOLDEN_TOL, math.ulp(max(-lo, hi)))
+    c = hi - GOLDEN * (hi - lo)
+    d = lo + GOLDEN * (hi - lo)
+    fc = fn((c - a) / ds) + fn((b - c) / ds)
+    fd = fn((d - a) / ds) + fn((b - d) / ds)
+    while hi - lo > tol:
         if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = fun(c)
+            hi, d, fd = d, c, fc
+            c = hi - GOLDEN * (hi - lo)
+            fc = fn((c - a) / ds) + fn((b - c) / ds)
         else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = fun(d)
-    return (a + b) / 2.0
+            lo, c, fc = c, d, fd
+            d = lo + GOLDEN * (hi - lo)
+            fd = fn((d - a) / ds) + fn((b - d) / ds)
+    return (lo + hi) / 2.0
 
 
 def minimize_interior(
@@ -81,14 +90,7 @@ def minimize_interior(
         max_change = 0.0
         for k in range(1, m):
             a, b = nodes[k - 1], nodes[k + 1]
-            if quadratic:
-                new = 0.5 * (a + b)
-            else:
-                def local(w, a=a, b=b):
-                    return fn((w - a) / ds) + fn((b - w) / ds)
-
-                lo, hi = (a, b) if a <= b else (b, a)
-                new = _golden_section(local, lo, hi)
+            new = 0.5 * (a + b) if quadratic else _golden_node(fn, a, b, ds)
             max_change = max(max_change, abs(new - nodes[k]))
             nodes[k] = new
         if max_change < SWEEP_TOL:

@@ -109,7 +109,19 @@ def test_power_refuses_a_non_finite_exponent_or_scale(exponent, scale):
         power_lagrangian(exponent, scale)
 
 
-# v^p by square-and-multiply, low bit first, in Python floats
+def power_chain(v, n: int):
+    """Reference v^n for an integer n >= 1: square-and-multiply in a loop, low bit of n first."""
+    result = None
+    while True:
+        if n & 1:
+            result = v if result is None else result * v
+        n >>= 1
+        if not n:
+            return result
+        v = v * v
+
+
+# the chains spelled out, in Python floats
 CHAINS = {
     1: lambda v: v,
     2: lambda v: v * v,
@@ -118,16 +130,25 @@ CHAINS = {
     5: lambda v: v * ((v * v) * (v * v)),
     8: lambda v: ((v * v) * (v * v)) * ((v * v) * (v * v)),
 }
+# every n to 64, 2^k - 1, 2^k and 2^k + 1 to k = 20, and two chains of about 1024 squarings
+CHAIN_EXPONENTS = sorted(
+    set(range(1, 65)) | {2**k + d for k in range(1, 21) for d in (-1, 0, 1)} | {2**1000, int(1.7e308)}
+)
+# zero of both signs, the least subnormal, one, a negative slope, speeds whose powers overflow, inf and NaN
+SPECIAL_SPEEDS = [0.0, -0.0, 5e-324, 1.0, -2.5, 1e155, 1e300, math.inf, math.nan]
 
 
-@pytest.mark.parametrize("p", sorted(CHAINS))
+@pytest.mark.parametrize("p", CHAIN_EXPONENTS, ids=lambda p: {2**1000: "2^1000", int(1.7e308): "1.7e308"}.get(p, str(p)))
 def test_integer_power_penalty_is_a_multiplication_chain(p):
-    v = np.random.default_rng(p).uniform(0.0, 50.0, 200_000)
-    for scale in (1.0, 0.3):
-        L = power_lagrangian(float(p), scale)
-        expected = np.array([scale * CHAINS[p](x) / p for x in v.tolist()])
-        assert L(v).tobytes() == expected.tobytes()
-        assert np.array([L.fn(x) for x in v.tolist()]).tobytes() == expected.tobytes()
+    v = np.concatenate([SPECIAL_SPEEDS, np.random.default_rng(p).uniform(0.0, 50.0, 2_000)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p in CHAINS:
+            assert np.array([CHAINS[p](x) for x in v.tolist()]).tobytes() == power_chain(v, p).tobytes()
+        for scale in (1.0, 0.3):
+            L = power_lagrangian(float(p), scale)
+            expected = np.array([scale * power_chain(x, p) / float(p) for x in v.tolist()])
+            assert L(v).tobytes() == expected.tobytes()
+            assert np.array([L.fn(x) for x in v.tolist()]).tobytes() == expected.tobytes()
 
 
 def test_two_point_transform_table(two_point):

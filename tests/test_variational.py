@@ -87,6 +87,24 @@ def test_golden_section_path_with_quartic_penalty(two_point):
     assert hashlib.sha256(r.nodes.tobytes()).hexdigest() == "7daeab6a5a7da82cd0ea2edd5150614d90cc65661c445e1caa11cc616f4109c2"
 
 
+@pytest.mark.parametrize("shift", [1e4, 1e5])
+def test_golden_search_ends_for_node_values_past_two_to_the_thirteen(two_point, shift):
+    # past 2^13 one ulp of a node exceeds GOLDEN_TOL: a search that stops only at GOLDEN_TOL stalls
+    # there, with both probes rounded onto the ends of a bracket one ulp wide
+    quartic, calls = power_lagrangian(4.0).fn, 0
+
+    def counted(v):
+        nonlocal calls
+        calls += 1
+        if calls > 10**4:
+            raise RuntimeError("the golden search did not end")
+        return quartic(v)
+
+    start = straight_curve(two_point, 1, 0, 6) + shift
+    nodes, _ = minimize_interior(start, 2.0, Lagrangian(fn=counted), max_sweeps=5)
+    assert np.abs(nodes - start).max() <= 1e-6
+
+
 def test_refining_steps_never_increases_value(paper):
     sec, L = paper.section(), paper.lagrangian()
     values = [
@@ -191,9 +209,12 @@ def reference_minimize_interior(nodes, t, L, tol=1e-10, max_sweeps=10_000):
         power_lagrangian(1.5),
         power_lagrangian(3.5),
         power_lagrangian(4.0),
+        power_lagrangian(3.0, 0.3),
+        power_lagrangian(6.0),
+        power_lagrangian(7.0),
         Lagrangian(fn=np.exp),
     ],
-    ids=["power-1.5", "power-3.5", "power-4", "exp"],
+    ids=["power-1.5", "power-3.5", "power-4", "power-3-scale-0.3", "power-6", "power-7", "exp"],
 )
 def test_float_search_equals_the_array_search_bit_for_bit(two_point, paper, penalty, max_sweeps):
     for scenario, y in ((two_point, 1), (paper, 0), (paper, 40)):
