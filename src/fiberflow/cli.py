@@ -62,7 +62,7 @@ def cmd_evolve(ns) -> int:
         scenario.lagrangian(),
         times,
         tau_tie=scenario.grids.tau_tie,
-        hj_radius=scenario.grids.hj_radius,
+        hj_radius=scenario.grids.effective_hj_radius(),
     )
     out = Path(ns.out) / f"{scenario.report_prefix}_evolution.csv"
     write_evolution_csv(out, scenario, table)

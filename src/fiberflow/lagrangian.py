@@ -199,7 +199,7 @@ def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:
 
     Time scaling takes t L(d / t) against the running minimum of s L(d / s)
     over earlier times: rounding is monotone, so it equals the pair maximum
-    bit for bit.  Fewer than two times give 0; an inf or NaN slack fails.
+    bit for bit.  Fewer than two distinct times give 0; an inf or NaN slack fails.
     """
     t_list = as_floats(t_list, "t_list")
     if t_list.size == 0 or not np.all((0 < t_list) & (t_list < math.inf)):  # NaN too
@@ -252,8 +252,8 @@ def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:
                 break  # no later slack replaces the first NaN
 
     dvals = np.unique(D)
-    ts = np.sort(t_list)
-    scaling_worst = 0.0 if ts.size < 2 else -math.inf  # fewer than two times: nothing to compare
+    ts = np.unique(t_list)  # distinct times: the axiom compares s < t
+    scaling_worst = 0.0 if ts.size < 2 else -math.inf  # fewer than two distinct times: nothing to compare
     low = ts[0] * L(dvals / ts[0])
     for t in ts[1:]:
         phi = t * L(dvals / t)

@@ -55,7 +55,8 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
     )
 
     # the evolution under L and under the model penalty, read by every check below
-    table = evolution_table(section, L, grids.times, tau_tie=grids.tau_tie, hj_radius=grids.hj_radius)
+    radius = grids.effective_hj_radius()
+    table = evolution_table(section, L, grids.times, tau_tie=grids.tau_tie, hj_radius=radius)
     model = table
     if not L.is_model_quadratic:
         model = evolution_table(section, model_quadratic(), grids.times, tau_tie=grids.tau_tie)
@@ -148,7 +149,6 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
     # Hamilton-Jacobi residual grids, at every hj_base_stride-th base point
     hj_ids = list(range(0, scenario.n_base, max(1, grids.hj_base_stride)))
     hj_times = grids.effective_hj_times()
-    radius = grids.hj_radius if grids.hj_radius is not None else max(grids.radii)
     plain, lipschitz, flagged = [], [], 0
     for t in hj_times:
         hj, hj_lipschitz = hj_residuals(section, float(t), radius, hj_ids)
@@ -160,18 +160,18 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
     slack, loc = worst_case(plain, hj_labels)
     note = f"{flagged} nodes had no neighbors in radius"
     verdicts.append(Verdict.from_slack("hj_residual_grid", slack, HJ_TOLERANCE, loc, note=note))
+    ils = global_ILS(section)
     if lipschitz:  # hj_residuals gives no Lipschitz form without a finite nonzero ILS
         slack, loc = worst_case(lipschitz, hj_labels)
         verdicts.append(Verdict.from_slack("hj_residual_lipschitz_grid", slack, HJ_TOLERANCE, loc))
     else:
-        verdicts.append(
-            Verdict("hj_residual_lipschitz_grid", "SKIPPED", None, None, note="ILS estimate not finite")
-        )
+        note = "ILS estimate is 0" if ils == 0.0 else "ILS estimate not finite"
+        verdicts.append(Verdict("hj_residual_lipschitz_grid", "SKIPPED", None, None, note=note))
 
     # reports
     slopes = local_slopes(section, grids.radii)
     transforms = []
-    if math.isfinite(global_ILS(section)):  # the default xi grid spans [0, ILS]
+    if math.isfinite(ils):  # the default xi grid spans [0, ILS]
         transforms = [
             legendre_transform(L, section, yi, float(t), xi_resolution=grids.xi_resolution)
             for yi in hj_ids

@@ -1,5 +1,6 @@
 """Scenario files: the JSON data model tying spaces, sections, penalties and
-evaluation grids together, plus the bundled scenario builders.
+evaluation grids together, plus the bundled scenario builders, whose
+documents are read as a file is.
 
 The schema (version 1) is documented in the README.  Loading performs three
 stages with separate error types: JSON parsing (ScenarioFormatError with
@@ -13,22 +14,20 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ScenarioFormatError, ScenarioValidationError
+from .errors import PreconditionError, ScenarioFormatError, ScenarioValidationError
 from .geometry import DEFAULT_TAU_GEO, FiberGeometry, FiberedSpace, PointSet, SegmentUnion, SpaceReport, validate_space
 from .lagrangian import MODEL_QUADRATIC, SPEC_NAMES, XI_RESOLUTION_MAX, Lagrangian, lagrangian_from_spec
-from .section import DEFAULT_TAU_SEC, Section, validate_section
+from .section import DEFAULT_TAU_SEC, FLOAT_MAX, Section, validate_section
 from .semigroup import DEFAULT_TAU_TIE
 
 Array = np.ndarray
 
 SCHEMA_VERSION = 1
-_FLOAT_MAX = sys.float_info.max
 # largest coordinate magnitude: squared coordinate differences stay below
 # 2^1002, so the distance kernels' sums of squares cannot overflow
 COORD_MAX = 2.0**500
@@ -88,6 +87,9 @@ class GridSpec:
     def effective_hj_times(self) -> list[float]:
         return self.hj_times if self.hj_times is not None else self.times
 
+    def effective_hj_radius(self) -> float:
+        return self.hj_radius if self.hj_radius is not None else max(self.radii)
+
 
 @dataclass(eq=False)
 class Scenario:
@@ -119,7 +121,7 @@ class Scenario:
         try:
             return self.base_ids.index(base_id)
         except ValueError:
-            raise ScenarioValidationError(f"unknown base id {base_id!r}") from None
+            raise PreconditionError(f"unknown base id {base_id!r}") from None
 
     def space(self) -> FiberedSpace:
         if self._space is None:
@@ -148,7 +150,7 @@ def _expect(cond: bool, message: str, *args):
         raise ScenarioFormatError(message.format(*args) if args else message)
 
 
-def _is_number(v, bound: float = _FLOAT_MAX) -> bool:
+def _is_number(v, bound: float = FLOAT_MAX) -> bool:
     """A JSON number of magnitude at most `bound` (default: a finite float);
     booleans are not numbers here."""
     return type(v) in (int, float) and -bound <= v <= bound
@@ -338,6 +340,14 @@ def validate_scenario(scenario: Scenario) -> None:
         raise ScenarioValidationError(f"section values off their fibers: {bad}")
 
 
+def _read(doc: dict) -> Scenario:
+    """The scenario `doc` describes, parsed and validated: the one route by
+    which a file and a bundled builder's document become a Scenario."""
+    scenario = scenario_from_dict(doc)
+    validate_scenario(scenario)
+    return scenario
+
+
 def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
@@ -350,9 +360,7 @@ def load_scenario(path) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    scenario = scenario_from_dict(doc)
-    validate_scenario(scenario)
-    return scenario
+    return _read(doc)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -430,18 +438,9 @@ def two_point_scenario() -> Scenario:
             "b1": {"type": "points", "data": [[1.0, 1.0]]},
         },
         "section": {"b0": [0.0, 0.0], "b1": [1.0, 1.0]},
-        "lagrangian": {"name": "model-quadratic", "params": {}},
-        "grids": {
-            "times": [1.0, 1.5, 2.0, 4.0],
-            "xi_resolution": 101,
-            "radii": [2.0, 1.0],
-            "hj_radius": 2.0,
-            "tolerances": {"tau_geo": 1e-9, "tau_sec": 1e-9, "tau_tie": 1e-9},
-        },
+        "grids": {"times": [1.0, 1.5, 2.0, 4.0], "radii": [2.0, 1.0], "hj_radius": 2.0},
     }
-    scenario = scenario_from_dict(doc)
-    validate_scenario(scenario)
-    return scenario
+    return _read(doc)
 
 
 def paper_counterexample() -> Scenario:
@@ -495,15 +494,12 @@ def paper_counterexample() -> Scenario:
         "base": base,
         "fibers": fibers,
         "section": section,
-        "lagrangian": {"name": "model-quadratic", "params": {}},
         "grids": {
             "times": [0.01, 0.02, 0.03, 0.04],
-            "xi_resolution": 101,
             "radii": [0.35, 0.25, 0.15],
             "hj_radius": 0.05,
             "hj_times": [0.5, 1.0, 2.0, 4.0, 8.0],
             "hj_base_stride": 20,
-            "tolerances": {"tau_geo": 1e-9, "tau_sec": 1e-9, "tau_tie": 1e-9},
         },
         "reference_triple": {
             "x": "y010",
@@ -512,9 +508,7 @@ def paper_counterexample() -> Scenario:
             "stated_constant": math.sqrt(5.0 / 4.0),
         },
     }
-    scenario = scenario_from_dict(doc)
-    validate_scenario(scenario)
-    return scenario
+    return _read(doc)
 
 
 def singleton_constant_scenario() -> Scenario:
@@ -535,18 +529,9 @@ def singleton_constant_scenario() -> Scenario:
             "p2": {"type": "points", "data": [[5.0, 2.0]]},
         },
         "section": {"p0": [5.0, 0.0], "p1": [5.0, 1.0], "p2": [5.0, 2.0]},
-        "lagrangian": {"name": "model-quadratic", "params": {}},
-        "grids": {
-            "times": [0.5, 1.0, 2.0],
-            "xi_resolution": 101,
-            "radii": [1.5],
-            "hj_radius": 1.5,
-            "tolerances": {"tau_geo": 1e-9, "tau_sec": 1e-9, "tau_tie": 1e-9},
-        },
+        "grids": {"times": [0.5, 1.0, 2.0], "radii": [1.5], "hj_radius": 1.5},
     }
-    scenario = scenario_from_dict(doc)
-    validate_scenario(scenario)
-    return scenario
+    return _read(doc)
 
 
 def tie_scenario() -> Scenario:
@@ -566,18 +551,9 @@ def tie_scenario() -> Scenario:
             "c": {"type": "points", "data": [[2.0], [-3.0]]},
         },
         "section": {"a": [0.0], "b": [-1.5], "c": [-3.0]},
-        "lagrangian": {"name": "model-quadratic", "params": {}},
-        "grids": {
-            "times": [1.0],
-            "xi_resolution": 101,
-            "radii": [15.0],
-            "hj_radius": 0.5,
-            "tolerances": {"tau_geo": 1e-9, "tau_sec": 1e-9, "tau_tie": 1e-9},
-        },
+        "grids": {"times": [1.0], "radii": [15.0], "hj_radius": 0.5},
     }
-    scenario = scenario_from_dict(doc)
-    validate_scenario(scenario)
-    return scenario
+    return _read(doc)
 
 
 def _jittered_lattice(rng, count: int, kappa: int, spacing: float, jitter: float) -> Array:
@@ -596,27 +572,20 @@ def random_scenario(seed: int) -> Scenario:
     rng = np.random.default_rng(seed)
     kappa = int(rng.integers(1, 4))
     n = int(rng.integers(3, 9))
-    base_points = _jittered_lattice(rng, n, kappa, spacing=1.0, jitter=0.2)
+    base_points = _jittered_lattice(rng, n, kappa, spacing=1.0, jitter=0.2).tolist()
     centers = _jittered_lattice(rng, n, kappa, spacing=2.5, jitter=0.2)
-    fibers = []
-    values = []
-    for i in range(n):
+    ids = [f"r{i:02d}" for i in range(n)]
+    fibers = {}
+    for i, bid in enumerate(ids):
         n_pts = int(rng.integers(1, 4))
-        pts = centers[i] + rng.uniform(-0.4, 0.4, size=(n_pts, kappa))
-        fibers.append(PointSet(points=pts))
-        values.append(pts[0])
-    times = np.sort(rng.uniform(0.3, 5.0, size=3))
-    scenario = Scenario(
-        name=f"random-{seed}",
-        description="seeded random scenario",
-        kappa=kappa,
-        base_ids=[f"r{i:02d}" for i in range(n)],
-        base_points=base_points,
-        params=np.arange(n, dtype=float),
-        fibers=tuple(fibers),
-        section_values=np.array(values),
-        lagrangian_spec={"name": "model-quadratic", "params": {}},
-        grids=GridSpec(times=[float(t) for t in times], radii=[4.0, 2.0], hj_radius=0.25),
-    )
-    validate_scenario(scenario)
-    return scenario
+        fibers[bid] = {"type": "points", "data": (centers[i] + rng.uniform(-0.4, 0.4, size=(n_pts, kappa))).tolist()}
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "meta": {"name": f"random-{seed}", "description": "seeded random scenario"},
+        "kappa": kappa,
+        "base": [{"id": bid, "point": base_points[i], "param": float(i)} for i, bid in enumerate(ids)],
+        "fibers": fibers,
+        "section": {bid: fibers[bid]["data"][0] for bid in ids},
+        "grids": {"times": np.sort(rng.uniform(0.3, 5.0, size=3)).tolist(), "radii": [4.0, 2.0], "hj_radius": 0.25},
+    }
+    return _read(doc)

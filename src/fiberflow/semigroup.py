@@ -281,7 +281,8 @@ def proposition_suite(
     def skip(key: str, why: str):
         items.append(Verdict(f"suite_{key}", "SKIPPED", None, None, note=why))
 
-    pairs = [(i, j) for i in range(times.size) for j in range(i + 1, times.size)]
+    # items d, f, g and i are stated for s < t: a repeated grid time forms no pair
+    pairs = [(i, j) for i in range(times.size) for j in range(i + 1, times.size) if times[i] < times[j]]
 
     # (a) pointwise bounds: min of all coordinates <= u <= g + t L(0)
     L0 = float(L(0.0))

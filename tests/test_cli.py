@@ -142,6 +142,14 @@ def test_non_finite_or_nonpositive_time_is_refused(two_point_file, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["transform", "variational"])
+def test_unknown_base_id_is_a_refused_precondition(two_point_file, tmp_path, capsys, command):
+    out = tmp_path / "rep"
+    assert main(["--out", str(out), command, two_point_file, "--y", "nope", "--t", "1.0"]) == 6
+    assert "error: unknown base id 'nope'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_utf8_scenario_is_a_format_error(tmp_path, capsys):
     path = tmp_path / "latin.json"
     path.write_bytes(b"\xff\xfe")

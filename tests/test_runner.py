@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from fiberflow import geometry, semigroup
+from fiberflow.cli import main
 from fiberflow.geometry import FiberedSpace
 from fiberflow.lagrangian import model_quadratic
+from fiberflow.reports import fmt
 from fiberflow.runner import run_check
 from fiberflow.scenario import (
     Scenario,
@@ -26,7 +28,7 @@ from fiberflow.scenario import (
     two_point_scenario,
     write_scenario,
 )
-from fiberflow.semigroup import evolution_table
+from fiberflow.semigroup import evolution_table, hj_residuals
 from test_section import segments_section, two_line_section, unequal_section
 from test_semigroup import reference_pair_slack
 
@@ -209,6 +211,24 @@ def test_boundary_rate_does_not_depend_on_xi_resolution(tmp_path, xi_resolution)
     assert code == 0
 
 
+def test_check_and_evolve_default_the_hj_radius_to_the_largest_slope_radius(tmp_path):
+    doc = scenario_to_dict(two_point_scenario())
+    del doc["grids"]["hj_radius"]  # radii [2.0, 1.0]
+    scenario = scenario_from_dict(doc)
+    bundle, _, _ = run_check(scenario, tmp_path / "check")
+    section = scenario.section()
+    rows = [line.split(",") for line in bundle.evolution_csv.read_text().splitlines()[1:]]
+    for ti, t in enumerate(scenario.grids.times):
+        hj = hj_residuals(section, t, 2.0)[0]
+        for y, bid in enumerate(scenario.base_ids):
+            row = rows[y * len(scenario.grids.times) + ti]
+            assert row[:2] == [bid, fmt(t)]
+            assert row[6:] == [fmt(hj.residual[y]), str(int(hj.n_neighbors[y] == 0))]
+    path = write_scenario(scenario, tmp_path / "scenario.json")
+    assert main(["--out", str(tmp_path / "evolve"), "evolve", str(path)]) == 0
+    assert (tmp_path / "evolve" / bundle.evolution_csv.name).read_bytes() == bundle.evolution_csv.read_bytes()
+
+
 def test_lipschitz_grid_is_skipped_without_a_finite_nonzero_ils(tmp_path):
     # f(b0) on the fiber of b1 makes the ILS infinite (and the geometry
     # invalid); a single base point has ILS 0
@@ -225,5 +245,6 @@ def test_lipschitz_grid_is_skipped_without_a_finite_nonzero_ils(tmp_path):
             warnings.simplefilter("ignore")  # global_ILS warns on a single base point
             _, verdicts, _ = run_check(scenario_from_dict(doc), tmp_path / str(k))
         v = _verdict(verdicts, "hj_residual_lipschitz_grid")
-        assert (v.status, v.worst_slack, v.location, v.note) == ("SKIPPED", None, None, "ILS estimate not finite")
+        note = ("ILS estimate not finite", "ILS estimate is 0")[k]
+        assert (v.status, v.worst_slack, v.location, v.note) == ("SKIPPED", None, None, note)
         assert _verdict(verdicts, "hj_residual_grid").status != "SKIPPED"

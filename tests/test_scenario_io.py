@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -29,19 +30,19 @@ from fiberflow.scenario import (
 from fiberflow.section import DEFAULT_TAU_SEC
 from fiberflow.semigroup import DEFAULT_TAU_TIE
 from test_cli import DELETE, PROBE_DOCS, PROBE_PATHS, PROBE_VALUES, _mutate, mutated_docs
+from test_runner import BUNDLED
 
 
-def test_round_trip_reproduces_values_exactly(tmp_path, paper):
-    path = write_scenario(paper, tmp_path / "paper.json")
-    reloaded = load_scenario(path)
-    assert reloaded.base_ids == paper.base_ids
-    assert np.array_equal(reloaded.base_points, paper.base_points)
-    assert np.array_equal(reloaded.section_values, paper.section_values)
-    assert np.array_equal(reloaded.params, paper.params)
-    for a, b in zip(reloaded.fibers, paper.fibers):
-        assert np.array_equal(a.points, b.points)
-    assert reloaded.grids.times == paper.grids.times
-    assert reloaded.reference_triple == paper.reference_triple
+BUILT_INS = [
+    *(pytest.param(build, id=name) for name, build in BUNDLED.items()),
+    *(pytest.param(functools.partial(random_scenario, k), id=f"random-{k}") for k in range(10)),
+]
+
+
+@pytest.mark.parametrize("build", BUILT_INS)
+def test_round_trip_reproduces_values_exactly(tmp_path, build):
+    reloaded = load_scenario(write_scenario(build(), tmp_path / "scenario.json"))
+    assert _scenario_fields(reloaded) == _scenario_fields(build())  # bit for bit
 
 
 def test_coordinates_at_the_bound_give_finite_distances():

@@ -589,6 +589,19 @@ def test_suite_paper_passes(paper):
     assert axioms.passed
 
 
+@pytest.mark.parametrize("name", ["two_point", "paper"])
+def test_suite_and_axioms_compare_only_distinct_times(request, name):
+    # items d, f, g and i and the time-scaling axiom are stated for s < t; at
+    # the two-point scenario's t = 1 the argmin set of b1 is a tie, so a pair
+    # of equal times would read D+ = sqrt(2) against D- = 0
+    scenario = request.getfixturevalue(name)
+    sec, L = scenario.section(), scenario.lagrangian()
+    times = scenario.grids.times
+    want = proposition_suite(sec, L, evolution_table(sec, L, times), labels=scenario.base_ids)
+    repeated = times + times[:2]
+    assert proposition_suite(sec, L, evolution_table(sec, L, repeated), labels=scenario.base_ids) == want
+
+
 def suite_item(items, check):
     return next(item for item in items if item.check == check)
 
