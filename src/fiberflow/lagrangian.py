@@ -307,7 +307,7 @@ def legendre_transform(
 
     With no explicit grid, xi samples [0, ILS] uniformly at `xi_resolution`
     points, an integer in [1, XI_RESOLUTION_MAX], ILS being the computable
-    global estimate.
+    global estimate; an infinite ILS, or the 0 of a single base point, is refused.
     """
     y = checked_index(y, section.n_base)
     if not (0 < t <= FLOAT_MAX):  # NaN too
@@ -315,8 +315,8 @@ def legendre_transform(
     w = np.sort(section.fiber_distances()[y] / t)  # the achievable speeds
     if xi_grid is None:
         ils = global_ILS(section)
-        if not math.isfinite(ils):
-            raise PreconditionError("default xi grid needs a finite ILS estimate")
+        if not (math.isfinite(ils) and ils != 0.0):
+            raise PreconditionError(f"default xi grid needs a finite nonzero ILS estimate, got ILS = {ils!r}")
         if not (isinstance(xi_resolution, numbers.Integral) and 1 <= xi_resolution <= XI_RESOLUTION_MAX):
             raise PreconditionError(f"xi_resolution must be an integer in [1, {XI_RESOLUTION_MAX}]")
         xi_grid = np.linspace(0.0, ils, xi_resolution)

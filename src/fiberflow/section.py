@@ -9,7 +9,6 @@ asymmetry is what the probe at the bottom of this module quantifies.
 from __future__ import annotations
 
 import numbers
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,11 +127,11 @@ def global_ILS(section: Section) -> float:
     d(f(y1), f(y2)) / d(f(y1), fiber(y2)).
 
     Returns inf when some pair has zero fiber distance but distinct values;
-    a single-point base set has no pairs and yields 0 with a warning.
-    The value is cached on the section.
+    a single-point base set has no pairs and yields 0, the supremum of no
+    ratios under the convention of `_ratios`, which leaves the readers of
+    [0, ILS] nothing to tabulate.  The value is cached on the section.
     """
     if section.n_base < 2:
-        warnings.warn("global_ILS is undefined on a single-point base set; returning 0")
         return 0.0
     if section._ils is None:
         section._ils = float(_ratios(section).max())

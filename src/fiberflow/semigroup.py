@@ -28,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError
+from .geometry import PRUNE_MARGIN
 from .lagrangian import AxiomReport, Lagrangian, certification_grid, check_axioms, model_quadratic
 from .section import FLOAT_MAX, Section, as_floats, bound_K, checked_index, g_field, global_ILS
 
@@ -40,6 +41,8 @@ SLACK_TOLERANCE = 1e-9
 FD_STEP_SCALE = float(np.sqrt(np.finfo(float).eps))
 # the quasi-minimizer trace halves its time this many times
 TRACE_LEVELS = 20
+# the smallest normal float, which bounds an underflowed square in the trace's certificate
+TINY = float(np.finfo(float).tiny)
 
 
 def _branches(section: Section, L: Lagrangian, t: float, rows=slice(None)) -> Array:
@@ -166,6 +169,28 @@ def slope_estimate_check(section: Section, table: EvolutionTable, ti: int) -> Ar
     return slack
 
 
+def _trace_schedule(section: Section) -> tuple[Array, Array, Array]:
+    """(times, slacks, quasi_bound) of the quasi-minimizer trace: t_n = scale * 2^-n
+    for n = 0, ..., TRACE_LEVELS with scale = max(1, sup |f|), the slack 1/n of a
+    quasi-minimizing sequence (1 at n = 0), and the bound 2 t_n (2 ||f||_inf + 1/n)."""
+    sup = section.sup_norm()
+    times = max(1.0, sup) * 2.0 ** -np.arange(TRACE_LEVELS + 1.0)
+    slacks = 1.0 / np.maximum(np.arange(TRACE_LEVELS + 1.0), 1.0)
+    return times, slacks, 2.0 * times * (2.0 * sup + slacks)
+
+
+def _quasi_level(section: Section, t: float, slack: float, rows=slice(None), tau_tie=None) -> tuple[Array, ...]:
+    """(quasi_dist, argmin_dist) of one trace level for the base points
+    `rows`, from their model branch rows B and minima u: D+ over each
+    quasi-argmin set {z : B[k, z] <= u[k] + slack} and, given `tau_tie`, over
+    each tie-tolerance argmin set (else None)."""
+    B = _branches(section, model_quadratic(), t, rows)
+    u = B.min(axis=1)[:, None]
+    D = section.fiber_distances()[rows]
+    quasi_dist = np.where(B <= u + slack, D, -np.inf).max(axis=1)
+    return quasi_dist, None if tau_tie is None else np.where(B <= u + tau_tie, D, -np.inf).max(axis=1)
+
+
 def quasi_minimizer_trace(section: Section, tau_tie: float = DEFAULT_TAU_TIE) -> tuple[Array, Array, Array, Array]:
     """Fiber distances of every base point along the shrinking-time schedule
     t_n = scale * 2^-n, n = 0, ..., TRACE_LEVELS, scale = max(1, sup |f|),
@@ -178,18 +203,45 @@ def quasi_minimizer_trace(section: Section, tau_tie: float = DEFAULT_TAU_TIE) ->
     """
     if not (0 <= tau_tie <= FLOAT_MAX):
         raise PreconditionError(f"tau_tie must be nonnegative and finite, got {tau_tie!r}")
-    L = model_quadratic()
-    sup = section.sup_norm()
-    D = section.fiber_distances()
-    times = max(1.0, sup) * 2.0 ** -np.arange(TRACE_LEVELS + 1.0)
-    slacks = 1.0 / np.maximum(np.arange(TRACE_LEVELS + 1.0), 1.0)
+    times, slacks, quasi_bound = _trace_schedule(section)
     quasi_dist = np.empty((times.size, section.n_base))
-    for n, (t_n, slack) in enumerate(zip(times, slacks)):
-        B = _branches(section, L, float(t_n))
-        u = B.min(axis=1)[:, None]
-        quasi_dist[n] = np.where(B <= u + slack, D, -np.inf).max(axis=1)
-    argmin_dist = np.where(B <= u + tau_tie, D, -np.inf).max(axis=1)  # B and u of the last time
-    return times, argmin_dist, quasi_dist, 2.0 * times * (2.0 * sup + slacks)
+    for n in range(TRACE_LEVELS):
+        quasi_dist[n] = _quasi_level(section, float(times[n]), slacks[n])[0]
+    quasi_dist[-1], argmin_dist = _quasi_level(section, float(times[-1]), slacks[-1], tau_tie=tau_tie)
+    return times, argmin_dist, quasi_dist, quasi_bound
+
+
+def _quasi_excess_worst(section: Section, floor: float, last=None) -> float:
+    """max(floor, (quasi_dist**2 - quasi_bound[:, None]).max()) of
+    `quasi_minimizer_trace`, bit for bit and with Python's `max` (a NaN
+    excess leaves the floor), building branch rows only for the base points
+    a certificate does not clear.  `last`, when given, is the trace's last
+    row of quasi_dist, which the caller has built.
+
+    The certificate: for z in the computed quasi-argmin set of y at (t, s),
+    B[y, z] <= fl(u[y] + s) <= fl(B[y, y] + s) = c[y], since u[y] <= B[y, y]
+    and rounding is monotone.  The model branch B[y, z] = fl(A + g[z]) with
+    A = fl(t L(fl(D/t))) >= D^2 / 2t (1 - 2^-51), so fl(D[y, z]^2) is at most
+    2 t (c[y] - min g) up to a PRUNE_MARGIN relative margin (the t TINY and
+    TINY terms absorb underflow).  A row whose bound minus quasi_bound is
+    below the floor cannot raise the maximum; a NaN or inf clears nothing.
+    """
+    times, slacks, quasi_bound = _trace_schedule(section)
+    D, g = section.fiber_distances(), g_field(section)
+    d, gmin, L = np.diagonal(D), float(g.min()), model_quadratic()
+    finite = math.isfinite(floor) and np.isfinite(D).all() and np.isfinite(g).all()
+    threshold = floor if finite else -math.inf  # -inf clears nothing
+    worst = []  # the largest excess of each level over its rows that are not cleared
+    for n, (t, slack) in enumerate(zip(times.tolist(), slacks)):
+        if last is not None and n == TRACE_LEVELS:
+            worst.append((last**2 - quasi_bound[n]).max())
+            continue
+        c = (t * L(d / t) + g) + slack  # B[y, y] as `_branches` builds it, then fl(B[y, y] + s)
+        bound = 2.0 * t * ((c - gmin) + PRUNE_MARGIN * (np.abs(c) + abs(gmin)) + t * TINY) * (1.0 + PRUNE_MARGIN)
+        rows = np.flatnonzero(~(bound + TINY - quasi_bound[n] < threshold))
+        if rows.size:
+            worst.append((_quasi_level(section, t, slack, rows)[0] ** 2 - quasi_bound[n]).max())
+    return max(floor, float(np.max(worst))) if worst else floor
 
 
 @dataclass
@@ -232,6 +284,37 @@ def worst_case(cases, labels: list[str]) -> tuple[float, str | None]:
             if math.isnan(w):
                 break
         del gap  # a generator may build the next case now: keep one alive at a time
+    return worst, loc
+
+
+def _cross_time_worst(times: Array, u: Array, rhs_tables, labels: list[str]) -> tuple[float, str | None]:
+    """`worst_case` of the cross-time gaps u[t][y] - (rhs_t[x, y] + u[s][x])
+    over the pairs of sorted grid times s < t, in the (s, t) order of the
+    pair loop, with one rhs table per time from `rhs_tables` (every table is
+    read).  Rounding is monotone, so at each t the largest gap over s is the
+    gap at the running minimum of u over the strictly earlier times; a
+    repeated time forms no pair.  The location comes from evaluating, while
+    rhs_t is at hand, the pairs (s, t) in s order up to the first one that
+    attains a new worst, or that ties it at a smaller s."""
+    worst, loc, first_s = -math.inf, None, 0
+    umin, known = None, 0  # the minimum of u over its first `known` rows
+    for ti, rhs in enumerate(rhs_tables):
+        earlier = int(np.searchsorted(times, times[ti]))  # times strictly before times[ti]
+        for row in u[known:earlier]:
+            umin = row if umin is None else np.minimum(umin, row)  # NaN propagates
+        known = earlier
+        w = float((u[ti][None, :] - (rhs + umin[:, None])).max()) if earlier else -math.inf
+        worse = w > worst or math.isnan(w) and not math.isnan(worst)  # NaN is the worst
+        tie = w == worst or math.isnan(w) and math.isnan(worst)
+        # the pairs that can move the location: every s for a new worst, the s before the location's for a tie
+        for si in range(earlier if worse else first_s if tie else 0):
+            pair = worst_case(
+                [(u[ti][None, :] - (rhs + u[si][:, None]), "xy", f"s={times[si]:g},t={times[ti]:g}")], labels
+            )
+            if pair[0] == w or math.isnan(pair[0]) and math.isnan(w):
+                (worst, loc), first_s = pair, si
+                break
+        del rhs  # the next table is built when the loop asks for it: keep one alive at a time
     return worst, loc
 
 
@@ -281,7 +364,8 @@ def proposition_suite(
     def skip(key: str, why: str):
         items.append(Verdict(f"suite_{key}", "SKIPPED", None, None, note=why))
 
-    # items d, f, g and i are stated for s < t: a repeated grid time forms no pair
+    # items d, f, g and i are stated for s < t: a repeated grid time forms no pair;
+    # f, g and i loop over these pairs, d takes a running minimum in their order
     pairs = [(i, j) for i in range(times.size) for j in range(i + 1, times.size) if times[i] < times[j]]
 
     # (a) pointwise bounds: min of all coordinates <= u <= g + t L(0)
@@ -295,13 +379,14 @@ def proposition_suite(
         both = np.maximum(slack_low, slack_high)
         record("a_bounds", *worst_case(((row, "y", f"t={t:g}") for t, row in zip(times, both)), lab))
 
-    # (b) quasi-minimizing sequences collapse onto the fiber of y as t -> 0
-    trace_times, argmin_dist, quasi_dist, quasi_bound = quasi_minimizer_trace(section, tau_tie=tau_tie)
+    # (b) quasi-minimizing sequences collapse onto the fiber of y as t -> 0: the
+    # trace's last level in full, then the a-priori bound above its floor
+    trace_times, slacks, _ = _trace_schedule(section)
+    last, argmin_dist = _quasi_level(section, float(trace_times[-1]), slacks[-1], tau_tie=tau_tie)
     worst_final, loc_final = worst_case([(argmin_dist, "y", f"t={trace_times[-1]:g}")], lab)
-    worst_bound = float((quasi_dist**2 - quasi_bound[:, None]).max())
     record(
         "b_quasi_minimizer",
-        max(worst_final - 1e-6, worst_bound),
+        _quasi_excess_worst(section, worst_final - 1e-6, last),
         loc_final,
         note=f"final argmin fiber distance {worst_final:.3e}",
     )
@@ -315,13 +400,18 @@ def proposition_suite(
         skip("c_spatial_estimate", "penalty axioms failed on this scenario")
         skip("d_cross_time_estimate", "penalty axioms failed on this scenario")
     else:
-        gaps = ((np.abs(ut[:, None] - ut[None, :]) - spatial_rhs(t), "xy", f"t={t:g}") for t, ut in zip(times, u))
-        record("c_spatial_estimate", *worst_case(gaps, lab))
-        gaps = (
-            (u[ti][None, :] - (spatial_rhs(times[ti]) + u[si][:, None]), "xy", f"s={times[si]:g},t={times[ti]:g}")
-            for si, ti in pairs
-        )
-        record("d_cross_time_estimate", *worst_case(gaps, lab))
+        spatial = []  # item c's (worst, location) at each time
+
+        def rhs_tables():
+            for t, ut in zip(times, u):
+                rhs = spatial_rhs(t)
+                spatial.append(worst_case([(np.abs(ut[:, None] - ut[None, :]) - rhs, "xy", f"t={t:g}")], lab))
+                yield rhs
+                del rhs  # before the next table is built
+
+        cross = _cross_time_worst(times, u, rhs_tables(), lab)  # reads every table, so c sees every time
+        record("c_spatial_estimate", *worst_case(((np.float64(w), "", loc) for w, loc in spatial), lab))
+        record("d_cross_time_estimate", *cross)
 
     # (e) boundary behavior |u - g| <= C t with C = max(|L(0)|, max |H|)
     if not math.isfinite(ils):

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,39 @@ def test_unknown_base_id_is_a_refused_precondition(two_point_file, tmp_path, cap
     assert main(["--out", str(out), command, two_point_file, "--y", "nope", "--t", "1.0"]) == 6
     assert "error: unknown base id 'nope'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture()
+def one_point_file(tmp_path):
+    """The two-point scenario cut to its base point b0, whose ILS is 0."""
+    doc = scenario_to_dict(two_point_scenario())
+    doc["base"], doc["fibers"], doc["section"] = doc["base"][:1], {"b0": doc["fibers"]["b0"]}, {"b0": doc["section"]["b0"]}
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_check_on_one_base_point_writes_no_transform_rows_and_no_warning(one_point_file, tmp_path, capsys):
+    # the default xi grid spans [0, ILS] = [0, 0]: the bundle held 101 copies of xi = 0 per grid time
+    out = tmp_path / "rep"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--out", str(out), "check", one_point_file]) == 0
+    assert not caught
+    assert "Warning" not in capsys.readouterr().err
+    lines = (out / "two-point_transform.csv").read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("base_id,")
+
+
+def test_transform_on_one_base_point_is_a_refused_precondition(one_point_file, tmp_path, capsys):
+    out = tmp_path / "rep"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--out", str(out), "transform", one_point_file, "--y", "b0", "--t", "1"]) == 6
+    assert not caught
+    err = capsys.readouterr().err
+    assert "ILS = 0.0" in err and "Warning" not in err
+    assert not (out / "two-point_transform.csv").exists()
 
 
 def test_non_utf8_scenario_is_a_format_error(tmp_path, capsys):

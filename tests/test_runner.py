@@ -4,7 +4,6 @@ import hashlib
 import importlib.util
 import math
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,10 +114,10 @@ def _record_everywhere(monkeypatch, fn, results: list) -> None:
 @pytest.mark.parametrize("build", [two_point_scenario, paper_counterexample])
 def test_check_builds_each_array_once(tmp_path, monkeypatch, build):
     path = write_scenario(build(), tmp_path / "scenario.json")
-    validations, evolutions, base_distances, traces = [], [], [], []
+    validations, evolutions, base_distances, levels = [], [], [], []
     _record_everywhere(monkeypatch, geometry.validate_space, validations)
     _record_everywhere(monkeypatch, semigroup.evolve_all, evolutions)
-    _record_everywhere(monkeypatch, semigroup.quasi_minimizer_trace, traces)
+    _record_everywhere(monkeypatch, semigroup._quasi_level, levels)
     monkeypatch.setattr(
         FiberedSpace, "base_distance_matrix", _recording(FiberedSpace.base_distance_matrix, base_distances)
     )
@@ -127,7 +126,8 @@ def test_check_builds_each_array_once(tmp_path, monkeypatch, build):
     run_check(scenario, tmp_path / "reports")
 
     assert len(validations) == 1
-    assert len(traces) == 1  # one trace holds every base point
+    # item (b) builds the trace's last level in full; the certificate clears every other full table
+    assert sum(len(quasi_dist) == scenario.n_base for quasi_dist, _ in levels) <= 1
     # the results stay referenced, so distinct ids are distinct builds
     assert len({id(matrix) for matrix in base_distances}) == 1
     n_times, n_hj_times = len(scenario.grids.times), len(scenario.grids.effective_hj_times())
@@ -241,9 +241,7 @@ def test_lipschitz_grid_is_skipped_without_a_finite_nonzero_ils(tmp_path):
         single["base"][:1], {"b0": single["fibers"]["b0"]}, {"b0": single["section"]["b0"]}
     )
     for k, doc in enumerate((degenerate, single)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # global_ILS warns on a single base point
-            _, verdicts, _ = run_check(scenario_from_dict(doc), tmp_path / str(k))
+        _, verdicts, _ = run_check(scenario_from_dict(doc), tmp_path / str(k))
         v = _verdict(verdicts, "hj_residual_lipschitz_grid")
         note = ("ILS estimate not finite", "ILS estimate is 0")[k]
         assert (v.status, v.worst_slack, v.location, v.note) == ("SKIPPED", None, None, note)

@@ -276,13 +276,13 @@ def test_ils_at_least_one_on_valid_scenarios(paper, two_point, singleton):
         assert np.all(D[off] <= E[off] + 1e-12)
 
 
-def test_single_point_ils_warns():
+def test_single_point_ils_is_zero_without_a_warning():
     space = FiberedSpace(base_points=np.zeros((1, 2)), fibers=(PointSet(np.array([[1.0, 0.0]])),))
     sec = Section(space=space, values=np.array([[1.0, 0.0]]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert global_ILS(sec) == 0.0
-    assert caught
+    assert not caught
 
 
 def test_infinite_flag_on_degenerate_section():

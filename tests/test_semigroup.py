@@ -13,8 +13,11 @@ from fiberflow.section import Section, g_field, global_ILS
 from fiberflow.semigroup import (
     DEFAULT_TAU_TIE,
     FD_STEP_SCALE,
+    TRACE_LEVELS,
     Verdict,
+    _cross_time_worst,
     _neighbor_slopes,
+    _quasi_excess_worst,
     _speeds,
     evolution_table,
     evolve_all,
@@ -564,6 +567,80 @@ def test_quasi_minimizer_trace_matches_per_point_reference(paper, tie, singleton
                 assert np.array_equal(argmin_dist[y], a_dist[-1])
                 assert np.array_equal(quasi_dist[:, y], q_dist)
                 assert np.array_equal(quasi_bound, q_bound)
+
+
+def spread_section(m, seed, top=1.0):
+    """A one-dimensional section whose values spread over [-S, top * S], so
+    that the spread of g approaches 2 ||f||_inf = 2 S as top -> 1; each fiber
+    holds its value and two points nearby."""
+    rng = np.random.default_rng(seed)
+    S = 3.0
+    values = np.sort(rng.uniform(-S, top * S, m))
+    values[0], values[-1] = -S, top * S
+    fibers = tuple(PointSet(np.array([[v], [v + rng.uniform(0.1, 2.0)], [v - rng.uniform(0.1, 2.0)]])) for v in values)
+    space = FiberedSpace(base_points=np.arange(m, dtype=float)[:, None], fibers=fibers)
+    return Section(space=space, values=values[:, None])
+
+
+def _same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def test_quasi_excess_certificate_is_sound_at_any_floor(paper, tie, singleton, two_point, monkeypatch):
+    # the pruned reduction equals max(floor, excess.max()) of the full trace.
+    # The largest excess of a level is hidden by the later levels' unless the
+    # trace ends there, so the trace is cut after each level k in turn, with
+    # floors at and one ulp either side of level k's largest excess: a
+    # certificate that misses the excess of one row there changes the result
+    sections = [paper.section(), tie.section(), singleton.section(), two_point.section()]
+    sections += [random_scenario(seed).section() for seed in range(20)]
+    sections += [spread_section(m, seed, top) for m, seed, top in ((12, 0, 1.0), (30, 1, 0.999), (25, 2, 0.9))]
+    for sec in sections:
+        _, _, quasi_dist, quasi_bound = quasi_minimizer_trace(sec)
+        excess = quasi_dist**2 - quasi_bound[:, None]
+        for k, level in enumerate(excess.max(axis=1)):
+            monkeypatch.setattr("fiberflow.semigroup.TRACE_LEVELS", k)
+            floors = [np.nextafter(level, -math.inf), level, np.nextafter(level, math.inf)]
+            for floor in map(float, floors + ([-math.inf] if k == TRACE_LEVELS else [])):
+                want = max(floor, float(excess[: k + 1].max()))
+                assert _same_bits(_quasi_excess_worst(sec, floor), want)
+                assert _same_bits(_quasi_excess_worst(sec, floor, quasi_dist[k]), want)
+
+
+def pair_loop_cross_time(times, u, rhs, labels):
+    """Item d as a loop over every pair of distinct grid times s < t, in the suite's (s, t) order."""
+    pairs = [(i, j) for i in range(times.size) for j in range(i + 1, times.size) if times[i] < times[j]]
+    gaps = (
+        (u[j][None, :] - (rhs[j] + u[i][:, None]), "xy", f"s={times[i]:g},t={times[j]:g}") for i, j in pairs
+    )
+    return worst_case(gaps, labels)
+
+
+def test_cross_time_reduction_equals_the_pair_loop():
+    # coarse values give positive worsts and ties across times; repeated
+    # times form no pair, and a NaN in u is the worst at its first pair
+    rng = np.random.default_rng(7)
+    seen = {"positive": 0, "tie across times": 0, "repeated time": 0, "nan": 0}
+    for _ in range(400):
+        T, m = int(rng.integers(1, 9)), int(rng.integers(1, 41))
+        times = np.sort(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0], T))
+        u = rng.integers(-4, 5, (T, m)) * 0.25
+        rhs = rng.integers(0, 6, (T, m, m)) * 0.25
+        if rng.random() < 0.2:
+            u[rng.integers(T), rng.integers(m)] = math.nan
+        labels = [str(k) for k in range(m)]
+        want = pair_loop_cross_time(times, u, rhs, labels)
+        got = _cross_time_worst(times, u, iter(rhs), labels)
+        assert _same_bits(got[0], want[0]) and got[1] == want[1], (times, u)
+        seen["positive"] += want[0] > 0
+        seen["repeated time"] += np.unique(times).size < T
+        seen["nan"] += math.isnan(want[0])
+        worst_times = {
+            times[j] for i in range(T) for j in range(T)
+            if times[i] < times[j] and np.max(u[j][None, :] - (rhs[j] + u[i][:, None])) == want[0]
+        }
+        seen["tie across times"] += len(worst_times) > 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_suite_singleton_zero_slack(singleton):
