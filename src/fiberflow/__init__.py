@@ -20,7 +20,6 @@ from .geometry import (
 from .lagrangian import (
     Lagrangian,
     TransformTable,
-    biconjugate,
     check_axioms,
     legendre_transform,
     model_quadratic,
@@ -72,7 +71,6 @@ __all__ = [
     "validate_space",
     "Lagrangian",
     "TransformTable",
-    "biconjugate",
     "check_axioms",
     "legendre_transform",
     "model_quadratic",

@@ -18,7 +18,7 @@ from .errors import PreconditionError, ScenarioFormatError, ScenarioValidationEr
 from .lagrangian import legendre_transform
 from .reports import fmt, write_evolution_csv, write_slopes_csv, write_transform_csv
 from .runner import run_check
-from .scenario import load_scenario, paper_counterexample, write_scenario
+from .scenario import distance_bound, load_scenario, overflow_speed, paper_counterexample, write_scenario
 from .section import local_slopes
 from .semigroup import evolution_table
 from .variational import solve_variational
@@ -32,20 +32,26 @@ EXIT_PRECONDITION = 6
 EXIT_INTERNAL = 7
 
 
-def _checked_time(t: float) -> float:
+def _checked_time(t: float, scenario) -> float:
+    """t, refused unless it is finite and positive and the scenario's penalty
+    is finite at the speeds it reaches at t, as `validate_scenario` requires
+    of the grid times."""
     if not (math.isfinite(t) and t > 0):
         raise PreconditionError(f"time {t!r} must be a finite number > 0")
+    w = overflow_speed(scenario.lagrangian(), distance_bound(scenario), t)
+    if w is not None:
+        raise PreconditionError(f"time {t!r} is too small: the penalty overflows at speed {w:.6g}")
     return t
 
 
-def _parse_times(text: str) -> list[float]:
+def _parse_times(text: str, scenario) -> list[float]:
     try:
         times = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise PreconditionError(f"bad time list {text!r}: {exc}") from exc
     if not times:
         raise PreconditionError(f"bad time list {text!r}: no times")
-    return [_checked_time(t) for t in times]
+    return [_checked_time(t, scenario) for t in times]
 
 
 def cmd_validate(ns) -> int:
@@ -56,7 +62,7 @@ def cmd_validate(ns) -> int:
 
 def cmd_evolve(ns) -> int:
     scenario = load_scenario(ns.scenario)
-    times = _parse_times(ns.times) if ns.times else scenario.grids.times
+    times = _parse_times(ns.times, scenario) if ns.times else scenario.grids.times
     table = evolution_table(
         scenario.section(),
         scenario.lagrangian(),
@@ -82,8 +88,9 @@ def cmd_slopes(ns) -> int:
 def cmd_transform(ns) -> int:
     scenario = load_scenario(ns.scenario)
     y = scenario.id_index(ns.y)
+    t = _checked_time(ns.t, scenario)
     table = legendre_transform(
-        scenario.lagrangian(), scenario.section(), y, _checked_time(ns.t), xi_resolution=scenario.grids.xi_resolution
+        scenario.lagrangian(), scenario.section(), y, t, xi_resolution=scenario.grids.xi_resolution
     )
     out = Path(ns.out) / f"{scenario.report_prefix}_transform.csv"
     write_transform_csv(out, scenario, [table])
@@ -94,7 +101,7 @@ def cmd_transform(ns) -> int:
 def cmd_variational(ns) -> int:
     scenario = load_scenario(ns.scenario)
     y = scenario.id_index(ns.y)
-    t = _checked_time(ns.t)
+    t = _checked_time(ns.t, scenario)
     out = Path(ns.out) / f"{scenario.report_prefix}_variational.csv"
     out.parent.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before the solve
     result = solve_variational(scenario.section(), scenario.lagrangian(), y, t, ns.steps, scenario.params)

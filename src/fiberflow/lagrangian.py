@@ -4,8 +4,8 @@ Fenchel-Legendre transform.
 The transform is taken over the *achievable* speeds w = d(f(y), fiber(z)) / t
 for z in the base set, so it is an exact finite maximum, and its domain
 [0, ILS] is bounded by the section's global intrinsic Lipschitz estimate.
-The Hamiltonian is the same transform under its classical name.  Both the
-transform and the biconjugate are finite maxima taken by `conjugate`.
+The Hamiltonian is the same transform under its classical name, a finite
+maximum taken by `conjugate`.
 """
 
 from __future__ import annotations
@@ -277,7 +277,6 @@ class TransformTable:
     y_index: int
     t: float
     xi_grid: Array
-    achievable_w: Array
     lstar: Array
     argmax_w: Array
     claim_linear: Array
@@ -288,8 +287,7 @@ class TransformTable:
 
 def conjugate(xi_grid: Array, w: Array, Lw: Array) -> tuple[Array, Array]:
     """L*(xi) = max over the speeds w of (xi w - L(w)) at every xi of the grid,
-    with the index of the first maximizing speed; Lw holds L(w).  With the
-    roles swapped, (w, xi, L*) gives the biconjugate H*(w)."""
+    with the index of the first maximizing speed; Lw holds L(w)."""
     scores = xi_grid[:, None] * w[None, :] - Lw[None, :]
     idx = np.argmax(scores, axis=1)
     return scores[np.arange(xi_grid.size), idx], idx
@@ -300,30 +298,24 @@ def legendre_transform(
     section: Section,
     y: int,
     t: float,
-    xi_grid: Array | None = None,
     xi_resolution: int = 101,
 ) -> TransformTable:
     """Exact finite-max transform over the achievable speeds at (y, t).
 
-    With no explicit grid, xi samples [0, ILS] uniformly at `xi_resolution`
-    points, an integer in [1, XI_RESOLUTION_MAX], ILS being the computable
-    global estimate; an infinite ILS, or the 0 of a single base point, is refused.
+    xi samples [0, ILS] uniformly at `xi_resolution` points, an integer in
+    [1, XI_RESOLUTION_MAX], ILS being the computable global estimate; an
+    infinite ILS, or the 0 of a single base point, is refused.
     """
     y = checked_index(y, section.n_base)
     if not (0 < t <= FLOAT_MAX):  # NaN too
         raise PreconditionError(f"t must be positive and finite, got {t!r}")
+    ils = global_ILS(section)
+    if not (math.isfinite(ils) and ils != 0.0):
+        raise PreconditionError(f"the xi grid [0, ILS] needs a finite nonzero ILS estimate, got ILS = {ils!r}")
+    if not (isinstance(xi_resolution, numbers.Integral) and 1 <= xi_resolution <= XI_RESOLUTION_MAX):
+        raise PreconditionError(f"xi_resolution must be an integer in [1, {XI_RESOLUTION_MAX}]")
+    xi_grid = np.linspace(0.0, ils, xi_resolution)
     w = np.sort(section.fiber_distances()[y] / t)  # the achievable speeds
-    if xi_grid is None:
-        ils = global_ILS(section)
-        if not (math.isfinite(ils) and ils != 0.0):
-            raise PreconditionError(f"default xi grid needs a finite nonzero ILS estimate, got ILS = {ils!r}")
-        if not (isinstance(xi_resolution, numbers.Integral) and 1 <= xi_resolution <= XI_RESOLUTION_MAX):
-            raise PreconditionError(f"xi_resolution must be an integer in [1, {XI_RESOLUTION_MAX}]")
-        xi_grid = np.linspace(0.0, ils, xi_resolution)
-    else:
-        xi_grid = as_floats(xi_grid, "xi grid")
-        if xi_grid.size == 0 or not np.all((0 <= xi_grid) & (xi_grid < math.inf)):  # NaN too
-            raise PreconditionError("xi grid must be nonnegative, finite and nonempty")
     Lw = L(w)
     lstar, idx = conjugate(xi_grid, w, Lw)  # w is sorted: idx is the smallest maximizing w
     K = bound_K(section)
@@ -332,32 +324,7 @@ def legendre_transform(
         y_index=y,
         t=float(t),
         xi_grid=xi_grid,
-        achievable_w=w,
         lstar=lstar,
         argmax_w=w[idx],
         claim_linear=claim,
     )
-
-
-def biconjugate(
-    L: Lagrangian,
-    section: Section,
-    y: int,
-    t: float,
-    w_grid: Array,
-    xi_grid: Array | None = None,
-    xi_resolution: int = 101,
-) -> tuple[Array, Array]:
-    """(H*, L - H*) on `w_grid`: H*(w) = max over the xi grid of (xi w - H(xi)),
-    and its gap to L(w), nonnegative up to grid resolution.
-
-    Only achievable speeds are allowed in `w_grid`; the one-sided inequality
-    H* <= L is grid-exact, while equality appears only under refinement.
-    """
-    table = legendre_transform(L, section, y, t, xi_grid=xi_grid, xi_resolution=xi_resolution)
-    w_grid = as_floats(w_grid, "w grid")
-    bad = ~(np.abs(table.achievable_w - w_grid[:, None]).min(axis=1) <= 1e-12)  # NaN too
-    if bad.any():
-        raise PreconditionError(f"w={w_grid[bad][0]!r} is not an achievable speed at this (y, t)")
-    hstar = conjugate(w_grid, table.xi_grid, table.lstar)[0]
-    return hstar, L(w_grid) - hstar

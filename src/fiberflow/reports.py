@@ -1,9 +1,10 @@
 """Deterministic report files: CSV tables and the JSON verdict list.
 
-Every number is formatted with 12 significant digits and rows are ordered by
-base id, then time, then xi, so identical inputs produce byte-identical
-files.  Each CSV writer formats its rows with one "%"-template over whole
-columns; "%.12g" % x is the text of fmt(x) for every float x.
+Every number has 12 significant digits, so identical inputs give
+byte-identical files.  Rows follow the base order, then the times (or radii)
+in the order given, unsorted, then increasing xi.  Each CSV writer formats
+its rows with one "%"-template over whole columns; "%.12g" % x is the text
+of fmt(x) for every float x.
 """
 
 from __future__ import annotations

@@ -171,7 +171,7 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
     # reports
     slopes = local_slopes(section, grids.radii)
     transforms = []
-    if math.isfinite(ils) and ils != 0.0:  # the default xi grid spans [0, ILS]
+    if math.isfinite(ils) and ils != 0.0:  # the xi grid spans [0, ILS]
         transforms = [
             legendre_transform(L, section, yi, float(t), xi_resolution=grids.xi_resolution)
             for yi in hj_ids

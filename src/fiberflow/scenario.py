@@ -21,7 +21,14 @@ import numpy as np
 
 from .errors import PreconditionError, ScenarioFormatError, ScenarioValidationError
 from .geometry import DEFAULT_TAU_GEO, FiberGeometry, FiberedSpace, PointSet, SegmentUnion, SpaceReport, validate_space
-from .lagrangian import MODEL_QUADRATIC, SPEC_NAMES, XI_RESOLUTION_MAX, Lagrangian, lagrangian_from_spec
+from .lagrangian import (
+    MODEL_QUADRATIC,
+    SPEC_NAMES,
+    XI_RESOLUTION_MAX,
+    Lagrangian,
+    lagrangian_from_spec,
+    model_quadratic,
+)
 from .section import DEFAULT_TAU_SEC, FLOAT_MAX, Section, validate_section
 from .semigroup import DEFAULT_TAU_TIE
 
@@ -317,8 +324,30 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
 
 
+def distance_bound(scenario: Scenario) -> float:
+    """D.max + span, where span, the diagonal of the section values' bounding
+    box, bounds E.max without building E: a bound of every distance that
+    `check` turns into a speed at time t by dividing by t, the largest being
+    the compatibility bound's E + Dmax in `check_axioms`."""
+    values = scenario.section_values
+    span = math.dist(values.max(axis=0).tolist(), values.min(axis=0).tolist())
+    return float(scenario.section().fiber_distances().max()) + span
+
+
+def overflow_speed(L: Lagrangian, distance: float, t: float) -> float | None:
+    """The speed w = distance / t when w, L(w) or t L(w), the branch cost, is
+    not finite, None when all are.  The |L| of a factory penalty grows with
+    the speed, so at the largest speed one evaluation decides."""
+    w = distance / t
+    with np.errstate(over="ignore", invalid="ignore"):  # np.power warns; Python floats overflow to inf silently
+        cost = max(t, 1.0) * float(L.fn(w))
+    return None if math.isfinite(w) and math.isfinite(cost) else w
+
+
 def validate_scenario(scenario: Scenario) -> None:
-    """Geometry and section validation; raises with offending base ids."""
+    """Geometry and section validation; raises with offending base ids.  The
+    penalty, and the model penalty of the HJ grids, must then be finite at
+    every speed `check` evaluates them at: an overflow would give NaN slacks."""
     space_report = scenario.space_report()
     if not space_report.ok:
         parts = []
@@ -338,6 +367,17 @@ def validate_scenario(scenario: Scenario) -> None:
     if off_fiber.size:
         bad = ", ".join(f"{scenario.base_ids[i]!r} (residual {residuals[i]:.3e})" for i in off_fiber.tolist())
         raise ScenarioValidationError(f"section values off their fibers: {bad}")
+    distance, t = distance_bound(scenario), min(scenario.grids.times)
+    w = overflow_speed(scenario.lagrangian(), distance, t)
+    if w is not None:
+        raise ScenarioValidationError(
+            f"lagrangian: the penalty overflows at speed {w:.6g}, which the smallest of grids.times, {t!r}, reaches"
+        )
+    hj_t = min(scenario.grids.effective_hj_times())
+    field, t = ("grids.times", t) if t <= hj_t else ("grids.hj_times", hj_t)
+    w = overflow_speed(model_quadratic(), distance, t)
+    if w is not None:
+        raise ScenarioValidationError(f"{field}: the model penalty overflows at speed {w:.6g}, reached at time {t!r}")
 
 
 def _read(doc: dict) -> Scenario:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fiberflow.cli import EXIT_INTERNAL, main
 from fiberflow.scenario import (
+    paper_counterexample,
     random_scenario,
     scenario_to_dict,
     singleton_constant_scenario,
@@ -45,6 +46,32 @@ def test_evolve_with_time_override(two_point_file, tmp_path):
     assert b1[0.5] == pytest.approx(1.0, abs=1e-12)
     assert b1[1.0] == pytest.approx(1.0, abs=1e-12)
     assert b1[2.0] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_evolve_writes_the_times_in_the_order_given(two_point_file, tmp_path):
+    out = tmp_path / "rep"
+    assert main(["--out", str(out), "evolve", two_point_file, "--times", "2,1,1.5"]) == 0
+    rows = _read_csv(out / "two-point_evolution.csv")
+    assert [(r["base_id"], r["t"]) for r in rows] == [(b, t) for b in ("b0", "b1") for t in ("2", "1", "1.5")]
+
+
+@pytest.mark.parametrize("build", [paper_counterexample, two_point_scenario])
+def test_check_transform_rows_are_those_of_the_transform_command(tmp_path, build):
+    # check tabulates each HJ node at each grid time; the command writes one (y, t) at a time
+    scenario = build()
+    path = str(write_scenario(scenario, tmp_path / "s.json"))
+    assert main(["--out", str(tmp_path / "check"), "check", path]) == 0
+    prefix = scenario.report_prefix
+    _, *rows = (tmp_path / "check" / f"{prefix}_transform.csv").read_text().splitlines(keepends=True)
+    nodes = scenario.base_ids[:: scenario.grids.hj_base_stride]
+    expected = []
+    for bid in nodes:
+        for t in scenario.grids.times:
+            out = tmp_path / f"{bid}-{t!r}"
+            assert main(["--out", str(out), "transform", path, "--y", bid, "--t", repr(t)]) == 0
+            expected += (out / f"{prefix}_transform.csv").read_text().splitlines(keepends=True)[1:]
+    assert len(expected) == len(nodes) * len(scenario.grids.times) * scenario.grids.xi_resolution
+    assert "".join(rows) == "".join(expected)
 
 
 def test_slopes_and_transform_commands(two_point_file, tmp_path):
@@ -124,22 +151,31 @@ def test_variational_without_a_time_step_is_refused(two_point_file, tmp_path, ca
     assert f"error: need at least one time step, got m={steps}" in capsys.readouterr().err
 
 
+BAD_TIME = "must be a finite number > 0"
+# speeds of order 1e300 overflow the model penalty; numpy printed its warnings and the slacks were NaN
+OVERFLOW = "is too small: the penalty overflows at speed"
+
+
 @pytest.mark.parametrize(
-    "args, value",
+    "args, value, reason",
     [
-        pytest.param(["evolve", "--times", "nan"], "nan", id="evolve-nan"),
-        pytest.param(["evolve", "--times", "0.5,inf"], "inf", id="evolve-inf"),
-        pytest.param(["evolve", "--times", "-1"], "-1.0", id="evolve-negative"),
-        pytest.param(["transform", "--y", "b1", "--t", "nan"], "nan", id="transform-nan"),
-        pytest.param(["transform", "--y", "b1", "--t", "inf"], "inf", id="transform-inf"),
-        pytest.param(["variational", "--y", "b1", "--t", "nan"], "nan", id="variational-nan"),
-        pytest.param(["variational", "--y", "b1", "--t=-inf"], "-inf", id="variational-minus-inf"),
+        pytest.param(["evolve", "--times", "nan"], "nan", BAD_TIME, id="evolve-nan"),
+        pytest.param(["evolve", "--times", "0.5,inf"], "inf", BAD_TIME, id="evolve-inf"),
+        pytest.param(["evolve", "--times", "-1"], "-1.0", BAD_TIME, id="evolve-negative"),
+        pytest.param(["evolve", "--times", "1,1e-300"], "1e-300", OVERFLOW, id="evolve-overflow"),
+        pytest.param(["transform", "--y", "b1", "--t", "nan"], "nan", BAD_TIME, id="transform-nan"),
+        pytest.param(["transform", "--y", "b1", "--t", "inf"], "inf", BAD_TIME, id="transform-inf"),
+        pytest.param(["transform", "--y", "b1", "--t", "1e-300"], "1e-300", OVERFLOW, id="transform-overflow"),
+        pytest.param(["variational", "--y", "b1", "--t", "nan"], "nan", BAD_TIME, id="variational-nan"),
+        pytest.param(["variational", "--y", "b1", "--t=-inf"], "-inf", BAD_TIME, id="variational-minus-inf"),
+        pytest.param(["variational", "--y", "b1", "--t", "1e-300"], "1e-300", OVERFLOW, id="variational-overflow"),
     ],
 )
-def test_non_finite_or_nonpositive_time_is_refused(two_point_file, tmp_path, capsys, args, value):
+def test_non_finite_or_nonpositive_time_is_refused(two_point_file, tmp_path, capsys, args, value, reason):
     out = tmp_path / "rep"
     assert main(["--out", str(out), args[0], two_point_file, *args[1:]]) == 6
-    assert f"error: time {value} must be a finite number > 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: time {value} {reason}" in err and "Warning" not in err
     assert not out.exists()
 
 
@@ -182,6 +218,59 @@ def test_transform_on_one_base_point_is_a_refused_precondition(one_point_file, t
     err = capsys.readouterr().err
     assert "ILS = 0.0" in err and "Warning" not in err
     assert not (out / "two-point_transform.csv").exists()
+
+
+def _scaled_two_point(factor: float, exponent: int, times: list[float]) -> dict:
+    """The two-point document with every coordinate and radius times `factor`."""
+    doc = scenario_to_dict(two_point_scenario())
+    for rec in doc["base"]:
+        rec["point"] = [factor * v for v in rec["point"]]
+    for fiber in doc["fibers"].values():
+        fiber["data"] = [[factor * v for v in point] for point in fiber["data"]]
+    doc["section"] = {bid: [factor * v for v in value] for bid, value in doc["section"].items()}
+    doc["grids"].update(times=times, radii=[factor * r for r in doc["grids"]["radii"]], hj_radius=2 * factor)
+    doc["lagrangian"] = {"name": "power", "params": {"exponent": exponent}}
+    return doc
+
+
+PAPER = scenario_to_dict(paper_counterexample())
+
+
+@pytest.mark.parametrize(
+    "doc, fields",
+    [
+        pytest.param(
+            {**PAPER, "lagrangian": {"name": "power", "params": {"exponent": 1000}}}, ("lagrangian", "grids.times"),
+            id="exponent-1000",
+        ),
+        pytest.param(
+            {**PAPER, "grids": {**PAPER["grids"], "times": [1e-300, 0.02]}}, ("lagrangian", "grids.times"),
+            id="time-1e-300",
+        ),
+        # the HJ grids evaluate the model penalty at their own times
+        pytest.param(
+            {**PAPER, "grids": {**PAPER["grids"], "hj_times": [1e-300]}}, ("grids.hj_times",), id="hj-time-1e-300"
+        ),
+        # L(D/t) is finite at D.max = sqrt(2), but the compatibility bound reads L at (E + Dmax) / t = 2 sqrt(2)
+        pytest.param(
+            {**scenario_to_dict(two_point_scenario()), "lagrangian": {"name": "power", "params": {"exponent": 1000}}},
+            ("lagrangian", "grids.times"),
+            id="compatibility-bound",
+        ),
+        # L(D/t) ~ 1e270 is finite, but the branch cost t L(D/t) is not
+        pytest.param(_scaled_two_point(1e150, 3, [1e60]), ("lagrangian", "grids.times"), id="branch-cost"),
+    ],
+)
+def test_a_penalty_that_overflows_is_a_validation_error(tmp_path, capsys, doc, fields):
+    # the penalty overflowed to inf and inf - inf gave NaN slacks: check FAILed axioms at nan with numpy warnings
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "check"):
+        assert main(["--out", str(tmp_path / "rep"), command, str(path)]) == 5, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fields[0]}: ") and "overflows at speed" in err, command
+        assert all(field in err for field in fields) and "Warning" not in err, command
+    assert not (tmp_path / "rep").exists()
 
 
 def test_non_utf8_scenario_is_a_format_error(tmp_path, capsys):
@@ -333,9 +422,14 @@ PROBE_DOCS = {
     "random-7": scenario_to_dict(random_scenario(7)),
     # long lists: a bad coordinate deep inside one must be reported at its index
     "two-line-60": scenario_to_dict(LINES["two-line-60"]()),
+    # a penalty with parameters: a large exponent or a tiny time overflows it
+    "two-point-power-4": {
+        **scenario_to_dict(two_point_scenario()),
+        "lagrangian": {"name": "power", "params": {"exponent": 4}},
+    },
 }
 PROBE_PATHS = {name: list(_paths(doc)) for name, doc in PROBE_DOCS.items()}
-PROBE_VALUES = [None, True, False, math.nan, 2**70, "x", [1.0, "x"], DELETE]
+PROBE_VALUES = [None, True, False, math.nan, 2**70, "x", [1.0, "x"], DELETE, 1e-300, 1000]
 
 
 @st.composite

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiberflow import (
-    biconjugate,
     check_axioms,
     evolution_table,
     evolve_all,
@@ -66,11 +65,7 @@ ENTRY_POINTS = {
     "check_axioms": (lambda **kw: check_axioms(PENALTY, SECTION, **kw), dict(t_list=numbers([0.01, 0.02]))),
     "legendre_transform": (
         lambda **kw: legendre_transform(PENALTY, SECTION, **kw),
-        dict(y=number(40), t=number(0.02), xi_grid=numbers(None), xi_resolution=number(11)),
-    ),
-    "biconjugate": (
-        lambda **kw: biconjugate(PENALTY, SECTION, **kw),
-        dict(y=number(40), t=number(0.02), w_grid=numbers([0.0]), xi_grid=numbers(None), xi_resolution=number(11)),
+        dict(y=number(40), t=number(0.02), xi_resolution=number(11)),
     ),
     "slope_estimate_check": (
         lambda **kw: slope_estimate_check(SECTION, TABLE, **kw)[OFF_DIAGONAL],

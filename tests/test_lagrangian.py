@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -12,9 +11,9 @@ from fiberflow.lagrangian import (
     CONVEXITY_TOL,
     SCALING_TOL,
     Lagrangian,
-    biconjugate,
     certification_grid,
     check_axioms,
+    conjugate,
     legendre_transform,
     model_quadratic,
     power_lagrangian,
@@ -151,11 +150,27 @@ def test_integer_power_penalty_is_a_multiplication_chain(p):
             assert np.array([L.fn(x) for x in v.tolist()]).tobytes() == expected.tobytes()
 
 
+def achievable_speeds(section, y, t):
+    """The speeds d(f(y), fiber(z)) / t over the base set z, sorted."""
+    return np.sort(section.fiber_distances()[y] / t)
+
+
+def hstar(L, section, y, t, w, xi):
+    """H*(w) = max over the xi grid of (xi w - L*(xi)), with L* the transform
+    over the achievable speeds at (y, t): the biconjugate, by `conjugate` twice."""
+    speeds = achievable_speeds(section, y, t)
+    lstar = conjugate(xi, speeds, L(speeds))[0]
+    return conjugate(w, xi, lstar)[0]
+
+
 def test_two_point_transform_table(two_point):
     sec = two_point.section()
     L = two_point.lagrangian()
-    table = legendre_transform(L, sec, 1, 1.0, xi_grid=np.linspace(0.0, 1.0, 101))
-    assert np.allclose(np.sort(table.achievable_w), [0.0, math.sqrt(2.0)])
+    table = legendre_transform(L, sec, 1, 1.0)
+    # the ILS is exactly 1, so the default grid is linspace(0, 1, 101) bit for bit
+    assert table.xi_grid.tobytes() == np.linspace(0.0, 1.0, 101).tobytes()
+    assert np.allclose(achievable_speeds(sec, 1, 1.0), [0.0, math.sqrt(2.0)])
+    assert set(table.argmax_w.tolist()) == {0.0, float(achievable_speeds(sec, 1, 1.0)[1])}
     # two-element max oracle: L*(xi) = max(0, sqrt(2) xi - 1)
     expected = np.maximum(0.0, math.sqrt(2.0) * table.xi_grid - float(L(math.sqrt(2.0))))
     assert np.allclose(table.lstar, expected, atol=1e-15)
@@ -166,7 +181,8 @@ def test_two_point_transform_table(two_point):
 
 def test_claim_column_matches_at_zero_misses_elsewhere(two_point):
     sec = two_point.section()
-    table = legendre_transform(two_point.lagrangian(), sec, 1, 1.0, xi_grid=np.array([0.0, 0.1]))
+    table = legendre_transform(two_point.lagrangian(), sec, 1, 1.0, xi_resolution=11)
+    assert table.xi_grid[:2].tolist() == [0.0, 0.1]
     mism = table.claim_mismatch()
     assert not mism[0]  # xi = 0: claim gives 0 = L*(0)
     assert mism[1]  # xi = 0.1: claim 0.1*sqrt(2) vs computed 0
@@ -179,7 +195,7 @@ def test_fenchel_young_exact(paper):
     L = paper.lagrangian()
     for y, t in ((0, 1.0), (40, 2.0)):
         table = legendre_transform(L, sec, y, t)
-        w = table.achievable_w
+        w = achievable_speeds(sec, y, t)
         Lw = L(w)
         for i in range(table.xi_grid.size):
             # identity-level: the finite max dominates each score term exactly
@@ -199,20 +215,11 @@ def test_lstar_midpoint_convex(paper, two_point):
 def test_biconjugate_one_sided(two_point):
     sec = two_point.section()
     L = two_point.lagrangian()
-    w = math.sqrt(2.0)
-    hstar, gap = biconjugate(L, sec, 1, 1.0, w_grid=np.array([0.0, w]), xi_grid=np.linspace(0, 1, 101))
+    w = achievable_speeds(sec, 1, 1.0)  # 0 and sqrt(2)
+    h = hstar(L, sec, 1, 1.0, w, np.linspace(0, 1, 101))
+    gap = L(w) - h
     assert np.all(gap >= -1e-12)  # H* <= L on achievable speeds
-    assert hstar[0] <= 0.0 + 1e-15  # H*(0) = -min H <= 0 = L(0)
-    assert np.array_equal(gap, L(np.array([0.0, w])) - hstar)
-
-
-def test_biconjugate_requires_achievable_w(two_point):
-    sec = two_point.section()
-    w = math.sqrt(2.0)  # achievable at (y, t) = (1, 1), like 0
-    for w_grid, first_bad in (([0.5], 0.5), ([0.0, math.nan], math.nan), ([w, w + 1e-9, math.nan], w + 1e-9)):
-        # the message names the first refused speed; NaN is within 1e-12 of no speed
-        with pytest.raises(PreconditionError, match=re.escape(f"w={np.float64(first_bad)!r} ")):
-            biconjugate(two_point.lagrangian(), sec, 1, 1.0, w_grid=np.array(w_grid))
+    assert h[0] <= 0.0 + 1e-15  # H*(0) = -min H <= 0 = L(0)
 
 
 def test_refinement_monotone_exact(two_point):
@@ -220,9 +227,7 @@ def test_refinement_monotone_exact(two_point):
     L = two_point.lagrangian()
     xi_full = np.linspace(0.0, 1.0, 1001)
     w = np.array([0.0, math.sqrt(2.0)])
-    g11 = biconjugate(L, sec, 1, 1.0, w, xi_grid=xi_full[::100])[1]
-    g101 = biconjugate(L, sec, 1, 1.0, w, xi_grid=xi_full[::10])[1]
-    g1001 = biconjugate(L, sec, 1, 1.0, w, xi_grid=xi_full)[1]
+    g11, g101, g1001 = (L(w) - hstar(L, sec, 1, 1.0, w, xi) for xi in (xi_full[::100], xi_full[::10], xi_full))
     # nested grids: the finite max can only grow, the gap can only shrink
     assert np.all(g11 - g101 >= 0.0)
     assert np.all(g101 - g1001 >= 0.0)
@@ -241,7 +246,7 @@ def test_biconjugate_recovers_L_in_dense_classical_case():
     sec = _dense_line_section()
     L = model_quadratic()
     w = np.sort(sec.fiber_distances()[0])  # 0, 0.01, ..., 1.0
-    _, gap = biconjugate(L, sec, 0, 1.0, w_grid=w, xi_grid=np.linspace(0, 1, 1001))
+    gap = L(w) - hstar(L, sec, 0, 1.0, w, np.linspace(0, 1, 1001))
     assert float(np.abs(gap).max()) <= 1e-3
 
 
@@ -253,12 +258,6 @@ def test_default_grid_needs_finite_ils():
     sec = Section(space=space, values=np.array([[0.0], [5.0]]))
     with pytest.raises(PreconditionError):
         legendre_transform(model_quadratic(), sec, 0, 1.0)
-
-
-def test_negative_xi_rejected(two_point):
-    for xi_grid in ([-0.1], [0.0, math.nan]):
-        with pytest.raises(PreconditionError, match="xi grid must be nonnegative"):
-            legendre_transform(two_point.lagrangian(), two_point.section(), 0, 1.0, xi_grid=np.array(xi_grid))
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
@@ -281,21 +280,13 @@ def test_axioms_refuse_an_infinite_time(paper):
 
 
 def test_transform_refuses_an_infinite_time_or_xi(paper):
-    # an infinite t gave all-zero speeds and L*, an infinite xi a NaN row of L*
+    # an infinite t gave all-zero speeds and L*; the xi grid [0, ILS] takes 1 to 4096 points
     L, sec = paper.lagrangian(), paper.section()
     with pytest.raises(PreconditionError, match="t must be positive and finite"):
         legendre_transform(L, sec, 0, math.inf)
-    for xi_grid in ([0.0, math.inf], []):
-        with pytest.raises(PreconditionError, match="xi grid must be nonnegative, finite and nonempty"):
-            legendre_transform(L, sec, 0, 0.02, xi_grid=xi_grid)
     for xi_resolution in (0, 4097, 11.0):
         with pytest.raises(PreconditionError, match=r"xi_resolution must be an integer in \[1, 4096\]"):
             legendre_transform(L, sec, 0, 0.02, xi_resolution=xi_resolution)
-
-
-def test_biconjugate_refuses_an_infinite_time(paper):
-    with pytest.raises(PreconditionError, match="t must be positive and finite"):
-        biconjugate(paper.lagrangian(), paper.section(), 0, math.inf, [0.0])
 
 
 @pytest.mark.parametrize("y", [-1, 81, 1.0, math.nan])
@@ -304,8 +295,6 @@ def test_transforms_refuse_a_base_index_outside_the_base_set(paper, y):
     L, sec = paper.lagrangian(), paper.section()
     with pytest.raises(PreconditionError, match=r"base index must be an integer in \[0, 81\)"):
         legendre_transform(L, sec, y, 0.02)
-    with pytest.raises(PreconditionError, match=r"base index must be an integer in \[0, 81\)"):
-        biconjugate(L, sec, y, 0.02, [0.0])
 
 
 def test_a_penalty_is_its_function_and_its_declaration():

@@ -96,7 +96,6 @@ def test_column_writers_equal_the_per_cell_writers(tmp_path, seed):
             y_index=int(y),
             t=float(special(1)[0]),
             xi_grid=special(n),
-            achievable_w=special(m),
             lstar=special(n),
             argmax_w=special(n),
             claim_linear=special(n),
