@@ -75,16 +75,13 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
     probe = None
     if scenario.n_base >= 3:
         probe = asymmetry_probe(section)
-        x, y, z = probe.first_form_argmax
-        verdicts.append(
-            Verdict.from_slack(
-                "asymmetry_first_form",
-                probe.first_form_worst,
-                SLACK_TOLERANCE,
-                f"x={scenario.base_ids[x]},y={scenario.base_ids[y]},z={scenario.base_ids[z]}",
-                note=f"{len(probe.violations)} reverse-form violations recorded",
-            )
-        )
+        loc, path = None, "certified: rounding bound beta={:.3e} <= tolerance"
+        if probe.first_form_argmax is not None:  # the bound exceeded the tolerance: the triples were scanned
+            x, y, z = probe.first_form_argmax
+            loc = f"x={scenario.base_ids[x]},y={scenario.base_ids[y]},z={scenario.base_ids[z]}"
+            path = "scanned: rounding bound beta={:.3e} exceeds tolerance"
+        note = f"{path.format(probe.first_form_bound)}; {len(probe.violations)} reverse-form violations recorded"
+        verdicts.append(Verdict.from_slack("asymmetry_first_form", probe.first_form_worst, SLACK_TOLERANCE, loc, note))
     else:
         verdicts.append(
             Verdict("asymmetry_first_form", "SKIPPED", None, None, note="fewer than 3 base points")

@@ -347,7 +347,8 @@ def overflow_speed(L: Lagrangian, distance: float, t: float) -> float | None:
 def validate_scenario(scenario: Scenario) -> None:
     """Geometry and section validation; raises with offending base ids.  The
     penalty, and the model penalty of the HJ grids, must then be finite at
-    every speed `check` evaluates them at: an overflow would give NaN slacks."""
+    every speed `check` evaluates them at, and so must suite item i's bound:
+    an overflow would give NaN slacks, or an inf bound that passes any u."""
     space_report = scenario.space_report()
     if not space_report.ok:
         parts = []
@@ -378,6 +379,13 @@ def validate_scenario(scenario: Scenario) -> None:
     w = overflow_speed(model_quadratic(), distance, t)
     if w is not None:
         raise ScenarioValidationError(f"{field}: the model penalty overflows at speed {w:.6g}, reached at time {t!r}")
+    # suite item i's K * K * (s - t) / (2.0 * t * s), K <= distance: the test above bounds only the quotient
+    t, s = float(min(scenario.grids.times)), float(max(scenario.grids.times))
+    if t < s and not (math.isfinite(distance * distance * (s - t)) and 0.0 < 2 * t * t and math.isfinite(2 * s * s)):
+        raise ScenarioValidationError(
+            f"grids.times: suite item i's bound K^2 (s - t) / (2 t s) leaves the float range at K = {distance:.6g} "
+            f"between times {t!r} and {s!r}"
+        )
 
 
 def _read(doc: dict) -> Scenario:

@@ -27,7 +27,7 @@ from .geometry import (
 Array = np.ndarray
 
 DEFAULT_TAU_SEC = 1e-9
-# floats in one difference block of the first form in `asymmetry_probe`: 256 KB, a cache-sized block
+# floats in one difference block of `first_form_scan`: 256 KB, a cache-sized block
 GAP_BLOCK_FLOATS = 1 << 15
 # floats in one block of `pair_differences`: 64 KB.  With blocks of 128 KB
 # and more, the peak RSS of long check-two-line-400 benchmark runs grew by
@@ -35,6 +35,8 @@ GAP_BLOCK_FLOATS = 1 << 15
 PAIR_BLOCK_FLOATS = 1 << 13
 # `asymmetry_probe` lists a reverse-form triple when D[x, y] - D[x, z] - E[y, z] exceeds this
 EXCESS_TOL = 1e-9
+# slack checks pass at a worst slack <= this; `asymmetry_probe` scans the first form only above it
+SLACK_TOLERANCE = 1e-9
 # arguments are checked `<= FLOAT_MAX`, not `< inf`: a Python int too large for a float compares below inf
 FLOAT_MAX = float(np.finfo(float).max)
 
@@ -197,8 +199,11 @@ def local_slopes(section: Section, radii) -> SlopeReport:
 class AsymmetryReport:
     """Both orientations of the fiber-distance difference bound.
 
-    The section-anchored form  d(f(y),F_x) - d(f(z),F_x) <= d(f(y),f(z))
-    holds for every triple (worst slack reported); the fiber-anchored form
+    The section-anchored form d(f(y),F_x) - d(f(z),F_x) <= d(f(y),f(z))
+    holds for every triple: `first_form_worst` is its rounding bound
+    `first_form_bound` with `first_form_argmax` None, or, where that bound
+    exceeds SLACK_TOLERANCE, the worst slack of `first_form_scan` and its
+    location (x, y, z).  The fiber-anchored form
     d(f(x),F_y) - d(f(x),F_z) <= d(f(y),f(z)) can fail, and every failing
     triple is recorded as columns: the rows (x, y, z) of the (n, 3) int array
     `violations` in lexicographic order, with lhs[n] = D[x, y] - D[x, z] and
@@ -206,7 +211,8 @@ class AsymmetryReport:
     """
 
     first_form_worst: float
-    first_form_argmax: tuple[int, int, int]
+    first_form_argmax: tuple[int, int, int] | None
+    first_form_bound: float
     violations: Array
     lhs: Array
     rhs: Array
@@ -221,10 +227,59 @@ def pair_differences(A: Array, rows: Array, others: Array):
         yield k, A[rows[k : k + step]] - A[others[k : k + step]]
 
 
-def fiber_excess_bound(section: Section) -> Array:
+def first_form_bound(kappa: int, magnitude: float, segments: bool) -> float:
+    """beta >= every computed first-form gap fl(fl(D[y, x] - D[z, x]) - E[y, z])
+    of distances built by `geometry.pairwise_distances` and, if `segments`,
+    by `geometry.segment_distances`, from coordinates in R^kappa of
+    magnitude at most M = `magnitude`, with D <= M.  NaN or inf in M gives
+    a beta that is not finite.
+
+    In exact arithmetic the gap is at most 0, since the distance to a set
+    is 1-Lipschitz (Burago, Burago & Ivanov, A Course in Metric Geometry,
+    2001).  If e_D and e_E bound the absolute errors of D and E, the
+    computed gap is at most (2 e_D + e_E + u M)(1 + u): u M covers the first
+    subtraction, |D[y, x] - D[z, x]| <= M, and 1 + u the second.  Here
+    u = 2^-53, gamma_n = n u / (1 - n u) as in Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed. (2002), ch. 3, and
+    r = sqrt(kappa).
+
+    Points: a squared difference carries 3 roundings and the in-order sum
+    kappa - 1 more, on nonnegative terms, so the sum is exact times 1 + theta
+    with |theta| <= gamma_{kappa+2}; the sqrt halves theta and rounds once,
+    so a distance d is exact to gamma_{kappa+3} d.  Counting theta in full,
+    not halved, leaves a slack that covers the second-order terms below and
+    the roundings of beta itself.  A minimum over pieces keeps the bound,
+    so e_D = gamma_{kappa+3} M, and E <= 2 r M gives e_E = 2 r gamma_{kappa+3} M.
+
+    Segments: p is measured to q = fl(a + s fl(b - a)), s the clamped
+    projection.  The numerator (p - a).(b - a) errs by gamma_{kappa+2}
+    |p - a| |b - a| (Cauchy-Schwarz), the denominator by gamma_{kappa+2}
+    relative and the division by u, and clamping is 1-Lipschitz, so s is
+    within (2 gamma_{kappa+2} + u) |p - a| / |b - a| of the nearest point's
+    parameter, whose distance the point a + s (b - a) exceeds by at most
+    (2 gamma_{kappa+2} + u) |p - a|.  q lies within gamma_3 |b - a| + u |q|
+    of that point, and |p - a|, |b - a| <= 2 r M, |q| <= r M: a segment
+    distance errs by at most (4 kappa + 17) u r M more than a point distance.
+
+    Gradual underflow adds under kappa 2^-500 over the three distances: a
+    square below 2^-1074 is lost, and a segment shorter than 2^-511, whose
+    squared length is subnormal, may be measured from any of its points.
+    So beta = C M + kappa 2^-500, with C about 12.6 eps on point fibers and
+    48 eps with segments at kappa = 2.
+    """
+    u = 2.0**-53
+    r = kappa**0.5
+    gamma = (kappa + 3) * u / (1.0 - (kappa + 3) * u)
+    e_D = gamma + (4 * kappa + 17) * u * r * segments  # the errors per unit of M
+    e_E = 2.0 * r * gamma
+    return (2.0 * e_D + e_E + u) * (1.0 + u) * magnitude + kappa * 2.0**-500
+
+
+def fiber_excess_bound(section: Section) -> tuple[Array, float]:
     """H[y, z] >= sup over p in F_z of d(p, F_y), plus a rounding margin, so
     that the computed D[x, y] - D[x, z] is at most H[y, z] for every anchor x
-    (the point of F_z nearest f(x) lies within that supremum of F_y).
+    (the point of F_z nearest f(x) lies within that supremum of F_y), and
+    the first form's rounding bound beta of `first_form_bound`.
 
     A point of F_z gives d(p, F_y) itself, the minimum over the pieces s of
     F_y of d(p, s).  A segment [a, b] of F_z gives the minimum over s of
@@ -238,8 +293,9 @@ def fiber_excess_bound(section: Section) -> Array:
     each F_z are elementwise passes over strided views, one group of F_z at
     a time; no fiber is padded.  A block's distances hold about m^2 / 8
     floats, or MIN_BLOCK_FLOATS when that is more.  The margin is
-    PRUNE_MARGIN times the largest distance or coordinate magnitude; it
-    covers the rounding of D and of the bound.
+    PRUNE_MARGIN times M, the largest distance or coordinate magnitude; it
+    covers the rounding of D and of the bound.  M also scales beta, which a
+    NaN section value makes NaN.
     """
     D = section.fiber_distances()  # refuses an empty fiber first
     groups = fiber_groups(section.space.fibers)
@@ -267,36 +323,26 @@ def fiber_excess_bound(section: Section) -> Array:
                 for i in range(1, cz):
                     np.maximum(far[:, 0], far[:, i], out=far[:, 0])
                 H[np.ix_(cols, zs)] = far[:, 0].T
-    magnitudes = (np.abs(rows).max(), np.abs(section.values).max(), H.max(), D.max())
-    H += PRUNE_MARGIN * float(max(magnitudes))
-    return H
+    magnitudes = np.array([np.abs(rows).max(), np.abs(section.values).max(), H.max(), D.max()])
+    H += PRUNE_MARGIN * float(np.nanmax(magnitudes))  # the fiber coordinates are finite
+    return H, first_form_bound(section.values.shape[1], float(magnitudes.max()), first_segment < pieces)
 
 
-def asymmetry_probe(section: Section) -> AsymmetryReport:
-    """The section-anchored form is the maximum over (y, z) of
-    max_x (D[y, x] - D[z, x]) - E[y, z].  IEEE subtraction rounds
-    symmetrically (Goldberg, ACM Comput. Surv. 1991), so the Chebyshev row
-    distance c[y, z] = max_x |D[y, x] - D[z, x]| over z >= y, in blocks of
-    GAP_BLOCK_FLOATS floats, is the larger orientation of a pair, and the
-    worst is the maximum of fl(c - E), NaN counting largest.  Only the pairs
-    attaining it are evaluated in both orientations, for the first ordered
-    pair in row-major order that attains it, as `np.argmax` would give.
-
-    The reverse form lists every (x, y, z) with
-    D[x, y] - D[x, z] - E[y, z] > EXCESS_TOL, and scans the anchors x of a
-    pair (y, z) only when H[y, z] - E[y, z] > EXCESS_TOL, H being
-    `fiber_excess_bound`.  A skipped pair has no violating anchor, so the
-    violations are those of a scan over all triples.  Each block of pairs
-    appends its column chunks; one concatenation and one lexsort give the
-    report's columns.
+def first_form_scan(section: Section) -> tuple[float, tuple[int, int, int]]:
+    """The first form's worst slack over all triples, the maximum over
+    (y, z) of max_x (D[y, x] - D[z, x]) - E[y, z], and its first location
+    (x, y, z).  IEEE subtraction rounds symmetrically (Goldberg, ACM Comput.
+    Surv. 1991), so the Chebyshev row distance c[y, z] = max_x |D[y, x] - D[z, x]|
+    over z >= y, in blocks of GAP_BLOCK_FLOATS floats, is the larger
+    orientation of a pair, and the worst is the maximum of fl(c - E), NaN
+    counting largest.  Only the pairs attaining it are evaluated in both
+    orientations, for the first ordered pair in row-major order that
+    attains it, as `np.argmax` would give.
     """
     m = section.n_base
-    if m < 3:
-        raise PreconditionError("asymmetry_probe needs at least 3 base points")
     E = section.value_distances()
     D = section.fiber_distances()
-
-    # first form: gaps[y, z] = fl(c[y, z] - E[y, z]) for z >= y, -inf below the diagonal
+    # gaps[y, z] = fl(c[y, z] - E[y, z]) for z >= y, -inf below the diagonal
     gaps = np.full((m, m), -np.inf)
     step = max(1, GAP_BLOCK_FLOATS // m)  # rows z per block
     buf = np.empty((min(m, step), m))
@@ -316,10 +362,30 @@ def asymmetry_probe(section: Section) -> AsymmetryReport:
         if hits.size:
             y, z, worst = int(ys[k + hits[0]]), int(zs[k + hits[0]]), float(pair_gaps[hits[0]])
             break
-    x = int(np.argmax(D[y] - D[z]))
+    return worst, (int(np.argmax(D[y] - D[z])), y, z)
+
+
+def asymmetry_probe(section: Section) -> AsymmetryReport:
+    """The first form holds by theorem: its verdict is the rounding bound
+    beta from `fiber_excess_bound`, an O(m^2) certificate, and only a beta
+    above SLACK_TOLERANCE or not finite runs the cubic `first_form_scan`.
+
+    The reverse form lists every (x, y, z) with
+    D[x, y] - D[x, z] - E[y, z] > EXCESS_TOL, and scans the anchors x of a
+    pair (y, z) only when H[y, z] - E[y, z] > EXCESS_TOL, H being
+    `fiber_excess_bound`.  A skipped pair has no violating anchor, so the
+    violations are those of a scan over all triples.  Each block of pairs
+    appends its column chunks; one concatenation and one lexsort give the
+    report's columns.
+    """
+    if section.n_base < 3:
+        raise PreconditionError("asymmetry_probe needs at least 3 base points")
+    E = section.value_distances()
+    D = section.fiber_distances()
+    excess, beta = fiber_excess_bound(section)
+    worst, argmax = (beta, None) if beta <= SLACK_TOLERANCE else first_form_scan(section)
 
     # reverse form: anchors x of the pairs (y, z) that the bound H does not clear
-    excess = fiber_excess_bound(section)
     excess -= E
     ys, zs = np.nonzero(excess > EXCESS_TOL)
     chunks = [(np.empty(0, dtype=np.intp),) * 3 + (np.empty(0),) * 2]  # x, y, z, lhs, rhs
@@ -331,4 +397,4 @@ def asymmetry_probe(section: Section) -> AsymmetryReport:
     vx, vy, vz, lhs, rhs = map(np.concatenate, zip(*chunks))
     order = np.lexsort((vz, vy, vx))
     violations = np.column_stack((vx, vy, vz))[order]
-    return AsymmetryReport(worst, (x, y, z), violations, lhs[order], rhs[order])
+    return AsymmetryReport(worst, argmax, beta, violations, lhs[order], rhs[order])

@@ -30,13 +30,11 @@ import numpy as np
 from .errors import PreconditionError
 from .geometry import PRUNE_MARGIN
 from .lagrangian import AxiomReport, Lagrangian, certification_grid, check_axioms, model_quadratic
-from .section import FLOAT_MAX, Section, as_floats, bound_K, checked_index, g_field, global_ILS
+from .section import FLOAT_MAX, SLACK_TOLERANCE, Section, as_floats, bound_K, checked_index, g_field, global_ILS
 
 Array = np.ndarray
 
 DEFAULT_TAU_TIE = 1e-9
-# the suite items, the pair scan and the runner's other slack checks pass at a worst slack <= this
-SLACK_TOLERANCE = 1e-9
 # forward-difference step scale: sqrt(eps) * t balances truncation against roundoff
 FD_STEP_SCALE = float(np.sqrt(np.finfo(float).eps))
 # the quasi-minimizer trace halves its time this many times

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -56,3 +58,19 @@ def reference_first_form(section):
     gaps = reference_max_row_gaps(D) - E
     y, z = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
     return float(gaps[y, z]), (int(np.argmax(D[y] - D[z])), int(y), int(z))
+
+
+def scaled_document(doc, factor):
+    """A copy of the scenario document `doc` with every coordinate, radius
+    and the HJ radius times `factor`."""
+    doc = copy.deepcopy(doc)
+    for rec in doc["base"]:
+        rec["point"] = [factor * v for v in rec["point"]]
+    for fiber in doc["fibers"].values():
+        fiber["data"] = np.multiply(fiber["data"], factor).tolist()
+    doc["section"] = {bid: [factor * v for v in value] for bid, value in doc["section"].items()}
+    grids = doc["grids"]
+    grids["radii"] = [factor * r for r in grids["radii"]]
+    if "hj_radius" in grids:
+        grids["hj_radius"] = factor * grids["hj_radius"]
+    return doc

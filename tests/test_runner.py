@@ -27,7 +27,9 @@ from fiberflow.scenario import (
     two_point_scenario,
     write_scenario,
 )
+from fiberflow.section import asymmetry_probe, first_form_scan
 from fiberflow.semigroup import evolution_table, hj_residuals
+from conftest import scaled_document
 from test_section import segments_section, two_line_section, unequal_section
 from test_semigroup import reference_pair_slack
 
@@ -36,28 +38,28 @@ from test_semigroup import reference_pair_slack
 # that moves one of them changes a report byte; CHANGES.md must explain it.
 BUNDLE_DIGESTS = {
     "two-point": "af40e5c79c301ceba7f9dca67eb4402d50977919e66a4c63615a2e3025f6c9d4",
-    "paper-counterexample": "7cc893d0f04f7ce0b3c50b776b10fd484230d44ea6fddb8abf30b51f5ebae65f",
-    "singleton-constant": "78e105164d7ca0ba3d3b803d09f9334b7804fbcf040f62e053115ebde7510234",
-    "tie": "41c54539bbbbfd531a8e6f0e3e1a4fa3f94233f7b67dc1ba3a93fe94bf70c545",
-    "random-0": "15e418af301856cb5ba3d03c15d249c2fc2a4e79e4c41a9b2f6e301f72829b4d",
-    "random-1": "199436e3eeed510cf91640ca4cebde975bcdebee636b68c38b863c43a06d122d",
-    "random-2": "3f5211dd0b8893c8d6c61dcd96946463ae456e9540941dfc44a7cb7b6ad399c1",
-    "random-3": "e61841cc41a6a7c6d812882e87dcc2ce1bf0867de2c3f2a623f39da9aba8cae6",
-    "random-4": "05dcb5cd6ab1905126effff9afa7e94167957e82ee2cc20123eedcbc66be9662",
-    "random-5": "590c21404135a46df7554ad6cdf7c23173a49c4f37e0d93c21fe38c53e75cd05",
-    "random-6": "ddb2225672424fef2cd8529d01c56124a32402e68bc1e8599bc631eb5f946630",
-    "random-7": "f81b19f74d55064b50307102b9bfc77742c5030921a2718889d17530137f793f",
-    "random-8": "c9baf3d3aabae949ef179cdebf6207d5c2ab62e472f0afafddd15d1600d4095c",
-    "random-9": "27d6b341a28d330df43c221a74f70a496bbbd502909fd092e15cd5a518ad4136",
-    "two-line-60": "869fb666cbf43d721d2a1e3370483b268d2e7f2986ea8ffaaa5ed9a2f9abeed8",
-    "segments-12": "4fc912368939438be7c2756afe9ec91e5d6604a78732c1bc88748bd5dbd9a796",
-    "unequal-16": "85d202357aa748f372331edd18703a0f911b038ae9d0fa53f8d1606f4d6aa6ab",
+    "paper-counterexample": "f005693d2885b2bddffa246264823a030546208d1256b1c30802f29bcfc29bd5",
+    "singleton-constant": "c843e79fa2783ac22677a842eda3f1eb4981c395674dee4dbc985c56bfeaeac4",
+    "tie": "b1b5b4fffcf895ea7c82bdea7fc36eb9d14c448d0a068281cf0aa8431584ff2a",
+    "random-0": "6d3e8b464b602d1187f096cabc855385a742f4c27cb0afcc7fe78fbc20dc0cf3",
+    "random-1": "a196f28537dfe9a0a0728d08db2625a89171ef9d0138f42450a885021c80d813",
+    "random-2": "2a864caf4bbcaf37179e457abcab892aabba0653c11ba206d22444163e69c3df",
+    "random-3": "0c18413be4bdafacc1d5d6b4b0d1300e7f8f4917c88a988c961bf4177973a4d0",
+    "random-4": "dcc981645531d8b75a018972063b833d2911caa1c6ba07b29bc45fbdcf34a751",
+    "random-5": "84b8b2d40a53d396d7cf7eca649d1d21a79acbe48a5013e37a21ab1f19ab1c1f",
+    "random-6": "4bedcc94d3be82eb85d2628dc95c772a76566abcbf4cfbbd26b65a401d11be0f",
+    "random-7": "cf8e59825568cba70f8878dfdccda14a7c1db0684f514204cb7c5e8039b77516",
+    "random-8": "1c97c45522f918a9c12dccb182330f3425111478e61f7339b1a241854111b5dc",
+    "random-9": "9c474d97f3c4cbf2edc65b75a7c9585f52557bc87e6c5d2013a505550fa4f90f",
+    "two-line-60": "8da5fcc1b8b0b4b564605124f26468074ee231c4644f2dccfc0eb0b34e66258d",
+    "segments-12": "4660372eafd436a2fc65e1059acceb8cc5af61db4cfc710d8c1c27b662788700",
+    "unequal-16": "d36a0bd9403ecea0e7cc8681ce3635ba460372d07f5b62895638fa4b17d3f1d2",
 }
 # the same digest over the bundles of the benchmark's check workloads, whose
 # scenarios benchmarks/workloads.py writes as JSON
 BENCHMARK_DIGESTS = {
-    "two_line_doc": "289e9434a3764e4f1a5a10258adf8873e149c25136f3289c407e7f45473234f7",
-    "segments_power_doc": "e17e97e8bb11be502802848031bd2a461ee3ad2efcc1b012e298f3b554a9d42e",
+    "two_line_doc": "cc26a017489fef87bbc99daa61be908972a7ab2d43efba2121316e9d1cacbdce",
+    "segments_power_doc": "44477d8e26da865d5d01049a30928756bf6a3698912735b2b8f5af1411e2522e",
 }
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
 BUNDLED = {b().name: b for b in (two_point_scenario, paper_counterexample, singleton_constant_scenario, tie_scenario)}
@@ -159,6 +161,38 @@ def workloads():
     finally:
         sys.dont_write_bytecode = dont_write
     return module
+
+
+def test_check_workloads_certify_the_first_form_without_the_scan(tmp_path, workloads, monkeypatch):
+    # a silent fallback to the cubic scan would keep every verdict and lose the O(m^2) first form
+    def scan(section):
+        raise AssertionError("the first form's cubic scan ran")
+
+    monkeypatch.setattr("fiberflow.section.first_form_scan", scan)
+    for doc, m in (("two_line_doc", 40), ("segments_power_doc", 24)):
+        path = workloads.write_doc(getattr(workloads, doc)(m), tmp_path / f"{doc}.json")
+        _, verdicts, _ = run_check(load_scenario(path), tmp_path / doc)
+        v = _verdict(verdicts, "asymmetry_first_form")
+        assert (v.status, v.location) == ("PASS", None) and v.note.startswith("certified: rounding bound beta="), doc
+
+
+def test_first_form_note_names_the_path(tmp_path):
+    # near 1e5 the rounding bound of the first form exceeds SLACK_TOLERANCE, so the triples are scanned
+    for factor, path in ((1.0, "certified"), (1e5, "scanned")):
+        scenario = scenario_from_dict(scaled_document(scenario_to_dict(paper_counterexample()), factor))
+        _, verdicts, _ = run_check(scenario, tmp_path / path)
+        probe = asymmetry_probe(scenario.section())
+        v = _verdict(verdicts, "asymmetry_first_form")
+        count = f"{len(probe.violations)} reverse-form violations recorded"
+        if path == "certified":
+            assert (v.worst_slack, v.location) == (probe.first_form_bound, None)
+            assert v.note == f"certified: rounding bound beta={probe.first_form_bound:.3e} <= tolerance; {count}"
+        else:
+            worst, argmax = first_form_scan(scenario.section())
+            x, y, z = (scenario.base_ids[k] for k in argmax)
+            assert (v.worst_slack, v.location) == (worst, f"x={x},y={y},z={z}")
+            assert v.note == f"scanned: rounding bound beta={probe.first_form_bound:.3e} exceeds tolerance; {count}"
+        assert v.status == "PASS" and len(probe.violations) > 0
 
 
 @pytest.mark.parametrize("doc, m", [("two_line_doc", 400), ("segments_power_doc", 300)])

@@ -17,6 +17,7 @@ from fiberflow.section import (
     asymmetry_probe,
     bound_K,
     fiber_excess_bound,
+    first_form_scan,
     g_field,
     global_ILS,
     local_slopes,
@@ -414,10 +415,43 @@ def test_first_form_equals_per_row_reference(paper, tie, singleton):
     sections += [random_scenario(seed).section() for seed in range(40)]
     for sec in sections:
         if sec.n_base >= 3:
-            probe = asymmetry_probe(sec)
+            got_worst, got_argmax = first_form_scan(sec)
             worst, argmax = reference_first_form(sec)
+            assert (got_worst, got_argmax) == (worst, argmax)
+            assert math.copysign(1.0, got_worst) == math.copysign(1.0, worst)
+
+
+def scaled_section(sec, factor):
+    """`sec` with every coordinate times `factor`."""
+    fibers = tuple(
+        PointSet(f.points * factor) if isinstance(f, PointSet) else SegmentUnion(f.segments * factor)
+        for f in sec.space.fibers
+    )
+    space = FiberedSpace(base_points=sec.space.base_points * factor, fibers=fibers)
+    return Section(space=space, values=sec.values * factor)
+
+
+def test_first_form_bound_covers_the_scan():
+    # the scan's worst is rounding noise, up to about 0.12 of the bound on these sections; at
+    # coordinates near 1e6 and 1e9 the bound exceeds SLACK_TOLERANCE and the probe must scan
+    randoms = [random_scenario(seed).section() for seed in range(200)]
+    sections = [(sec, factor) for sec in randoms + [segments_section(12)] for factor in (1.0, 1e3, 1e6, 1e9)]
+    sections += [(two_line_section(60), 1.0), (segments_section(60), 1.0)]
+    scanned = positive = 0
+    for sec, factor in sections:
+        sec = scaled_section(sec, factor)
+        probe = asymmetry_probe(sec)
+        worst, argmax = first_form_scan(sec)
+        assert worst <= probe.first_form_bound, (factor, worst, probe.first_form_bound)
+        if probe.first_form_argmax is None:
+            assert probe.first_form_worst == probe.first_form_bound <= 1e-9
+        else:
             assert (probe.first_form_worst, probe.first_form_argmax) == (worst, argmax)
-            assert math.copysign(1.0, probe.first_form_worst) == math.copysign(1.0, worst)
+            assert probe.first_form_bound > 1e-9
+            scanned += 1
+        assert factor < 1e9 or probe.first_form_argmax is not None  # the fallback ran on the largest copies
+        positive += worst > 0
+    assert scanned >= 400 and positive >= 150  # 402 and 190
 
 
 def first_form_sections():
@@ -448,13 +482,15 @@ def test_first_form_equals_per_row_reference_on_ties_inf_and_nan():
     ties = positive = infs = nans = 0
     for sec in first_form_sections():
         with np.errstate(over="ignore", invalid="ignore"):  # distances past the float range, inf - inf
+            got, got_argmax = first_form_scan(sec)
             probe = asymmetry_probe(sec)
             worst, argmax = reference_first_form(sec)
             gaps = reference_max_row_gaps(sec.fiber_distances()) - sec.value_distances()
-        got = probe.first_form_worst
-        assert probe.first_form_argmax == argmax
+        assert got_argmax == argmax
         assert got == worst or (math.isnan(got) and math.isnan(worst))
         assert math.isnan(got) or math.copysign(1.0, got) == math.copysign(1.0, worst)
+        if not np.isfinite(sec.fiber_distances()).all():  # no certificate: the probe reports the scan
+            assert probe.first_form_argmax == argmax and not probe.first_form_bound <= 1e-9
         ties += int((gaps == worst).sum()) > 1
         positive += worst > 0
         infs += bool(np.isinf(sec.fiber_distances()).any())
@@ -478,7 +514,7 @@ def test_pruned_reverse_form_equals_all_triples(paper, tie, singleton, monkeypat
     monkeypatch.undo()
     # the paper's reverse form: 93 pairs (y, z) pass the bound, 92 of them with violations
     sec = paper.section()
-    assert int((fiber_excess_bound(sec) - sec.value_distances() > 1e-9).sum()) == 93
+    assert int((fiber_excess_bound(sec)[0] - sec.value_distances() > 1e-9).sum()) == 93
     assert len(np.unique(asymmetry_probe(sec).violations[:, 1:], axis=0)) == 92
 
 
@@ -511,7 +547,7 @@ def test_excess_bound_equals_the_reduceat_reference_bit_for_bit(paper, tie):
     sections += oblique_segment_sections()
     for sec in sections:
         want = reference_fiber_excess_bound(sec)
-        assert np.array_equal(fiber_excess_bound(sec).view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(fiber_excess_bound(sec)[0].view(np.uint64), want.view(np.uint64))
 
 
 def test_excess_bound_memory_with_one_large_fiber():
@@ -525,7 +561,7 @@ def test_excess_bound_memory_with_one_large_fiber():
     sec.fiber_distances()  # cached before measuring
     tracemalloc.start()
     try:
-        H = fiber_excess_bound(sec)
+        H, _ = fiber_excess_bound(sec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -557,6 +593,7 @@ def test_triple_scans_memory_is_quadratic():
     budget = 32 * m * m * 8  # bytes: 32 m x m float arrays, against 64 MB for one m^3 temporary
     scans = {
         "asymmetry_probe": lambda: asymmetry_probe(sec),
+        "first_form_scan": lambda: first_form_scan(sec),  # the probe certifies this section without it
         "check_axioms": lambda: check_axioms(model_quadratic(), sec, [0.01, 0.5, 2.0]),
     }
     for name, scan in scans.items():
