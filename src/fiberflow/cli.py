@@ -10,7 +10,6 @@ traceback, whose exit code 1 would read as a failed check).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from .errors import PreconditionError, ScenarioFormatError, ScenarioValidationEr
 from .lagrangian import legendre_transform
 from .reports import fmt, write_evolution_csv, write_slopes_csv, write_transform_csv
 from .runner import run_check
-from .scenario import distance_bound, load_scenario, overflow_speed, paper_counterexample, write_scenario
+from .scenario import distance_bound, load_scenario, paper_counterexample, time_refusal, write_scenario
 from .section import local_slopes
 from .semigroup import evolution_table
 from .variational import solve_variational
@@ -32,16 +31,15 @@ EXIT_PRECONDITION = 6
 EXIT_INTERNAL = 7
 
 
-def _checked_time(t: float, scenario) -> float:
-    """t, refused unless it is finite and positive and the scenario's penalty
-    is finite at the speeds it reaches at t, as `validate_scenario` requires
-    of the grid times."""
-    if not (math.isfinite(t) and t > 0):
-        raise PreconditionError(f"time {t!r} must be a finite number > 0")
-    w = overflow_speed(scenario.lagrangian(), distance_bound(scenario), t)
-    if w is not None:
-        raise PreconditionError(f"time {t!r} is too small: the penalty overflows at speed {w:.6g}")
-    return t
+def _checked_times(times: list[float], scenario) -> list[float]:
+    """`times`, refused unless `time_refusal` passes each of them with the
+    scenario's penalty, the rule `validate_scenario` applies to the grid times."""
+    distance, penalty = distance_bound(scenario), {"penalty": scenario.lagrangian()}
+    for t in times:
+        refusal = time_refusal(t, distance, penalty)
+        if refusal is not None:
+            raise PreconditionError(f"time {t!r} {refusal[1]}")
+    return times
 
 
 def _parse_times(text: str, scenario) -> list[float]:
@@ -51,7 +49,7 @@ def _parse_times(text: str, scenario) -> list[float]:
         raise PreconditionError(f"bad time list {text!r}: {exc}") from exc
     if not times:
         raise PreconditionError(f"bad time list {text!r}: no times")
-    return [_checked_time(t, scenario) for t in times]
+    return _checked_times(times, scenario)
 
 
 def cmd_validate(ns) -> int:
@@ -88,7 +86,7 @@ def cmd_slopes(ns) -> int:
 def cmd_transform(ns) -> int:
     scenario = load_scenario(ns.scenario)
     y = scenario.id_index(ns.y)
-    t = _checked_time(ns.t, scenario)
+    (t,) = _checked_times([ns.t], scenario)
     table = legendre_transform(
         scenario.lagrangian(), scenario.section(), y, t, xi_resolution=scenario.grids.xi_resolution
     )
@@ -101,7 +99,7 @@ def cmd_transform(ns) -> int:
 def cmd_variational(ns) -> int:
     scenario = load_scenario(ns.scenario)
     y = scenario.id_index(ns.y)
-    t = _checked_time(ns.t, scenario)
+    (t,) = _checked_times([ns.t], scenario)
     out = Path(ns.out) / f"{scenario.report_prefix}_variational.csv"
     out.parent.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before the solve
     result = solve_variational(scenario.section(), scenario.lagrangian(), y, t, ns.steps, scenario.params)

@@ -10,7 +10,7 @@ of fmt(x) for every float x.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -97,10 +97,7 @@ def write_asymmetry_csv(path, scenario: Scenario, report: AsymmetryReport | None
 
 
 def write_verdicts_json(path, verdicts: list[dict]) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(verdicts, indent=2, sort_keys=False) + "\n", encoding="utf-8")
-    return path
+    return _write_lines(Path(path), [json.dumps(verdicts, indent=2)])
 
 
 @dataclass
@@ -112,10 +109,4 @@ class ReportBundle:
     asymmetry_csv: Path
 
     def all_files(self) -> list[Path]:
-        return [
-            self.evolution_csv,
-            self.slopes_csv,
-            self.transform_csv,
-            self.verdicts_json,
-            self.asymmetry_csv,
-        ]
+        return [getattr(self, f.name) for f in fields(self)]

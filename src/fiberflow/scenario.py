@@ -30,7 +30,7 @@ from .lagrangian import (
     model_quadratic,
 )
 from .section import DEFAULT_TAU_SEC, FLOAT_MAX, Section, validate_section
-from .semigroup import DEFAULT_TAU_TIE
+from .semigroup import DEFAULT_TAU_TIE, FD_STEP_SCALE
 
 Array = np.ndarray
 
@@ -40,6 +40,8 @@ SCHEMA_VERSION = 1
 COORD_MAX = 2.0**500
 # largest ambient dimension: a sum of KAPPA_MAX such squares stays below 2^1022
 KAPPA_MAX = 2**20
+# what a base id may not hold: the report CSVs' separators of columns, argmin ids, locations and quotes
+ID_FORBIDDEN = frozenset(',;="')
 
 
 @dataclass
@@ -237,7 +239,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         for i, rec in enumerate(base):
             _expect(isinstance(rec, dict), "base[{}]: expected an object", i)
             bid = rec.get("id")
-            _expect(isinstance(bid, str) and bid, "base[{}].id: expected a nonempty string", i)
+            good = isinstance(bid, str) and bid and bid.isprintable() and ID_FORBIDDEN.isdisjoint(bid)
+            _expect(good, "base[{}].id: expected a nonempty printable string without , ; = or \"", i)
             _expect(bid not in known, "base[{}].id: duplicate base id {!r}", i, bid)
             ids.append(bid)
             known.add(bid)
@@ -334,21 +337,30 @@ def distance_bound(scenario: Scenario) -> float:
     return float(scenario.section().fiber_distances().max()) + span
 
 
-def overflow_speed(L: Lagrangian, distance: float, t: float) -> float | None:
-    """The speed w = distance / t when w, L(w) or t L(w), the branch cost, is
-    not finite, None when all are.  The |L| of a factory penalty grows with
-    the speed, so at the largest speed one evaluation decides."""
+def time_refusal(t: float, distance: float, penalties: dict[str, Lagrangian]) -> tuple[str | None, str] | None:
+    """The one rule for the times `check` runs: None when it can evaluate a
+    scenario whose `distance_bound` is `distance` at time t, else (name,
+    reason), name being the key of the penalty that overflows (None for the
+    step test) and reason the text that follows "time t" in a message.
+    The step test: t > 0, the HJ step FD_STEP_SCALE t is not 0, and 2t (the
+    pair scan divides by it, and it exceeds t + h) is finite.  The overflow
+    test: w = distance / t, L(w) and the branch cost t L(w) are finite for
+    each penalty; a factory |L| grows with the speed, so one evaluation decides."""
+    if not (t > 0 and FD_STEP_SCALE * t > 0 and math.isfinite(2.0 * t)):  # NaN fails t > 0
+        return None, "must be a finite number > 0 with 2t finite and a nonzero step sqrt(eps) t"
     w = distance / t
     with np.errstate(over="ignore", invalid="ignore"):  # np.power warns; Python floats overflow to inf silently
-        cost = max(t, 1.0) * float(L.fn(w))
-    return None if math.isfinite(w) and math.isfinite(cost) else w
+        for name, L in penalties.items():
+            if not (math.isfinite(w) and math.isfinite(max(t, 1.0) * float(L.fn(w)))):
+                return name, f"is too small: the {name} overflows at speed {w:.6g}"
+    return None
 
 
 def validate_scenario(scenario: Scenario) -> None:
-    """Geometry and section validation; raises with offending base ids.  The
-    penalty, and the model penalty of the HJ grids, must then be finite at
-    every speed `check` evaluates them at, and so must suite item i's bound:
-    an overflow would give NaN slacks, or an inf bound that passes any u."""
+    """Geometry and section validation; raises with offending base ids.  Then
+    the extreme times of grids.times and grids.hj_times must pass
+    `time_refusal`, and suite item i's bound must stay in the float range: an
+    overflow would give NaN slacks, or an inf bound that passes any u."""
     space_report = scenario.space_report()
     if not space_report.ok:
         parts = []
@@ -368,19 +380,18 @@ def validate_scenario(scenario: Scenario) -> None:
     if off_fiber.size:
         bad = ", ".join(f"{scenario.base_ids[i]!r} (residual {residuals[i]:.3e})" for i in off_fiber.tolist())
         raise ScenarioValidationError(f"section values off their fibers: {bad}")
-    distance, t = distance_bound(scenario), min(scenario.grids.times)
-    w = overflow_speed(scenario.lagrangian(), distance, t)
-    if w is not None:
-        raise ScenarioValidationError(
-            f"lagrangian: the penalty overflows at speed {w:.6g}, which the smallest of grids.times, {t!r}, reaches"
-        )
-    hj_t = min(scenario.grids.effective_hj_times())
-    field, t = ("grids.times", t) if t <= hj_t else ("grids.hj_times", hj_t)
-    w = overflow_speed(model_quadratic(), distance, t)
-    if w is not None:
-        raise ScenarioValidationError(f"{field}: the model penalty overflows at speed {w:.6g}, reached at time {t!r}")
+    distance, grids, model = distance_bound(scenario), scenario.grids, model_quadratic()
+    checks = [("grids.times", grids.times, {"penalty": scenario.lagrangian(), "model penalty": model})]
+    if grids.hj_times is not None:
+        checks.append(("grids.hj_times", grids.hj_times, {"model penalty": model}))
+    for field, times, penalties in checks:
+        for t in sorted({min(times), max(times)}):
+            refusal = time_refusal(t, distance, penalties)
+            if refusal is not None:
+                first = "lagrangian" if refusal[0] == "penalty" else field
+                raise ScenarioValidationError(f"{first}: time {t!r} in {field} {refusal[1]}")
     # suite item i's K * K * (s - t) / (2.0 * t * s), K <= distance: the test above bounds only the quotient
-    t, s = float(min(scenario.grids.times)), float(max(scenario.grids.times))
+    t, s = min(grids.times), max(grids.times)
     if t < s and not (math.isfinite(distance * distance * (s - t)) and 0.0 < 2 * t * t and math.isfinite(2 * s * s)):
         raise ScenarioValidationError(
             f"grids.times: suite item i's bound K^2 (s - t) / (2 t s) leaves the float range at K = {distance:.6g} "

@@ -133,8 +133,6 @@ def global_ILS(section: Section) -> float:
     ratios under the convention of `_ratios`, which leaves the readers of
     [0, ILS] nothing to tabulate.  The value is cached on the section.
     """
-    if section.n_base < 2:
-        return 0.0
     if section._ils is None:
         section._ils = float(_ratios(section).max())
     return section._ils

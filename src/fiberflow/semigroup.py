@@ -97,9 +97,9 @@ def _hj_setup(section: Section, t: float, radius: float, nodes=None, u=None) -> 
     neighbors, and fd[k] is the forward time difference at the k-th node.
     nodes=None means every base point, read through slices.  A given u must
     be the model evolution at t over every base point."""
-    if not (0 < t <= FLOAT_MAX and 0 < FD_STEP_SCALE * t):
-        raise PreconditionError(f"need 0 < h < t for the forward difference, got t={t!r}")
-    h = FD_STEP_SCALE * t
+    h = FD_STEP_SCALE * float(t) if 0 < t <= FLOAT_MAX else 0.0
+    if not (h > 0 and math.isfinite(float(t) + h)):  # Python floats: t + h overflows to inf without a warning
+        raise PreconditionError(f"need a forward-difference step h > 0 with t + h finite, got t={t!r}")
     if not (0 < radius <= FLOAT_MAX):
         raise PreconditionError(f"the neighbor radius must be positive and finite, got {radius!r}")
     cols = slice(None) if nodes is None else nodes
@@ -441,7 +441,8 @@ def proposition_suite(
     if not math.isfinite(ils):
         skip("h_speed_bound", "global ILS estimate is infinite")
     else:
-        gaps = ((dp - 2.0 * t * ils, "y", f"t={t:g}") for t, dp in zip(times, iD_plus))
+        # on Python floats, a bound that overflows saturates without a warning: FLOAT_MAX >= D+ keeps the verdict
+        gaps = ((dp - min(2.0 * float(t) * ils, FLOAT_MAX), "y", f"t={t:g}") for t, dp in zip(times, iD_plus))
         record("h_speed_bound", *worst_case(gaps, lab))
 
     # (i) global time-Lipschitz bound |u(t) - u(s)| <= K^2 (s - t) / (2 t s)

@@ -6,7 +6,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiberflow.cli import EXIT_INTERNAL, main
@@ -164,9 +164,15 @@ OVERFLOW = "is too small: the penalty overflows at speed"
         pytest.param(["evolve", "--times", "0.5,inf"], "inf", BAD_TIME, id="evolve-inf"),
         pytest.param(["evolve", "--times", "-1"], "-1.0", BAD_TIME, id="evolve-negative"),
         pytest.param(["evolve", "--times", "1,1e-300"], "1e-300", OVERFLOW, id="evolve-overflow"),
+        # t + h overflowed inside the HJ residuals: "t must be positive and finite, got inf"
+        pytest.param(
+            ["evolve", "--times", "1.7976931348623157e308"], "1.7976931348623157e+308", BAD_TIME, id="evolve-float-max"
+        ),
         pytest.param(["transform", "--y", "b1", "--t", "nan"], "nan", BAD_TIME, id="transform-nan"),
         pytest.param(["transform", "--y", "b1", "--t", "inf"], "inf", BAD_TIME, id="transform-inf"),
         pytest.param(["transform", "--y", "b1", "--t", "1e-300"], "1e-300", OVERFLOW, id="transform-overflow"),
+        # above FLOAT_MAX / 2, where check could not evaluate the time: 2t overflows
+        pytest.param(["transform", "--y", "b1", "--t", "1e308"], "1e+308", BAD_TIME, id="transform-2t-overflow"),
         pytest.param(["variational", "--y", "b1", "--t", "nan"], "nan", BAD_TIME, id="variational-nan"),
         pytest.param(["variational", "--y", "b1", "--t=-inf"], "-inf", BAD_TIME, id="variational-minus-inf"),
         pytest.param(["variational", "--y", "b1", "--t", "1e-300"], "1e-300", OVERFLOW, id="variational-overflow"),
@@ -188,13 +194,16 @@ def test_unknown_base_id_is_a_refused_precondition(two_point_file, tmp_path, cap
     assert not out.exists()
 
 
+TWO_POINT = scenario_to_dict(two_point_scenario())
+# the two-point scenario cut to its base point b0, whose ILS is 0
+ONE_POINT = {**TWO_POINT, "base": TWO_POINT["base"][:1]}
+ONE_POINT["fibers"], ONE_POINT["section"] = {"b0": TWO_POINT["fibers"]["b0"]}, {"b0": TWO_POINT["section"]["b0"]}
+
+
 @pytest.fixture()
 def one_point_file(tmp_path):
-    """The two-point scenario cut to its base point b0, whose ILS is 0."""
-    doc = scenario_to_dict(two_point_scenario())
-    doc["base"], doc["fibers"], doc["section"] = doc["base"][:1], {"b0": doc["fibers"]["b0"]}, {"b0": doc["section"]["b0"]}
     path = tmp_path / "one.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(json.dumps(ONE_POINT), encoding="utf-8")
     return str(path)
 
 
@@ -230,6 +239,13 @@ def _scaled_power(doc: dict, factor: float, exponent: int, times: list[float]) -
 
 
 PAPER = scenario_to_dict(paper_counterexample())
+RANDOM_3 = scenario_to_dict(random_scenario(3))
+# the step test: 2t must be finite and the forward-difference step sqrt(eps) t nonzero
+STEP = ("must be a finite number > 0",)
+
+
+def _with_grids(doc: dict, **grids) -> dict:
+    return {**doc, "grids": {**doc["grids"], **grids}}
 
 
 @pytest.mark.parametrize(
@@ -253,13 +269,13 @@ PAPER = scenario_to_dict(paper_counterexample())
         ),
         # L(D/t) is finite at D.max = sqrt(2), but the compatibility bound reads L at (E + Dmax) / t = 2 sqrt(2)
         pytest.param(
-            {**scenario_to_dict(two_point_scenario()), "lagrangian": {"name": "power", "params": {"exponent": 1000}}},
+            {**TWO_POINT, "lagrangian": {"name": "power", "params": {"exponent": 1000}}},
             ("lagrangian", "grids.times", "overflows at speed"),
             id="compatibility-bound",
         ),
         # L(D/t) ~ 1e270 is finite, but the branch cost t L(D/t) is not
         pytest.param(
-            _scaled_power(scenario_to_dict(two_point_scenario()), 1e150, 3, [1e60]),
+            _scaled_power(TWO_POINT, 1e150, 3, [1e60]),
             ("lagrangian", "grids.times", "overflows at speed"),
             id="branch-cost",
         ),
@@ -278,18 +294,43 @@ PAPER = scenario_to_dict(paper_counterexample())
             ("grids.times", "suite item i's bound K^2 (s - t) / (2 t s) leaves the float range"),
             id="time-lipschitz-underflow",
         ),
+        # validate accepted these times, and check refused them or warned
+        # t + h overflowed in the HJ residuals: check and evolve exited 6
+        pytest.param(
+            _with_grids(TWO_POINT, times=[1.7976931348623157e308]), ("grids.times", *STEP), id="time-float-max"
+        ),
+        # 2t overflowed in the pair scan and in suite item h, with numpy warnings
+        pytest.param(_with_grids(TWO_POINT, times=[1e308]), ("grids.times", *STEP), id="time-1e308-two-point"),
+        pytest.param(_with_grids(RANDOM_3, times=[1e308]), ("grids.times", *STEP), id="time-1e308-random-3"),
+        # the step sqrt(eps) t underflowed to 0: check exited 6 with "need 0 < h < t", and evolve ran the HJ times
+        pytest.param(_with_grids(ONE_POINT, times=[5e-324]), ("grids.times", *STEP), id="time-5e-324-one-point"),
+        pytest.param(
+            _with_grids(ONE_POINT, hj_times=[5e-324]), ("grids.hj_times", *STEP), id="hj-time-5e-324-one-point"
+        ),
     ],
 )
 def test_a_penalty_that_overflows_is_a_validation_error(tmp_path, capsys, doc, fields):
     # the penalty overflowed to inf and inf - inf gave NaN slacks: check FAILed axioms at nan with numpy warnings
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
-    for command in ("validate", "check"):
+    for command in ("validate", "check", "evolve"):
         assert main(["--out", str(tmp_path / "rep"), command, str(path)]) == 5, command
         err = capsys.readouterr().err
         assert err.startswith(f"error: {fields[0]}: "), command
         assert all(field in err for field in fields) and "Warning" not in err, command
     assert not (tmp_path / "rep").exists()
+
+
+def test_suite_item_h_saturates_an_overflowing_bound_without_a_warning(tmp_path, capsys):
+    # 2 t ILS overflows at t = 8.9e307 with ILS > 1, and numpy warned; the bound saturates at FLOAT_MAX >= D+
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_with_grids(RANDOM_3, times=[8.9e307])))
+    assert main(["--out", str(tmp_path / "rep"), "check", str(path)]) == 0
+    assert "Warning" not in capsys.readouterr().err
+    verdicts = json.loads((tmp_path / "rep" / "random-3_verdicts.json").read_text())
+    (item,) = [v for v in verdicts if v["check"] == "suite_h_speed_bound"]
+    assert item["status"] == "PASS" and item["note"] is None
+    assert type(item["worst_slack"]) is float and math.isfinite(item["worst_slack"])
 
 
 def test_non_utf8_scenario_is_a_format_error(tmp_path, capsys):
@@ -376,6 +417,13 @@ def test_variational_out_naming_a_file_fails_before_the_solve(two_point_file, tm
         pytest.param(("meta", "name"), "", "meta.name", id="name-empty"),
         pytest.param(("meta", "name"), "a\\b", "meta.name", id="name-backslash"),
         pytest.param(("meta", "name"), "a\0b", "meta.name", id="name-nul"),
+        # a base id is a column of the report CSVs and an entry of their argmin lists and locations
+        pytest.param(("base", 0, "id"), "a,b", "base[0].id", id="id-comma"),
+        pytest.param(("base", 0, "id"), "a;b", "base[0].id", id="id-semicolon"),
+        pytest.param(("base", 0, "id"), "a=b", "base[0].id", id="id-equals"),
+        pytest.param(("base", 0, "id"), 'a"b', "base[0].id", id="id-quote"),
+        pytest.param(("base", 0, "id"), "a\nb", "base[0].id", id="id-newline"),
+        pytest.param(("base", 0, "id"), "a\tb", "base[0].id", id="id-tab"),
     ],
 )
 def test_bad_scenario_field_is_a_format_error(tmp_path, capsys, path, value, field):
@@ -435,7 +483,7 @@ def _mutate(doc, path, value) -> None:
 
 
 PROBE_DOCS = {
-    "two-point": scenario_to_dict(two_point_scenario()),
+    "two-point": TWO_POINT,
     "tie": scenario_to_dict(tie_scenario()),
     "random-3": scenario_to_dict(random_scenario(3)),
     "random-7": scenario_to_dict(random_scenario(7)),
@@ -443,12 +491,14 @@ PROBE_DOCS = {
     "two-line-60": scenario_to_dict(LINES["two-line-60"]()),
     # a penalty with parameters: a large exponent or a tiny time overflows it
     "two-point-power-4": {
-        **scenario_to_dict(two_point_scenario()),
+        **TWO_POINT,
         "lagrangian": {"name": "power", "params": {"exponent": 4}},
     },
 }
 PROBE_PATHS = {name: list(_paths(doc)) for name, doc in PROBE_DOCS.items()}
 PROBE_VALUES = [None, True, False, math.nan, 2**70, "x", [1.0, "x"], DELETE, 1e-300, 1000]
+# the float range's ends, where 2t overflows or the step sqrt(eps) t underflows to 0
+PROBE_VALUES += [1.7976931348623157e308, 1e308, 5e-324]
 
 
 @st.composite
@@ -462,10 +512,16 @@ def mutated_docs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(doc=mutated_docs())
+@example(doc=_with_grids(TWO_POINT, times=[1.7976931348623157e308]))
+@example(doc=_with_grids(RANDOM_3, times=[1e308]))
+@example(doc=_with_grids(ONE_POINT, hj_times=[5e-324]))
 def test_mutated_scenario_exits_with_a_documented_code(doc):
     # a Python traceback would exit with 1, the code of a failed check; every
-    # mutation must run or be refused with a documented code, never raise
+    # mutation must run or be refused with a documented code, never raise, and
+    # a scenario that validate accepts must run: check then exits 0 or 1
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "mutated.json"
         path.write_text(json.dumps(doc))
-        assert main(["--out", str(Path(d) / "rep"), "check", str(path)]) in {0, 1, 4, 5, 6}
+        valid = main(["validate", str(path)])
+        assert valid in {0, 4, 5, 6}
+        assert main(["--out", str(Path(d) / "rep"), "check", str(path)]) in ({0, 1} if valid == 0 else {valid})

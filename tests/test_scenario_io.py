@@ -211,7 +211,10 @@ def reference_scenario_from_dict(doc: dict) -> Scenario:
     for i, rec in enumerate(base):
         _ref_expect(isinstance(rec, dict), f"base[{i}]: expected an object")
         bid = rec.get("id")
-        _ref_expect(isinstance(bid, str) and bid, f"base[{i}].id: expected a nonempty string")
+        _ref_expect(
+            isinstance(bid, str) and bid != "" and bid.isprintable() and not any(c in bid for c in ',;="'),
+            f"base[{i}].id: expected a nonempty printable string without , ; = or \"",
+        )
         _ref_expect(bid not in ids, f"base[{i}].id: duplicate base id {bid!r}")
         ids.append(bid)
         points.append(_ref_as_point(rec.get("point"), kappa, f"base[{i}].point"))
@@ -361,6 +364,14 @@ def test_bulk_loader_equals_the_reference_on_each_single_mutation(name):
         mutated = copy.deepcopy(doc)
         _mutate(mutated, path, value)
         assert_loads_like_the_reference(mutated)
+
+
+@pytest.mark.parametrize("bid", ["a,b", "a;b", "a=b", 'a"b', "a\nb", "a\x00b"])
+def test_bulk_loader_refuses_an_id_that_breaks_the_reports_like_the_reference(bid):
+    doc = copy.deepcopy(PROBE_DOCS["random-3"])
+    doc["base"][1]["id"] = bid
+    assert_loads_like_the_reference(doc)
+    assert _load_outcome(scenario_from_dict, doc)[0] is ScenarioFormatError
 
 
 def test_bulk_loader_reports_the_first_bad_field_in_document_order():

@@ -538,6 +538,17 @@ def test_hj_residuals_refuse_a_nonpositive_radius(two_point, radius):
         hj_residuals(two_point.section(), 1.0, radius)
 
 
+@pytest.mark.parametrize(
+    "t",
+    [1.7976931348623157e308, np.float64(1.7976931348623157e308), 5e-324, math.nan, -1.0, 2**1024],
+    ids=["float-max", "float-max-numpy", "5e-324", "nan", "negative", "int-2^1024"],
+)
+def test_hj_residuals_refuse_a_step_they_cannot_take(two_point, t):
+    # a t + h that overflowed came back as "t must be positive and finite, got inf", and 5e-324 as "need 0 < h < t"
+    with pytest.raises(PreconditionError, match=r"need a forward-difference step h > 0 with t \+ h finite"):
+        hj_residuals(two_point.section(), t, 1.0)
+
+
 @pytest.mark.parametrize("tau_tie", [math.nan, -1.0])
 def test_quasi_minimizer_trace_refuses_a_negative_tie_tolerance(two_point, tau_tie):
     with pytest.raises(PreconditionError, match="tau_tie must be nonnegative"):
