@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import PreconditionError, ScenarioFormatError, ScenarioValidationError
 from .lagrangian import legendre_transform
-from .reports import fmt, write_evolution_csv, write_slopes_csv, write_transform_csv
+from .reports import fmt, write_evolution_csv, write_slopes_csv, write_transform_csv, write_variational_csv
 from .runner import run_check
 from .scenario import distance_bound, load_scenario, paper_counterexample, time_refusal, write_scenario
 from .section import local_slopes
@@ -103,11 +103,7 @@ def cmd_variational(ns) -> int:
     out = Path(ns.out) / f"{scenario.report_prefix}_variational.csv"
     out.parent.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before the solve
     result = solve_variational(scenario.section(), scenario.lagrangian(), y, t, ns.steps, scenario.params)
-    lines = ["k,s,w"]
-    ds = t / ns.steps
-    for k, w in enumerate(result.nodes):
-        lines.append(f"{k},{fmt(k * ds)},{fmt(w)}")
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_variational_csv(out, t, result.nodes)
     print(f"value={fmt(result.value)} best_z={scenario.base_ids[result.best_z]} gap_vs_evolve={fmt(result.gap)} converged={result.converged}")
     print(f"wrote {out}")
     return 0

@@ -165,14 +165,26 @@ def fiber_groups(fibers) -> list[tuple[list[int], int, Array, Array]]:
     return groups
 
 
-def distances_to_fibers(points: Array, fibers) -> Array:
+def columns(run: list[int]):
+    """The ascending indices `run` as a slice when they are consecutive: a
+    slice writes far faster than a column list."""
+    return slice(run[0], run[-1] + 1) if run[-1] - run[0] == len(run) - 1 else run
+
+
+def distances_to_fibers(points: Array, fibers, far: Array | None = None) -> Array:
     """Matrix D with D[i, j] = distance from points[i] to fibers[j].
+
+    With `far` shaped like `points`, points[i] and far[i] end a segment, and
+    D[i, j] is the minimum over the pieces s of fibers[j] of
+    max(d(points[i], s), d(far[i], s)), at least the distance from every
+    point of the segment to the fiber: the distance to one piece is convex
+    along a segment, the distance to a fiber is not.
 
     The groups of `fiber_groups` are taken in blocks of whole fibers holding
     about m/4 pieces (at least MIN_BLOCK_FLOATS / 2m), so that a block's
     distances and temporaries stay near m^2 floats: one `pairwise_distances`
-    or `segment_distances` call per block, then c - 1 elementwise np.minimum
-    passes over strided views of its columns for fibers of c pieces.
+    or `segment_distances` call per block and end, then c - 1 elementwise
+    np.minimum passes over strided views of its columns for fibers of c pieces.
     """
     if any(fib.is_empty for fib in fibers):
         raise GeometryError("cannot compute distances to an empty fiber")
@@ -185,12 +197,14 @@ def distances_to_fibers(points: Array, fibers) -> Array:
             cols = run[k : k + step]
             q = slice(k * c, (k + step) * c)
             d = pairwise_distances(points, a[q]) if b is a else segment_distances(points, a[q], b[q])
+            if far is not None:
+                d_far = pairwise_distances(far, a[q]) if b is a else segment_distances(far, a[q], b[q])
+                np.maximum(d, d_far, out=d)
             d = d.reshape(m, len(cols), c)  # d[:, n, i]: piece i of fiber cols[n]
             nearest = d[..., 0]
             for i in range(1, c):
                 np.minimum(nearest, d[..., i], out=nearest)
-            contiguous = cols[-1] - cols[0] == len(cols) - 1  # a slice writes far faster than a column list
-            D[:, slice(cols[0], cols[-1] + 1) if contiguous else cols] = nearest
+            D[:, columns(cols)] = nearest
     return D
 
 
@@ -244,9 +258,7 @@ def fiber_min_distance(fa: FiberGeometry, fb: FiberGeometry) -> float:
     if isinstance(fb, PointSet):
         fa, fb = fb, fa
     if isinstance(fa, PointSet):
-        _, _, a, b = fiber_groups([fb])[0]
-        d = pairwise_distances(fa.points, a) if b is a else segment_distances(fa.points, a, b)
-        return float(d.min())
+        return float(distances_to_fibers(fa.points, [fb]).min())
     best = np.inf
     for a1, b1 in fa.segments:
         for a2, b2 in fb.segments:

@@ -96,6 +96,13 @@ def write_asymmetry_csv(path, scenario: Scenario, report: AsymmetryReport | None
     return _write_lines(Path(path), lines)
 
 
+def write_variational_csv(path, t: float, nodes: np.ndarray) -> Path:
+    """Node k of a curve over [0, t] in len(nodes) - 1 equal steps, at s = k t / steps."""
+    ds = t / (len(nodes) - 1)
+    rows = zip(range(len(nodes)), [k * ds for k in range(len(nodes))], nodes.tolist())
+    return _write_lines(Path(path), ["k,s,w"] + ["%d,%.12g,%.12g" % row for row in rows])
+
+
 def write_verdicts_json(path, verdicts: list[dict]) -> Path:
     return _write_lines(Path(path), [json.dumps(verdicts, indent=2)])
 

@@ -88,7 +88,7 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
         )
 
     # pinned reference triple, when the scenario carries one
-    if scenario.reference_triple is not None and probe is not None:
+    if scenario.reference_triple is not None:
         ref = scenario.reference_triple
         xi, yi, zi = (scenario.id_index(ref[k]) for k in ("x", "y", "z"))
         D = section.fiber_distances()

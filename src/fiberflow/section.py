@@ -14,15 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, PreconditionError
-from .geometry import (
-    MIN_BLOCK_FLOATS,
-    PRUNE_MARGIN,
-    FiberedSpace,
-    distances_to_fibers,
-    fiber_groups,
-    pairwise_distances,
-    segment_distances,
-)
+from .geometry import PRUNE_MARGIN, FiberedSpace, columns, distances_to_fibers, fiber_groups, pairwise_distances
 
 Array = np.ndarray
 
@@ -279,88 +271,60 @@ def fiber_excess_bound(section: Section) -> tuple[Array, float]:
     (the point of F_z nearest f(x) lies within that supremum of F_y), and
     the first form's rounding bound beta of `first_form_bound`.
 
-    A point of F_z gives d(p, F_y) itself, the minimum over the pieces s of
-    F_y of d(p, s).  A segment [a, b] of F_z gives the minimum over s of
-    max(d(a, s), d(b, s)), since the distance to a piece is convex along
-    [a, b].  The fibers F_y are taken in the groups of
-    `geometry.fiber_groups`, and one `pairwise_distances` call per block of
-    point sets, or `segment_distances` call per block of segment unions,
-    gives the distances from the ends of every piece of every F_z to the
-    block's pieces.  The max over the ends of a segment,
-    the min over the c pieces of each F_y and the max over the pieces of
-    each F_z are elementwise passes over strided views, one group of F_z at
-    a time; no fiber is padded.  A block's distances hold about m^2 / 8
-    floats, or MIN_BLOCK_FLOATS when that is more.  The margin is
-    PRUNE_MARGIN times M, the largest distance or coordinate magnitude; it
-    covers the rounding of D and of the bound.  M also scales beta, which a
-    NaN section value makes NaN.
+    A point of F_z gives d(p, F_y) itself, and a segment [a, b] of F_z the
+    minimum over the pieces s of F_y of max(d(a, s), d(b, s)): both are
+    `geometry.distances_to_fibers` of the pieces' ends, with the far ends b
+    for segments.  It runs on blocks of whole fibers F_z of one group of
+    `geometry.fiber_groups`, about m/2 pieces at a time, and H[:, z] is the
+    maximum over the pieces of F_z.  The margin is PRUNE_MARGIN times M, the
+    largest distance or coordinate magnitude; it covers the rounding of D
+    and of the bound.  M also scales beta, which a NaN section value makes NaN.
     """
     D = section.fiber_distances()  # refuses an empty fiber first
-    groups = fiber_groups(section.space.fibers)
-    starts = np.cumsum([0] + [len(a) for _, _, a, _ in groups])  # group g owns the pieces starts[g]:starts[g + 1]
-    pieces = int(starts[-1])
-    first_segment = sum(len(a) for _, _, a, b in groups if b is a)  # the point pieces come first
-    # rows: the first end of every piece, then the second ends of the segments
-    rows = np.concatenate([a for _, _, a, _ in groups] + [b for _, _, a, b in groups if b is not a])
+    fibers = section.space.fibers
     m = section.n_base
     H = np.empty((m, m))
-    for run, c, a, b in groups:
-        step = max(1, max(m * m // 8, MIN_BLOCK_FLOATS) // (len(rows) * c))  # fibers F_y per block
+    coordinates, segments = 0.0, False
+    for run, c, a, b in fiber_groups(fibers):
+        step = max(1, m // (2 * c))  # fibers F_z per block
         for k in range(0, len(run), step):
-            cols = run[k : k + step]
-            q = slice(k * c, (k + step) * c)
-            d = pairwise_distances(rows, a[q]) if b is a else segment_distances(rows, a[q], b[q])
-            np.maximum(d[first_segment:pieces], d[pieces:], out=d[first_segment:pieces])
-            # d[n, y, j]: piece n of any F_z to piece j of F_y; min over j, then max over the pieces of each F_z
-            d = d[:pieces].reshape(pieces, len(cols), c)
-            nearest = d[..., 0]
-            for j in range(1, c):
-                np.minimum(nearest, d[..., j], out=nearest)
-            for (zs, cz, _, _), z0, z1 in zip(groups, starts[:-1], starts[1:]):
-                far = nearest[z0:z1].reshape(len(zs), cz, len(cols))
-                for i in range(1, cz):
-                    np.maximum(far[:, 0], far[:, i], out=far[:, 0])
-                H[np.ix_(cols, zs)] = far[:, 0].T
-    magnitudes = np.array([np.abs(rows).max(), np.abs(section.values).max(), H.max(), D.max()])
+            zs, q = run[k : k + step], slice(k * c, (k + step) * c)
+            d = distances_to_fibers(a[q], fibers, None if b is a else b[q])  # d[n, y]: piece n of F_z to F_y
+            H[:, columns(zs)] = d.reshape(len(zs), c, m).max(axis=1).T
+            del d  # before the next block's distances
+        coordinates = max(coordinates, np.abs(a).max(), np.abs(b).max())
+        segments |= b is not a
+    magnitudes = np.array([coordinates, np.abs(section.values).max(), H.max(), D.max()])
     H += PRUNE_MARGIN * float(np.nanmax(magnitudes))  # the fiber coordinates are finite
-    return H, first_form_bound(section.values.shape[1], float(magnitudes.max()), first_segment < pieces)
+    return H, first_form_bound(section.values.shape[1], float(magnitudes.max()), segments)
 
 
 def first_form_scan(section: Section) -> tuple[float, tuple[int, int, int]]:
     """The first form's worst slack over all triples, the maximum over
     (y, z) of max_x (D[y, x] - D[z, x]) - E[y, z], and its first location
-    (x, y, z).  IEEE subtraction rounds symmetrically (Goldberg, ACM Comput.
-    Surv. 1991), so the Chebyshev row distance c[y, z] = max_x |D[y, x] - D[z, x]|
-    over z >= y, in blocks of GAP_BLOCK_FLOATS floats, is the larger
-    orientation of a pair, and the worst is the maximum of fl(c - E), NaN
-    counting largest.  Only the pairs attaining it are evaluated in both
-    orientations, for the first ordered pair in row-major order that
-    attains it, as `np.argmax` would give.
+    (x, y, z) in row-major order, as `np.argmax` gives it, NaN counting largest.
+
+    One pass over the pairs z >= y, in blocks of GAP_BLOCK_FLOATS floats of
+    D[y] - D[z], writes both orientations.  IEEE subtraction rounds
+    symmetrically (Goldberg, ACM Comput. Surv. 1991), so max_x (D[z, x] - D[y, x])
+    is minus a row minimum of the block; it is written before the row
+    maximum, so that the diagonal reads +0.0, not -0.0.
     """
     m = section.n_base
     E = section.value_distances()
     D = section.fiber_distances()
-    # gaps[y, z] = fl(c[y, z] - E[y, z]) for z >= y, -inf below the diagonal
-    gaps = np.full((m, m), -np.inf)
+    gaps = np.empty((m, m))  # gaps[y, z] = max_x fl(D[y, x] - D[z, x]), then minus E[y, z]
     step = max(1, GAP_BLOCK_FLOATS // m)  # rows z per block
     buf = np.empty((min(m, step), m))
     for y in range(m):
         for z0 in range(y, m, step):
             z1 = min(m, z0 + step)
             block = np.subtract(D[y], D[z0:z1], out=buf[: z1 - z0])
-            np.abs(block, out=block).max(axis=1, out=gaps[y, z0:z1])
-        gaps[y, y:] -= E[y, y:]
-    worst = gaps.max()
-    i, j = np.nonzero((gaps == worst) | (gaps != gaps))  # the pairs that attain the worst
-    del gaps
-    ys, zs = np.divmod(np.unique(np.concatenate((i * m + j, j * m + i))), m)  # both orientations, row-major
-    for k, diff in pair_differences(D, ys, zs):
-        pair_gaps = diff.max(axis=1) - E[ys[k : k + len(diff)], zs[k : k + len(diff)]]
-        hits = np.flatnonzero((pair_gaps == worst) | (pair_gaps != pair_gaps))
-        if hits.size:
-            y, z, worst = int(ys[k + hits[0]]), int(zs[k + hits[0]]), float(pair_gaps[hits[0]])
-            break
-    return worst, (int(np.argmax(D[y] - D[z])), y, z)
+            np.negative(block.min(axis=1), out=gaps[z0:z1, y])
+            block.max(axis=1, out=gaps[y, z0:z1])
+    gaps -= E
+    y, z = divmod(int(np.argmax(gaps)), m)
+    return float(gaps[y, z]), (int(np.argmax(D[y] - D[z])), y, z)
 
 
 def asymmetry_probe(section: Section) -> AsymmetryReport:

@@ -93,6 +93,10 @@ def test_variational_command(two_point_file, tmp_path, capsys):
     assert "value=0.5" in printed
     assert "best_z=b0" in printed
     assert "converged=True" in printed
+    rows = ["k,s,w", "0,0,0", "1,0.25,0.176776695297", "2,0.5,0.353553390593", "3,0.75,0.53033008589"]
+    rows += ["4,1,0.707106781187", "5,1.25,0.883883476483", "6,1.5,1.06066017178", "7,1.75,1.23743686708"]
+    rows += ["8,2,1.41421356237"]
+    assert (out / "two-point_variational.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
 def test_check_singleton_all_pass(tmp_path, capsys):
@@ -128,6 +132,20 @@ def test_paper_example_command(tmp_path, capsys):
     ref = [v for v in verdicts if v["check"] == "reference_triple_violation"]
     assert ref and ref[0]["status"] == "PASS"
     assert "discrepancy flagged" in ref[0]["note"]
+
+
+def test_reference_triple_on_two_points_gets_a_verdict(tmp_path, capsys):
+    # the triple reads only D and E, so it needs no third base point; here it is no violation
+    doc = scenario_to_dict(two_point_scenario())
+    doc["reference_triple"] = {"x": "b0", "y": "b1", "z": "b0"}
+    path = tmp_path / "two_point_triple.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--out", str(tmp_path / "rep"), "check", str(path)]) == 1
+    assert "FAIL    reference_triple_violation" in capsys.readouterr().out
+    verdicts = json.loads((tmp_path / "rep" / f"{doc['meta']['name']}_verdicts.json").read_text())
+    (ref,) = [v for v in verdicts if v["check"] == "reference_triple_violation"]
+    assert ref["location"] == "x=b0,y=b1,z=b0" and ref["note"].startswith("gap=")
+    assert [v["check"] for v in verdicts if v["status"] == "FAIL"] == ["reference_triple_violation"]
 
 
 def test_exit_codes(tmp_path):

@@ -54,6 +54,9 @@ BUNDLE_DIGESTS = {
     "two-line-60": "8da5fcc1b8b0b4b564605124f26468074ee231c4644f2dccfc0eb0b34e66258d",
     "segments-12": "4660372eafd436a2fc65e1059acceb8cc5af61db4cfc710d8c1c27b662788700",
     "unequal-16": "d36a0bd9403ecea0e7cc8681ce3635ba460372d07f5b62895638fa4b17d3f1d2",
+    # the only two pinned bundles whose first form is scanned, not certified
+    "paper-1e5": "97b4f9c54434ea008b73cf20114bf8d4b6e99fd21221d7bcdc5a882d03236ddb",  # exits 0
+    "paper-1e6": "dbdee1ef7e84bd46d51c2c0054e465520d0df6997c7d185840b1325f437d3c4f",  # exits 1: the scan's worst fails
 }
 # the same digest over the bundles of the benchmark's check workloads, whose
 # scenarios benchmarks/workloads.py writes as JSON
@@ -90,6 +93,13 @@ LINES = {
     ),
     # fibers of 1 to 4 points and one segment fiber
     "unequal-16": lambda: line_scenario("unequal-16", unequal_section(16), {"name": "model-quadratic", "params": {}}),
+}
+# the counterexample with every coordinate scaled, past the first form's certificate
+SCALED = {
+    f"paper-{name}": lambda factor=float(name): scenario_from_dict(
+        scaled_document(scenario_to_dict(paper_counterexample()), factor)
+    )
+    for name in ("1e5", "1e6")
 }
 
 
@@ -139,7 +149,7 @@ def test_check_builds_each_array_once(tmp_path, monkeypatch, build):
 
 @pytest.mark.parametrize("name", sorted(BUNDLE_DIGESTS))
 def test_bundle_bytes_match_recorded_digests(tmp_path, name):
-    scenario = random_scenario(int(name[7:])) if name.startswith("random-") else {**BUNDLED, **LINES}[name]()
+    scenario = random_scenario(int(name[7:])) if name.startswith("random-") else {**BUNDLED, **LINES, **SCALED}[name]()
     bundle, _, _ = run_check(scenario, tmp_path)
     assert _bundle_digest(bundle) == BUNDLE_DIGESTS[name]
 
