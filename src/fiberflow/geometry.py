@@ -153,7 +153,10 @@ def fiber_groups(fibers) -> list[tuple[list[int], int, Array, Array]]:
     """The fibers grouped by kind and piece count, point sets first: one
     (indices, c, a, b) per group, with the group's fiber indices in order,
     their piece count c and the ends a[q], b[q] of their pieces, c rows per
-    fiber.  A point is a piece whose b is a, the same array."""
+    fiber.  A point is a piece whose b is a, the same array.  An empty fiber
+    is refused: no distance to it exists."""
+    if any(fib.is_empty for fib in fibers):
+        raise GeometryError("cannot compute distances to an empty fiber")
     runs = {}
     for j, fib in enumerate(fibers):
         segment = isinstance(fib, SegmentUnion)
@@ -171,8 +174,9 @@ def columns(run: list[int]):
     return slice(run[0], run[-1] + 1) if run[-1] - run[0] == len(run) - 1 else run
 
 
-def distances_to_fibers(points: Array, fibers, far: Array | None = None) -> Array:
-    """Matrix D with D[i, j] = distance from points[i] to fibers[j].
+def distances_to_fibers(points: Array, groups, far: Array | None = None) -> Array:
+    """Matrix D with D[i, j] = distance from points[i] to fibers[j], the
+    fibers given by their `fiber_groups`, which the caller builds once.
 
     With `far` shaped like `points`, points[i] and far[i] end a segment, and
     D[i, j] is the minimum over the pieces s of fibers[j] of
@@ -180,18 +184,16 @@ def distances_to_fibers(points: Array, fibers, far: Array | None = None) -> Arra
     point of the segment to the fiber: the distance to one piece is convex
     along a segment, the distance to a fiber is not.
 
-    The groups of `fiber_groups` are taken in blocks of whole fibers holding
-    about m/4 pieces (at least MIN_BLOCK_FLOATS / 2m), so that a block's
-    distances and temporaries stay near m^2 floats: one `pairwise_distances`
-    or `segment_distances` call per block and end, then c - 1 elementwise
+    The groups are taken in blocks of whole fibers holding about m/4 pieces
+    (at least MIN_BLOCK_FLOATS / 2m), so that a block's distances and
+    temporaries stay near m^2 floats: one `pairwise_distances` or
+    `segment_distances` call per block and end, then c - 1 elementwise
     np.minimum passes over strided views of its columns for fibers of c pieces.
     """
-    if any(fib.is_empty for fib in fibers):
-        raise GeometryError("cannot compute distances to an empty fiber")
     m = points.shape[0]
-    D = np.empty((m, len(fibers)))
+    D = np.empty((m, sum(len(run) for run, *_ in groups)))
     per_block = max(m // 4, MIN_BLOCK_FLOATS // max(1, 2 * m))  # fiber pieces per block
-    for run, c, a, b in fiber_groups(fibers):
+    for run, c, a, b in groups:
         step = max(1, per_block // c)  # fibers per block
         for k in range(0, len(run), step):
             cols = run[k : k + step]
@@ -258,7 +260,7 @@ def fiber_min_distance(fa: FiberGeometry, fb: FiberGeometry) -> float:
     if isinstance(fb, PointSet):
         fa, fb = fb, fa
     if isinstance(fa, PointSet):
-        return float(distances_to_fibers(fa.points, [fb]).min())
+        return float(distances_to_fibers(fa.points, fiber_groups([fb])).min())
     best = np.inf
     for a1, b1 in fa.segments:
         for a2, b2 in fb.segments:

@@ -26,6 +26,8 @@ Array = np.ndarray
 MODEL_QUADRATIC = "model-quadratic"
 # the penalty names a scenario may carry; see lagrangian_from_spec
 SPEC_NAMES = (MODEL_QUADRATIC, "power", "zero")
+# the power penalty's parameters where a spec leaves them out: the model penalty
+POWER_DEFAULTS = {"exponent": 2.0, "scale": 1.0}
 # Relative margin of the compatibility bound (see check_axioms): about 10^6
 # ulps of the larger penalty term, above the rounding of t L(D/t), which grows
 # with the elasticity v L'(v) / L(v) of L (p for a power v^p).
@@ -68,7 +70,7 @@ class Lagrangian:
 def certification_grid(section: Section, times) -> Array:
     """257 speeds over [0, D.max() / min t] (at least 1e-6), the speeds the scenario reaches, where
     `check_axioms` certifies convexity and suite item (a) checks L >= 0."""
-    w_max = float(section.fiber_distances().max()) / float(np.min(times))
+    w_max = bound_K(section) / float(np.min(times))
     return np.linspace(0.0, max(w_max, 1e-6), 257)
 
 
@@ -138,7 +140,8 @@ def lagrangian_from_spec(spec: dict) -> Lagrangian:
     if name == MODEL_QUADRATIC:
         return model_quadratic()
     if name == "power":
-        return power_lagrangian(float(params.get("exponent", 2.0)), float(params.get("scale", 1.0)))
+        power = {**POWER_DEFAULTS, **params}
+        return power_lagrangian(float(power["exponent"]), float(power["scale"]))
     if name == "zero":
         return zero_lagrangian()
     raise PreconditionError(f"unknown lagrangian name {name!r}")

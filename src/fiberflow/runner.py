@@ -144,7 +144,7 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
     verdicts.append(Verdict.from_slack("pair_slope_estimate", slack, SLACK_TOLERANCE, loc, note=note))
 
     # Hamilton-Jacobi residual grids, at every hj_base_stride-th base point
-    hj_ids = list(range(0, scenario.n_base, max(1, grids.hj_base_stride)))
+    hj_ids = list(range(0, scenario.n_base, grids.hj_base_stride))
     hj_times = grids.effective_hj_times()
     plain, lipschitz, flagged = [], [], 0
     for t in hj_times:

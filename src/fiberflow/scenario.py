@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +23,14 @@ from .errors import PreconditionError, ScenarioFormatError, ScenarioValidationEr
 from .geometry import DEFAULT_TAU_GEO, FiberGeometry, FiberedSpace, PointSet, SegmentUnion, SpaceReport, validate_space
 from .lagrangian import (
     MODEL_QUADRATIC,
+    POWER_DEFAULTS,
     SPEC_NAMES,
     XI_RESOLUTION_MAX,
     Lagrangian,
     lagrangian_from_spec,
     model_quadratic,
 )
-from .section import DEFAULT_TAU_SEC, FLOAT_MAX, Section, validate_section
+from .section import DEFAULT_TAU_SEC, FLOAT_MAX, Section, bound_K, validate_section
 from .semigroup import DEFAULT_TAU_TIE, FD_STEP_SCALE
 
 Array = np.ndarray
@@ -42,6 +43,8 @@ COORD_MAX = 2.0**500
 KAPPA_MAX = 2**20
 # what a base id may not hold: the report CSVs' separators of columns, argmin ids, locations and quotes
 ID_FORBIDDEN = frozenset(',;="')
+# GridSpec's tolerance fields, which a document holds in grids.tolerances
+TOLERANCES = ("tau_geo", "tau_sec", "tau_tie")
 
 
 @dataclass
@@ -86,7 +89,7 @@ class GridSpec:
             f"grids.xi_resolution: expected an integer in [1, {XI_RESOLUTION_MAX}]",
         )
         _expect(_is_count(self.hj_base_stride), "grids.hj_base_stride: expected an integer >= 1")
-        for key in ("tau_geo", "tau_sec", "tau_tie"):
+        for key in TOLERANCES:
             value = getattr(self, key)
             _expect(_is_number(value) and value >= 0, f"grids.tolerances.{key}: expected a finite number >= 0")
             setattr(self, key, float(value))
@@ -98,6 +101,13 @@ class GridSpec:
 
     def effective_hj_radius(self) -> float:
         return self.hj_radius if self.hj_radius is not None else max(self.radii)
+
+
+# the keys of a document's grids object besides tolerances, GridSpec's other
+# fields, each mapped to whether a document must give it (it has no default)
+_GRID_KEYS = {
+    f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(GridSpec) if f.name not in TOLERANCES
+}
 
 
 @dataclass(eq=False)
@@ -113,7 +123,6 @@ class Scenario:
     lagrangian_spec: dict
     grids: GridSpec
     reference_triple: dict | None = None
-    _space: FiberedSpace | None = field(default=None, repr=False, compare=False)
     _section: Section | None = field(default=None, repr=False, compare=False)
     _space_report: SpaceReport | None = field(default=None, repr=False, compare=False)
 
@@ -133,13 +142,12 @@ class Scenario:
             raise PreconditionError(f"unknown base id {base_id!r}") from None
 
     def space(self) -> FiberedSpace:
-        if self._space is None:
-            self._space = FiberedSpace(base_points=self.base_points, fibers=self.fibers)
-        return self._space
+        return self.section().space
 
     def section(self) -> Section:
         if self._section is None:
-            self._section = Section(space=self.space(), values=self.section_values)
+            space = FiberedSpace(base_points=self.base_points, fibers=self.fibers)
+            self._section = Section(space=space, values=self.section_values)
         return self._section
 
     def space_report(self) -> SpaceReport:
@@ -284,24 +292,20 @@ def scenario_from_dict(doc: dict) -> Scenario:
     lag_params = lag.get("params", {}) or {}
     _expect(isinstance(lag_params, dict), "lagrangian.params: expected an object")
     if lag["name"] == "power":
-        for key in ("exponent", "scale"):
-            _expect(_is_number(lag_params.get(key, 1.0)), f"lagrangian.params.{key}: expected a finite number")
-        _expect(lag_params.get("exponent", 2.0) >= 1, "lagrangian.params.exponent: expected a number >= 1")
+        power = {**POWER_DEFAULTS, **lag_params}
+        for key in POWER_DEFAULTS:
+            _expect(_is_number(power[key]), f"lagrangian.params.{key}: expected a finite number")
+        _expect(power["exponent"] >= 1, "lagrangian.params.exponent: expected a number >= 1")
 
     grids_raw = doc.get("grids")
     _expect(isinstance(grids_raw, dict), "grids: expected an object")
-    times, radii = grids_raw.get("times"), grids_raw.get("radii", [1.0])
+    given = {key: grids_raw.get(key) for key, required in _GRID_KEYS.items() if required or key in grids_raw}
     tol = grids_raw.get("tolerances", {})
     if not isinstance(tol, dict):
-        GridSpec(times=times, radii=radii)  # the times and radii are checked before the tolerances
+        # a document's times and radii are checked before its tolerances object, its other grid keys after it
+        GridSpec(**{key: given[key] for key in ("times", "radii") if key in given})
         raise ScenarioFormatError("grids.tolerances: expected an object")
-    optional = ("xi_resolution", "hj_radius", "hj_times", "hj_base_stride")
-    grids = GridSpec(
-        times=times,
-        radii=radii,
-        **{key: grids_raw[key] for key in optional if key in grids_raw},
-        **{key: tol[key] for key in ("tau_geo", "tau_sec", "tau_tie") if key in tol},
-    )
+    grids = GridSpec(**given, **{key: tol[key] for key in TOLERANCES if key in tol})
 
     ref = doc.get("reference_triple")
     if ref is not None:
@@ -334,7 +338,7 @@ def distance_bound(scenario: Scenario) -> float:
     the compatibility bound's E + Dmax in `check_axioms`."""
     values = scenario.section_values
     span = math.dist(values.max(axis=0).tolist(), values.min(axis=0).tolist())
-    return float(scenario.section().fiber_distances().max()) + span
+    return bound_K(scenario.section()) + span
 
 
 def time_refusal(t: float, distance: float, penalties: dict[str, Lagrangian]) -> tuple[str | None, str] | None:
@@ -438,21 +442,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                 "type": "segments",
                 "data": [[[float(v) for v in seg[0]], [float(v) for v in seg[1]]] for seg in fib.segments],
             }
-    grids = {
-        "times": scenario.grids.times,
-        "xi_resolution": scenario.grids.xi_resolution,
-        "radii": scenario.grids.radii,
-        "hj_base_stride": scenario.grids.hj_base_stride,
-        "tolerances": {
-            "tau_geo": scenario.grids.tau_geo,
-            "tau_sec": scenario.grids.tau_sec,
-            "tau_tie": scenario.grids.tau_tie,
-        },
-    }
-    if scenario.grids.hj_radius is not None:
-        grids["hj_radius"] = scenario.grids.hj_radius
-    if scenario.grids.hj_times is not None:
-        grids["hj_times"] = scenario.grids.hj_times
+    values = vars(scenario.grids)  # an unset hj_radius or hj_times (None) is left out
+    grids = {key: values[key] for key in _GRID_KEYS if values[key] is not None}
+    grids["tolerances"] = {key: values[key] for key in TOLERANCES}
     doc = {
         "schema_version": SCHEMA_VERSION,
         "meta": {"name": scenario.name, "description": scenario.description},
@@ -478,28 +470,38 @@ def write_scenario(scenario: Scenario, path) -> Path:
 # bundled scenarios
 
 
+def _bundled(name: str, description: str, rows, grids: dict, **extra) -> Scenario:
+    """The scenario of a bundled builder's document, read as a file is.
+
+    `rows` holds one (id, point, param, fiber points, section value) per base
+    point, in order; every fiber is a point set, and kappa is the length of
+    the points.  `extra` holds further top-level keys, such as reference_triple.
+    """
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "meta": {"name": name, "description": description},
+        "kappa": len(rows[0][1]),
+        "base": [{"id": bid, "point": point, "param": param} for bid, point, param, _, _ in rows],
+        "fibers": {bid: {"type": "points", "data": fiber} for bid, _, _, fiber, _ in rows},
+        "section": {bid: value for bid, _, _, _, value in rows},
+        "grids": grids,
+        **extra,
+    }
+    return _read(doc)
+
+
 def two_point_scenario() -> Scenario:
     """Two base points with singleton fibers at the section values.
 
     Closed forms: u(b0, t) = 0 and u(b1, t) = min(1, 1/t), with the kink at
     t = 1; the global intrinsic constant is exactly 1 and K = sqrt(2).
     """
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "meta": {"name": "two-point", "description": "two singleton fibers on a line"},
-        "kappa": 2,
-        "base": [
-            {"id": "b0", "point": [0.0, 0.0], "param": 0.0},
-            {"id": "b1", "point": [1.0, 1.0], "param": 1.0},
-        ],
-        "fibers": {
-            "b0": {"type": "points", "data": [[0.0, 0.0]]},
-            "b1": {"type": "points", "data": [[1.0, 1.0]]},
-        },
-        "section": {"b0": [0.0, 0.0], "b1": [1.0, 1.0]},
-        "grids": {"times": [1.0, 1.5, 2.0, 4.0], "radii": [2.0, 1.0], "hj_radius": 2.0},
-    }
-    return _read(doc)
+    rows = [
+        ("b0", [0.0, 0.0], 0.0, [[0.0, 0.0]], [0.0, 0.0]),
+        ("b1", [1.0, 1.0], 1.0, [[1.0, 1.0]], [1.0, 1.0]),
+    ]
+    grids = {"times": [1.0, 1.5, 2.0, 4.0], "radii": [2.0, 1.0], "hj_radius": 2.0}
+    return _bundled("two-point", "two singleton fibers on a line", rows, grids)
 
 
 def paper_counterexample() -> Scenario:
@@ -518,14 +520,10 @@ def paper_counterexample() -> Scenario:
     is the regime in which the finite pair-scan inequalities hold with no
     limit argument.
     """
-    xs = np.arange(81) / 10.0
-    ids = [f"y{k:03d}" for k in range(81)]
-    base = [{"id": ids[k], "point": [float(xs[k]), 0.0], "param": float(xs[k])} for k in range(81)]
-    fibers: dict[str, dict] = {}
-    section: dict[str, list[float]] = {}
-    for k, x in enumerate(xs):
-        upper = [float(x), 8.0]
-        lower = [float(x), 3.0 + float(x) / 2.0]
+    rows = []
+    for k, x in enumerate((np.arange(81) / 10.0).tolist()):
+        upper = [x, 8.0]
+        lower = [x, 3.0 + x / 2.0]
         pts = [upper, lower]
         value = lower
         if x == 1.0:
@@ -541,78 +539,44 @@ def paper_counterexample() -> Scenario:
             # the slice point (8,7) lives on the fiber of x=7; drop it here
             value = upper
             pts = [upper]
-        fibers[ids[k]] = {"type": "points", "data": pts}
-        section[ids[k]] = value
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "meta": {
-            "name": "paper-counterexample",
-            "description": "two-line fibered set over an 81-point base segment with three pinned section values",
-        },
-        "kappa": 2,
-        "base": base,
-        "fibers": fibers,
-        "section": section,
-        "grids": {
-            "times": [0.01, 0.02, 0.03, 0.04],
-            "radii": [0.35, 0.25, 0.15],
-            "hj_radius": 0.05,
-            "hj_times": [0.5, 1.0, 2.0, 4.0, 8.0],
-            "hj_base_stride": 20,
-        },
-        "reference_triple": {
-            "x": "y010",
-            "y": "y070",
-            "z": "y060",
-            "stated_constant": math.sqrt(5.0 / 4.0),
-        },
+        rows.append((f"y{k:03d}", [x, 0.0], x, pts, value))
+    grids = {
+        "times": [0.01, 0.02, 0.03, 0.04],
+        "radii": [0.35, 0.25, 0.15],
+        "hj_radius": 0.05,
+        "hj_times": [0.5, 1.0, 2.0, 4.0, 8.0],
+        "hj_base_stride": 20,
     }
-    return _read(doc)
+    return _bundled(
+        "paper-counterexample",
+        "two-line fibered set over an 81-point base segment with three pinned section values",
+        rows,
+        grids,
+        reference_triple={"x": "y010", "y": "y070", "z": "y060", "stated_constant": math.sqrt(5.0 / 4.0)},
+    )
 
 
 def singleton_constant_scenario() -> Scenario:
     """Three singleton fibers whose section values share the same maximum
     coordinate, so the evolved field is constant in both arguments."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "meta": {"name": "singleton-constant", "description": "constant scalar field on singleton fibers"},
-        "kappa": 2,
-        "base": [
-            {"id": "p0", "point": [0.0, 0.0], "param": 0.0},
-            {"id": "p1", "point": [1.0, 0.0], "param": 1.0},
-            {"id": "p2", "point": [2.0, 0.0], "param": 2.0},
-        ],
-        "fibers": {
-            "p0": {"type": "points", "data": [[5.0, 0.0]]},
-            "p1": {"type": "points", "data": [[5.0, 1.0]]},
-            "p2": {"type": "points", "data": [[5.0, 2.0]]},
-        },
-        "section": {"p0": [5.0, 0.0], "p1": [5.0, 1.0], "p2": [5.0, 2.0]},
-        "grids": {"times": [0.5, 1.0, 2.0], "radii": [1.5], "hj_radius": 1.5},
-    }
-    return _read(doc)
+    rows = [
+        ("p0", [0.0, 0.0], 0.0, [[5.0, 0.0]], [5.0, 0.0]),
+        ("p1", [1.0, 0.0], 1.0, [[5.0, 1.0]], [5.0, 1.0]),
+        ("p2", [2.0, 0.0], 2.0, [[5.0, 2.0]], [5.0, 2.0]),
+    ]
+    grids = {"times": [0.5, 1.0, 2.0], "radii": [1.5], "hj_radius": 1.5}
+    return _bundled("singleton-constant", "constant scalar field on singleton fibers", rows, grids)
 
 
 def tie_scenario() -> Scenario:
     """Engineered exact tie: two minimizers at fiber distances 1 and 2."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "meta": {"name": "tie", "description": "two exact-tie minimizers at distinct fiber distances"},
-        "kappa": 1,
-        "base": [
-            {"id": "a", "point": [0.0], "param": 0.0},
-            {"id": "b", "point": [10.0], "param": 10.0},
-            {"id": "c", "point": [20.0], "param": 20.0},
-        ],
-        "fibers": {
-            "a": {"type": "points", "data": [[0.0]]},
-            "b": {"type": "points", "data": [[1.0], [-1.5]]},
-            "c": {"type": "points", "data": [[2.0], [-3.0]]},
-        },
-        "section": {"a": [0.0], "b": [-1.5], "c": [-3.0]},
-        "grids": {"times": [1.0], "radii": [15.0], "hj_radius": 0.5},
-    }
-    return _read(doc)
+    rows = [
+        ("a", [0.0], 0.0, [[0.0]], [0.0]),
+        ("b", [10.0], 10.0, [[1.0], [-1.5]], [-1.5]),
+        ("c", [20.0], 20.0, [[2.0], [-3.0]], [-3.0]),
+    ]
+    grids = {"times": [1.0], "radii": [15.0], "hj_radius": 0.5}
+    return _bundled("tie", "two exact-tie minimizers at distinct fiber distances", rows, grids)
 
 
 def _jittered_lattice(rng, count: int, kappa: int, spacing: float, jitter: float) -> Array:
@@ -633,18 +597,10 @@ def random_scenario(seed: int) -> Scenario:
     n = int(rng.integers(3, 9))
     base_points = _jittered_lattice(rng, n, kappa, spacing=1.0, jitter=0.2).tolist()
     centers = _jittered_lattice(rng, n, kappa, spacing=2.5, jitter=0.2)
-    ids = [f"r{i:02d}" for i in range(n)]
-    fibers = {}
-    for i, bid in enumerate(ids):
+    rows = []
+    for i in range(n):
         n_pts = int(rng.integers(1, 4))
-        fibers[bid] = {"type": "points", "data": (centers[i] + rng.uniform(-0.4, 0.4, size=(n_pts, kappa))).tolist()}
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "meta": {"name": f"random-{seed}", "description": "seeded random scenario"},
-        "kappa": kappa,
-        "base": [{"id": bid, "point": base_points[i], "param": float(i)} for i, bid in enumerate(ids)],
-        "fibers": fibers,
-        "section": {bid: fibers[bid]["data"][0] for bid in ids},
-        "grids": {"times": np.sort(rng.uniform(0.3, 5.0, size=3)).tolist(), "radii": [4.0, 2.0], "hj_radius": 0.25},
-    }
-    return _read(doc)
+        pts = (centers[i] + rng.uniform(-0.4, 0.4, size=(n_pts, kappa))).tolist()
+        rows.append((f"r{i:02d}", base_points[i], float(i), pts, pts[0]))
+    grids = {"times": np.sort(rng.uniform(0.3, 5.0, size=3)).tolist(), "radii": [4.0, 2.0], "hj_radius": 0.25}
+    return _bundled(f"random-{seed}", "seeded random scenario", rows, grids)

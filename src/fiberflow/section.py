@@ -63,7 +63,7 @@ class Section:
     def fiber_distances(self) -> Array:
         """Matrix D with D[i, j] = d(f(y_i), fiber_j).  Note D is not symmetric."""
         if self._fiber_dist is None:
-            self._fiber_dist = distances_to_fibers(self.values, self.space.fibers)
+            self._fiber_dist = distances_to_fibers(self.values, fiber_groups(self.space.fibers))
         return self._fiber_dist
 
     def value_distances(self) -> Array:
@@ -274,22 +274,23 @@ def fiber_excess_bound(section: Section) -> tuple[Array, float]:
     A point of F_z gives d(p, F_y) itself, and a segment [a, b] of F_z the
     minimum over the pieces s of F_y of max(d(a, s), d(b, s)): both are
     `geometry.distances_to_fibers` of the pieces' ends, with the far ends b
-    for segments.  It runs on blocks of whole fibers F_z of one group of
-    `geometry.fiber_groups`, about m/2 pieces at a time, and H[:, z] is the
-    maximum over the pieces of F_z.  The margin is PRUNE_MARGIN times M, the
-    largest distance or coordinate magnitude; it covers the rounding of D
-    and of the bound.  M also scales beta, which a NaN section value makes NaN.
+    for segments.  The fibers are grouped once, by `geometry.fiber_groups`;
+    it runs on blocks of whole fibers F_z of one group, about m/2 pieces at
+    a time, and H[:, z] is the maximum over the pieces of F_z.  The margin
+    is PRUNE_MARGIN times M, the largest distance or coordinate magnitude;
+    it covers the rounding of D and of the bound.  M also scales beta, which
+    a NaN section value makes NaN.
     """
     D = section.fiber_distances()  # refuses an empty fiber first
-    fibers = section.space.fibers
+    groups = fiber_groups(section.space.fibers)
     m = section.n_base
     H = np.empty((m, m))
     coordinates, segments = 0.0, False
-    for run, c, a, b in fiber_groups(fibers):
+    for run, c, a, b in groups:
         step = max(1, m // (2 * c))  # fibers F_z per block
         for k in range(0, len(run), step):
             zs, q = run[k : k + step], slice(k * c, (k + step) * c)
-            d = distances_to_fibers(a[q], fibers, None if b is a else b[q])  # d[n, y]: piece n of F_z to F_y
+            d = distances_to_fibers(a[q], groups, None if b is a else b[q])  # d[n, y]: piece n of F_z to F_y
             H[:, columns(zs)] = d.reshape(len(zs), c, m).max(axis=1).T
             del d  # before the next block's distances
         coordinates = max(coordinates, np.abs(a).max(), np.abs(b).max())

@@ -13,6 +13,7 @@ from fiberflow.geometry import (
     PointSet,
     SegmentUnion,
     distances_to_fibers,
+    fiber_groups,
     fiber_min_distance,
     pairwise_distances,
     segment_distances,
@@ -92,7 +93,7 @@ def test_distance_to_second_slice():
 def test_empty_fiber_raises():
     empty = PointSet(np.empty((0, 2)))
     with pytest.raises(GeometryError):
-        distances_to_fibers(np.zeros((1, 2)), [empty])
+        distances_to_fibers(np.zeros((1, 2)), fiber_groups([empty]))
     with pytest.raises(GeometryError):
         fiber_min_distance(SLICE_AT_7, empty)
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import sys
@@ -43,6 +44,35 @@ BUILT_INS = [
 def test_round_trip_reproduces_values_exactly(tmp_path, build):
     reloaded = load_scenario(write_scenario(build(), tmp_path / "scenario.json"))
     assert _scenario_fields(reloaded) == _scenario_fields(build())  # bit for bit
+
+
+# sha256 over the four bundled builders and random_scenario 0-39 of each
+# scenario's fields (`_scenario_fields`) and its sorted-key document, recorded
+# on x86-64 Linux with Python 3.11 and numpy 2.4 while each builder still
+# wrote its whole document by hand
+BUILDERS_DIGEST = "b604d2e51d72ada17010bb9f74964fb4284eea0c97b2b017bde9d59422fae72a"
+
+
+def test_builders_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    for build in [*BUNDLED.values(), *(functools.partial(random_scenario, k) for k in range(40))]:
+        scenario = build()
+        digest.update(repr(_scenario_fields(scenario)).encode())
+        digest.update(json.dumps(scenario_to_dict(scenario), sort_keys=True).encode())
+    assert digest.hexdigest() == BUILDERS_DIGEST
+
+
+def test_round_trip_without_hj_grids_and_with_other_tolerances(tmp_path):
+    doc = scenario_to_dict(two_point_scenario())
+    del doc["grids"]["hj_radius"]
+    doc["grids"]["tolerances"] = {"tau_geo": 1e-6, "tau_sec": 0.0, "tau_tie": 2.5e-8}
+    scenario = scenario_from_dict(doc)
+    assert (scenario.grids.hj_radius, scenario.grids.hj_times) == (None, None)
+    path = write_scenario(scenario, tmp_path / "scenario.json")
+    written = json.loads(path.read_text())["grids"]
+    assert "hj_radius" not in written and "hj_times" not in written  # unset, not null
+    assert written["tolerances"] == doc["grids"]["tolerances"]
+    assert _scenario_fields(load_scenario(path)) == _scenario_fields(scenario)
 
 
 def test_coordinates_at_the_bound_give_finite_distances():

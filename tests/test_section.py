@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_first_form, reference_max_row_gaps
+from fiberflow import geometry
 from fiberflow.errors import PreconditionError
 from fiberflow.geometry import PRUNE_MARGIN, FiberedSpace, PointSet, SegmentUnion
 from fiberflow.lagrangian import check_axioms, model_quadratic, power_lagrangian
@@ -567,6 +568,22 @@ def test_excess_bound_memory_with_one_large_fiber():
         tracemalloc.stop()
     assert peak < 5 * m * m * 8, peak / (m * m * 8)
     assert np.array_equal(H.view(np.uint64), reference_fiber_excess_bound(sec).view(np.uint64))
+
+
+def test_asymmetry_probe_groups_the_fibers_once(monkeypatch):
+    # the excess bound groups the fibers once and hands the groups to every block's distances
+    sec = two_line_section(40)  # four blocks of F_z
+    sec.fiber_distances()  # D, built once per section, groups its own fibers
+    calls, fiber_groups = [], geometry.fiber_groups
+
+    def counted(fibers):
+        calls.append(len(fibers))
+        return fiber_groups(fibers)
+
+    monkeypatch.setattr("fiberflow.geometry.fiber_groups", counted)
+    monkeypatch.setattr("fiberflow.section.fiber_groups", counted)
+    asymmetry_probe(sec)
+    assert calls == [40]
 
 
 def test_reverse_form_bound_margin_keeps_rounding_violations(monkeypatch):
