@@ -10,11 +10,12 @@ maximum taken by `conjugate`.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -28,7 +29,7 @@ MODEL_QUADRATIC = "model-quadratic"
 SPEC_NAMES = (MODEL_QUADRATIC, "power", "zero")
 # the power penalty's parameters where a spec leaves them out: the model penalty
 POWER_DEFAULTS = {"exponent": 2.0, "scale": 1.0}
-# Relative margin of the compatibility bound (see check_axioms): about 10^6
+# Relative margin of the compatibility bound (see axiom_walk): about 10^6
 # ulps of the larger penalty term, above the rounding of t L(D/t), which grows
 # with the elasticity v L'(v) / L(v) of L (p for a power v^p).
 COMPAT_MARGIN = 2.0**-32
@@ -51,8 +52,7 @@ class Lagrangian:
     do.  The curve solver calls `fn` on floats directly.
     `nondecreasing_convex` declares, from L's closed form, that L is
     nondecreasing and convex on R+; only the factories below set it, and
-    `check_axioms` prunes its compatibility scan only for such penalties.
-    The speeds L is certified on come from the scenario: `certification_grid`.
+    `axiom_walk` prunes its compatibility scan only for such penalties.
     """
 
     fn: Callable[[Array], Array]
@@ -174,10 +174,17 @@ class AxiomReport:
 
 
 def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:
-    """Certify `L` against a concrete scenario, convexity on `certification_grid(section, t_list)`.
+    """Certify `L` against a concrete scenario: the report of `axiom_walk` once its frames are read."""
+    report, frames = axiom_walk(L, section, t_list)
+    collections.deque(frames, maxlen=0)  # read every frame, keeping none
+    return report
 
-    A failed axiom does not raise; proposition checks that rely on the axiom
-    are expected to skip when `passed` is false.
+
+def axiom_walk(L: Lagrangian, section: Section, t_list) -> tuple[AxiomReport, Iterator[tuple[Array, Array]]]:
+    """The penalty-axiom report of `L` on a concrete scenario, final once every
+    frame of its walk over t_list is read, and those frames (L(D / t), rhs) in
+    order: rhs = 2 K sqrt(L(E / t)), or L(E / t) if it has a negative entry.  A
+    time is scanned when the next frame is asked for; no failed axiom raises.
 
     The compatibility scan is cubic, lhs[y, x] = max over z of
     A[y, z] - A[x, z] with A = t L(D / t).  For a penalty declared
@@ -197,7 +204,7 @@ def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:
     the maximum, so the worst slack and its first-wins witness (x, y, z, t)
     are those of the full scan.  Any other penalty is scanned in full.  A
     NaN slack is the worst: the first NaN, in time order and row-major
-    within a time, keeps the witness, and the scan stops there, so no
+    within a time, keeps the witness, and no later time is scanned, so no
     pruning threshold is taken from a NaN.
 
     Time scaling takes t L(d / t) against the running minimum of s L(d / s)
@@ -217,42 +224,6 @@ def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:
     E = section.value_distances()
     K = bound_K(section)
     Dmax = D.max(axis=1)
-    compat_worst = -math.inf
-    witness = None
-    for t in t_list:
-        A = t * L(D / t)
-        rhs = L(E / t)  # 2 K sqrt(L(E / t)) below, in place
-        if np.any(rhs < 0):
-            # sqrt undefined: treat as an axiom failure at this t
-            compat_worst = math.inf
-            witness = None
-            continue
-        np.sqrt(rhs, out=rhs)
-        rhs *= 2.0 * K
-        if L.nondecreasing_convex:
-            bound = L((E + Dmax) / t)  # built in place into ub + margin - rhs
-            bound *= t * (1.0 + COMPAT_MARGIN)
-            bound -= t * L(Dmax / t)
-            bound -= rhs
-            scan = ~(bound < max(-rhs.diagonal().min(), compat_worst))
-            del bound
-        else:
-            scan = np.ones(A.shape, dtype=bool)
-        ys, xs = np.nonzero(scan)
-        if ys.size == 0:
-            continue
-        lhs = np.empty(ys.size)
-        for k, G in pair_differences(A, ys, xs):
-            G.max(axis=1, out=lhs[k : k + len(G)])
-        slack = lhs - rhs[ys, xs]  # row-major over the scanned pairs: the first maximum, or NaN, wins
-        k = int(np.argmax(slack))
-        if not slack[k] <= compat_worst:
-            compat_worst = float(slack[k])
-            y, x = int(ys[k]), int(xs[k])
-            z = int(np.argmax(A[y] - A[x]))
-            witness = (x, y, z, float(t))
-            if math.isnan(compat_worst):
-                break  # no later slack replaces the first NaN
 
     dvals = np.unique(D)
     ts = np.unique(t_list)  # distinct times: the axiom compares s < t
@@ -262,8 +233,48 @@ def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:
         phi = t * L(dvals / t)
         scaling_worst = float(np.maximum(scaling_worst, (phi - low).max()))  # NaN propagates
         np.minimum(low, phi, out=low)
+    report = AxiomReport(convex_worst, -math.inf, None, scaling_worst)
 
-    return AxiomReport(convex_worst, compat_worst, witness, scaling_worst)
+    def frames():
+        worst, witness = -math.inf, None
+        for t in t_list:
+            LW = L(D / t)
+            rhs = L(E / t)  # 2 K sqrt(L(E / t)) below, in place
+            negative = np.any(rhs < 0)
+            if not negative:
+                np.sqrt(rhs, out=rhs)
+                rhs *= 2.0 * K
+            yield LW, rhs
+            if negative and not math.isnan(worst):  # sqrt undefined: an axiom failure at this t
+                worst, witness = math.inf, None
+            if negative or math.isnan(worst):  # no later slack replaces the first NaN
+                continue
+            A = t * LW
+            del LW
+            if L.nondecreasing_convex:
+                bound = L((E + Dmax) / t)  # built in place into ub + margin - rhs
+                bound *= t * (1.0 + COMPAT_MARGIN)
+                bound -= t * L(Dmax / t)
+                bound -= rhs
+                scan = ~(bound < max(-rhs.diagonal().min(), worst))
+                del bound
+            else:
+                scan = np.ones(A.shape, dtype=bool)
+            ys, xs = np.nonzero(scan)
+            if ys.size:
+                lhs = np.empty(ys.size)
+                for k, G in pair_differences(A, ys, xs):
+                    G.max(axis=1, out=lhs[k : k + len(G)])
+                slack = lhs - rhs[ys, xs]  # row-major over the scanned pairs: the first maximum, or NaN, wins
+                k = int(np.argmax(slack))
+                if not slack[k] <= worst:
+                    worst = float(slack[k])
+                    y, x = int(ys[k]), int(xs[k])
+                    witness = (x, y, int(np.argmax(A[y] - A[x])), float(t))
+            del A, rhs, scan  # before the next frame is built
+        report.compatibility_worst, report.compatibility_witness = worst, witness
+
+    return report, frames()
 
 
 @dataclass

@@ -11,12 +11,8 @@ one-sided speed indicators D- and D+, which the proposition suite and the
 slope estimate read.  Forward differences of u in t feed the Hamilton-Jacobi
 residual checks.
 
-The readers behind `check` return arrays: `hj_residuals` the residuals of one
-time at chosen base points, `slope_estimate_check` the pair scan's slack table
-at one grid time, `quasi_minimizer_trace` four arrays over its times.
-`worst_case` reduces such arrays to a worst slack and its first location, and
-`Verdict.from_slack` turns that into a status; `proposition_suite` returns its
-items as a list of Verdicts beside the penalty-axiom report.
+The readers behind `check` return arrays; `worst_case` reduces them to a
+worst slack and its first location, and `Verdict.from_slack` to a status.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .geometry import PRUNE_MARGIN
-from .lagrangian import AxiomReport, Lagrangian, certification_grid, check_axioms, model_quadratic
+from .lagrangian import AxiomReport, Lagrangian, axiom_walk, certification_grid, model_quadratic
 from .section import FLOAT_MAX, SLACK_TOLERANCE, Section, as_floats, bound_K, checked_index, g_field, global_ILS
 
 Array = np.ndarray
@@ -288,15 +284,16 @@ def worst_case(cases, labels: list[str]) -> tuple[float, str | None]:
 def _cross_time_worst(times: Array, u: Array, rhs_tables, labels: list[str]) -> tuple[float, str | None]:
     """`worst_case` of the cross-time gaps u[t][y] - (rhs_t[x, y] + u[s][x])
     over the pairs of sorted grid times s < t, in the (s, t) order of the
-    pair loop, with one rhs table per time from `rhs_tables` (every table is
-    read).  Rounding is monotone, so at each t the largest gap over s is the
-    gap at the running minimum of u over the strictly earlier times; a
-    repeated time forms no pair.  The location comes from evaluating, while
-    rhs_t is at hand, the pairs (s, t) in s order up to the first one that
-    attains a new worst, or that ties it at a smaller s."""
+    pair loop, with one rhs table per time from the iterator `rhs_tables`.
+    Rounding is monotone, so at each t the largest gap over s is the gap at
+    the running minimum of u over the strictly earlier times; a repeated
+    time forms no pair.  The location comes from evaluating, while rhs_t is
+    at hand, the pairs (s, t) in s order up to the first one that attains a
+    new worst, or that ties it at a smaller s."""
     worst, loc, first_s = -math.inf, None, 0
     umin, known = None, 0  # the minimum of u over its first `known` rows
-    for ti, rhs in enumerate(rhs_tables):
+    for ti in range(times.size):
+        rhs = next(rhs_tables)  # not enumerate, whose reused tuple would hold it while the next is built
         earlier = int(np.searchsorted(times, times[ti]))  # times strictly before times[ti]
         for row in u[known:earlier]:
             umin = row if umin is None else np.minimum(umin, row)  # NaN propagates
@@ -345,11 +342,10 @@ def proposition_suite(
     if len(lab) != section.n_base:
         raise PreconditionError(f"need one label per base point, got {len(lab)} labels for {section.n_base}")
 
-    g = g_field(section)
-    E = section.value_distances()
+    g, D = g_field(section), section.fiber_distances()
     K = bound_K(section)
     ils = global_ILS(section)
-    axioms = check_axioms(L, section, times)
+    axioms, frames = axiom_walk(L, section, times)
 
     items: list[Verdict] = []
 
@@ -389,44 +385,35 @@ def proposition_suite(
         note=f"final argmin fiber distance {worst_final:.3e}",
     )
 
-    def spatial_rhs(t: float) -> Array:
-        return 2.0 * K * np.sqrt(np.maximum(L(E / t), 0.0))
+    # at each sorted time, the axiom walk's frame (L(D / t), rhs = 2 K sqrt(L(E / t))) serves items c, d and e:
+    # (c) |u(x,t) - u(y,t)| <= rhs[x, y] and (d) u(y,t) <= rhs[x, y] + u(x,s) for s < t; (e) |u - g| <= C t with
+    # C = max(|L(0)|, max |H|), where for speeds w >= 0 the computed L*(xi) = max over w of (xi w - L(w)) is
+    # nondecreasing in xi (products and differences round monotonically): max |L*| is at xi = 0 or xi = ILS
+    spatial, boundary = [], []  # items c and e: one case per time
 
-    # (c) spatial estimate |u(x,t) - u(y,t)| <= 2 K sqrt(L(d(f(x),f(y))/t))
-    # (d) cross-time estimate u(y,t) <= 2 K sqrt(L(d/t)) + u(x,s) for s < t
+    def rhs_tables():
+        for t, ut in zip(times, u):
+            LW, rhs = next(frames)
+            if math.isfinite(ils):  # W = D / t lives only in the comprehension
+                ends = [np.abs((xi * W - LW).max(axis=1)) for W in [D / t] for xi in (0.0, ils)]
+                C = np.fmax(abs(L0), np.maximum(*ends))
+                boundary.append((np.abs(ut - g) - C * t, "y", f"t={t:g}"))
+            spatial.append(worst_case([(np.abs(ut[:, None] - ut[None, :]) - rhs, "xy", f"t={t:g}")], lab))
+            yield rhs
+            del LW, rhs  # before the walk builds t L(D / t) in their place for this time's scan
+
+    cross = _cross_time_worst(times, u, rhs_tables(), lab)  # reads every table, so the walk sees every time
+    next(frames, None)  # the scan of the last time
     if not axioms.passed:
         skip("c_spatial_estimate", "penalty axioms failed on this scenario")
         skip("d_cross_time_estimate", "penalty axioms failed on this scenario")
     else:
-        spatial = []  # item c's (worst, location) at each time
-
-        def rhs_tables():
-            for t, ut in zip(times, u):
-                rhs = spatial_rhs(t)
-                spatial.append(worst_case([(np.abs(ut[:, None] - ut[None, :]) - rhs, "xy", f"t={t:g}")], lab))
-                yield rhs
-                del rhs  # before the next table is built
-
-        cross = _cross_time_worst(times, u, rhs_tables(), lab)  # reads every table, so c sees every time
         record("c_spatial_estimate", *worst_case(((np.float64(w), "", loc) for w, loc in spatial), lab))
         record("d_cross_time_estimate", *cross)
-
-    # (e) boundary behavior |u - g| <= C t with C = max(|L(0)|, max |H|)
     if not math.isfinite(ils):
         skip("e_boundary_rate", "global ILS estimate is infinite")
     else:
-        # for speeds w >= 0 the computed L*(xi) = max over w of (xi w - L(w)) is
-        # nondecreasing in xi (products and differences round monotonically),
-        # so max |L*| over [0, ILS] is attained at xi = 0 or xi = ILS
-        D = section.fiber_distances()
-        gaps = []
-        for t, ut in zip(times, u):
-            W = D / t
-            LW = L(W)
-            ends = [np.abs((xi * W - LW).max(axis=1)) for xi in (0.0, ils)]
-            C = np.fmax(abs(L0), np.maximum(*ends))
-            gaps.append((np.abs(ut - g) - C * t, "y", f"t={t:g}"))
-        record("e_boundary_rate", *worst_case(gaps, lab))
+        record("e_boundary_rate", *worst_case(boundary, lab))
 
     # (f) u(y, .) nonincreasing in t
     gaps = ((u[ti] - u[si], "y", f"s={times[si]:g},t={times[ti]:g}") for si, ti in pairs)

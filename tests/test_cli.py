@@ -116,6 +116,21 @@ def test_check_exit_nonzero_on_failure(tmp_path):
     assert main(["--out", str(tmp_path / "rep"), "check", str(path)]) == 1
 
 
+def test_check_fails_the_compatibility_axiom_of_a_negative_penalty(tmp_path):
+    # the loader takes any finite scale; at -1, L(E / t) is negative off the diagonal, where sqrt is undefined
+    doc = scenario_to_dict(paper_counterexample())
+    doc["lagrangian"] = {"name": "power", "params": {"scale": -1}}
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--out", str(tmp_path / "rep"), "check", str(path)]) == 1
+    written = json.loads((tmp_path / "rep" / f"{doc['meta']['name']}_verdicts.json").read_text())
+    verdicts = {v["check"]: v for v in written}
+    compatibility = verdicts["axiom_compatibility"]
+    assert (compatibility["status"], compatibility["worst_slack"], compatibility["location"]) == ("FAIL", "inf", None)
+    for item in ("a_bounds", "c_spatial_estimate", "d_cross_time_estimate"):
+        assert verdicts[f"suite_{item}"]["status"] == "SKIPPED", item
+
+
 def test_invalid_scenario_exit_code(tmp_path):
     doc = scenario_to_dict(two_point_scenario())
     doc["section"]["b1"] = [1.0, 1.1]

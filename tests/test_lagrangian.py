@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -357,7 +358,9 @@ def test_pruned_compatibility_equals_full_scan(paper, two_point, singleton, tie)
     sections = [sc.section() for sc in (paper, two_point, singleton, tie)]
     sections += [random_scenario(seed).section() for seed in range(40)]
     sections += [two_line_section(40), segments_section(30)]
+    # the negative scale makes L(E / t) negative off the diagonal: the axiom fails at inf without a witness
     penalties = [model_quadratic(), power_lagrangian(4.0), power_lagrangian(1.5, 0.3), zero_lagrangian()]
+    penalties.append(power_lagrangian(2.0, -1.0))
     positive = 0
     for sec in sections:
         for k, L in enumerate(penalties):
@@ -408,16 +411,25 @@ def test_hand_built_penalty_keeps_the_full_scan(paper):
     assert expected[0] > 0
 
 
+def nan_beyond_the_grid(sec, times, spike: bool = False):
+    """exp up to the top of the certification grid, NaN beyond; with `spike`, -1 at the speed
+    max(E) / max(times), so that L(E / t) is negative at the last time."""
+    top = float(certification_grid(sec, times)[-1])
+    at = float(sec.value_distances().max()) / float(np.max(times)) if spike else math.nan
+    return lambda v: np.where(v == at, -1.0, np.where(v <= top, np.exp(np.minimum(v, top)), np.nan))
+
+
 def test_a_nan_compatibility_slack_fails_the_axiom(tmp_path):
-    # exp up to the top of the certification grid, NaN beyond.  L(E / t) reaches past that top at the
-    # first time only: in reverse order its NaN replaces the finite worst of the later times, and in
-    # time order their finite slacks do not replace it
+    # L(E / t) reaches past the top of the grid at the first time only: in reverse order its NaN replaces
+    # the finite worst of the later times, and in time order their finite slacks do not replace it.  With
+    # the spike, the last time's negative L(E / t) gives inf: first in reverse order, so the NaN replaces
+    # it, and after the NaN in time order, where no later time is scanned
     scenario = random_scenario(13)
     sec, times = scenario.section(), scenario.grids.times
-    top = float(certification_grid(sec, times)[-1])
-    fn = lambda v: np.where(v <= top, np.exp(np.minimum(v, top)), np.nan)
-    for declared in (False, True):  # the full scan and the pruned one
-        L = Lagrangian(fn=fn, nondecreasing_convex=declared)
+    fn, spiked = nan_beyond_the_grid(sec, times), nan_beyond_the_grid(sec, times, spike=True)
+    assert _compatibility(Lagrangian(fn=spiked), sec, times[-1:]) == (math.inf, None)
+    for penalty, declared in itertools.product((fn, spiked), (False, True)):
+        L = Lagrangian(fn=penalty, nondecreasing_convex=declared)  # the full scan and the pruned one
         for ts in (times, times[::-1]):
             worst, witness = _compatibility(L, sec, ts)
             want = reference_compatibility(L, sec, ts)

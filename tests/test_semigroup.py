@@ -29,6 +29,7 @@ from fiberflow.semigroup import (
     worst_case,
 )
 from test_geometry import dist_to_fiber
+from test_lagrangian import nan_beyond_the_grid
 from test_section import degenerate_section, two_line_section
 
 
@@ -732,6 +733,46 @@ def test_suite_skips_axiom_items_for_bad_lagrangian(paper):
     assert not axioms.passed
     assert suite_item(items, "suite_c_spatial_estimate").status == "SKIPPED"
     assert suite_item(items, "suite_d_cross_time_estimate").status == "SKIPPED"
+
+
+@pytest.mark.parametrize("penalty", ["negative scale", "NaN, then a negative time"])
+def test_suite_axiom_report_is_that_of_the_sorted_times(penalty):
+    # a negative L(E / t) fails the axiom at inf without a witness, and no later time replaces a NaN worst;
+    # repr tells NaN, inf and the sign of a zero apart
+    scenario = random_scenario(13)
+    sec, times = scenario.section(), scenario.grids.times
+    if penalty == "negative scale":
+        L = power_lagrangian(2.0, -1.0)
+    else:
+        L = Lagrangian(fn=nan_beyond_the_grid(sec, times, spike=True))
+    want = check_axioms(L, sec, np.sort(times))
+    assert want.compatibility_witness is None if penalty == "negative scale" else math.isnan(want.compatibility_worst)
+    for ts in (times, times[::-1]):
+        table, model = evolution_table(sec, L, ts), evolution_table(sec, model_quadratic(), ts)
+        items, axioms = proposition_suite(sec, L, table, model)
+        assert repr(axioms) == repr(want), ts
+        assert suite_item(items, "suite_c_spatial_estimate").status == "SKIPPED"
+
+
+def test_suite_builds_each_time_tables_once(monkeypatch):
+    # L(D / t) serves the compatibility scan and item e, 2 K sqrt(L(E / t)) the scan and items c and d;
+    # the times avoid the trace schedule's powers of two, whose branch tables also read D / t
+    sec, L = two_line_section(40), model_quadratic()
+    times = np.array([0.3, 0.7, 1.3, 2.9])
+    table = evolution_table(sec, L, times)
+    D, E = sec.fiber_distances(), sec.value_distances()
+    speeds, call = [], Lagrangian.__call__
+
+    def recorded(self, w):
+        speeds.append(np.array(w, dtype=float))
+        return call(self, w)
+
+    monkeypatch.setattr(Lagrangian, "__call__", recorded)
+    items, axioms = proposition_suite(sec, L, table)
+    assert axioms.passed and all(item.status == "PASS" for item in items)
+    for t in times:
+        for distances in (D, E):
+            assert sum(w.shape == D.shape and np.array_equal(w, distances / t) for w in speeds) == 1, t
 
 
 def test_suite_items_are_verdicts_named_by_item_key(paper):
