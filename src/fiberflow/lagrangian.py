@@ -10,12 +10,11 @@ maximum taken by `conjugate`.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +28,7 @@ MODEL_QUADRATIC = "model-quadratic"
 SPEC_NAMES = (MODEL_QUADRATIC, "power", "zero")
 # the power penalty's parameters where a spec leaves them out: the model penalty
 POWER_DEFAULTS = {"exponent": 2.0, "scale": 1.0}
-# Relative margin of the compatibility bound (see axiom_walk): about 10^6
+# Relative margin of the compatibility bound (see check_axioms): about 10^6
 # ulps of the larger penalty term, above the rounding of t L(D/t), which grows
 # with the elasticity v L'(v) / L(v) of L (p for a power v^p).
 COMPAT_MARGIN = 2.0**-32
@@ -52,7 +51,7 @@ class Lagrangian:
     do.  The curve solver calls `fn` on floats directly.
     `nondecreasing_convex` declares, from L's closed form, that L is
     nondecreasing and convex on R+; only the factories below set it, and
-    `axiom_walk` prunes its compatibility scan only for such penalties.
+    `check_axioms` prunes its compatibility scan only for such penalties.
     """
 
     fn: Callable[[Array], Array]
@@ -173,18 +172,30 @@ class AxiomReport:
         )
 
 
-def check_axioms(L: Lagrangian, section: Section, t_list) -> AxiomReport:
-    """Certify `L` against a concrete scenario: the report of `axiom_walk` once its frames are read."""
-    report, frames = axiom_walk(L, section, t_list)
-    collections.deque(frames, maxlen=0)  # read every frame, keeping none
-    return report
+def _convexity_and_scaling(L: Lagrangian, section: Section, t_list: Array) -> tuple[float, float]:
+    """`check_axioms`' worst convexity and time-scaling slacks, whose temporaries die with this frame."""
+    grid = certification_grid(section, t_list)
+    Lg = L(grid)
+    mids = L((grid[:, None] + grid[None, :]) / 2.0)
+    convex_worst = float((mids - (Lg[:, None] + Lg[None, :]) / 2.0).max())
+    dvals = np.unique(section.fiber_distances())
+    ts = np.unique(t_list)  # distinct times: the axiom compares s < t
+    scaling_worst = 0.0 if ts.size < 2 else -math.inf  # fewer than two distinct times: nothing to compare
+    low = ts[0] * L(dvals / ts[0])
+    for t in ts[1:]:
+        phi = t * L(dvals / t)
+        scaling_worst = float(np.maximum(scaling_worst, (phi - low).max()))  # NaN propagates
+        np.minimum(low, phi, out=low)
+    return convex_worst, scaling_worst
 
 
-def axiom_walk(L: Lagrangian, section: Section, t_list) -> tuple[AxiomReport, Iterator[tuple[Array, Array]]]:
-    """The penalty-axiom report of `L` on a concrete scenario, final once every
-    frame of its walk over t_list is read, and those frames (L(D / t), rhs) in
-    order: rhs = 2 K sqrt(L(E / t)), or L(E / t) if it has a negative entry.  A
-    time is scanned when the next frame is asked for; no failed axiom raises.
+def check_axioms(L: Lagrangian, section: Section, t_list, visit=None) -> AxiomReport:
+    """Certify `L` against a concrete scenario; no failed axiom raises.
+
+    One walk over t_list, in list order, builds at each time L(D / t) and
+    rhs = 2 K sqrt(L(E / t)), or L(E / t) if it has a negative entry; calls
+    visit(ti, L(D / t), rhs) when a visitor is given, which must keep
+    neither table; then scans that time for the compatibility axiom.
 
     The compatibility scan is cubic, lhs[y, x] = max over z of
     A[y, z] - A[x, z] with A = t L(D / t).  For a penalty declared
@@ -214,67 +225,49 @@ def axiom_walk(L: Lagrangian, section: Section, t_list) -> tuple[AxiomReport, It
     t_list = as_floats(t_list, "t_list")
     if t_list.size == 0 or not np.all((0 < t_list) & (t_list < math.inf)):  # NaN too
         raise PreconditionError("t_list must be nonempty and positive, with every time finite")
-
-    grid = certification_grid(section, t_list)
-    Lg = L(grid)
-    mids = L((grid[:, None] + grid[None, :]) / 2.0)
-    convex_worst = float((mids - (Lg[:, None] + Lg[None, :]) / 2.0).max())
-
+    convex_worst, scaling_worst = _convexity_and_scaling(L, section, t_list)
     D = section.fiber_distances()
     E = section.value_distances()
     K = bound_K(section)
     Dmax = D.max(axis=1)
-
-    dvals = np.unique(D)
-    ts = np.unique(t_list)  # distinct times: the axiom compares s < t
-    scaling_worst = 0.0 if ts.size < 2 else -math.inf  # fewer than two distinct times: nothing to compare
-    low = ts[0] * L(dvals / ts[0])
-    for t in ts[1:]:
-        phi = t * L(dvals / t)
-        scaling_worst = float(np.maximum(scaling_worst, (phi - low).max()))  # NaN propagates
-        np.minimum(low, phi, out=low)
-    report = AxiomReport(convex_worst, -math.inf, None, scaling_worst)
-
-    def frames():
-        worst, witness = -math.inf, None
-        for t in t_list:
-            LW = L(D / t)
-            rhs = L(E / t)  # 2 K sqrt(L(E / t)) below, in place
-            negative = np.any(rhs < 0)
-            if not negative:
-                np.sqrt(rhs, out=rhs)
-                rhs *= 2.0 * K
-            yield LW, rhs
-            if negative and not math.isnan(worst):  # sqrt undefined: an axiom failure at this t
-                worst, witness = math.inf, None
-            if negative or math.isnan(worst):  # no later slack replaces the first NaN
-                continue
-            A = t * LW
-            del LW
-            if L.nondecreasing_convex:
-                bound = L((E + Dmax) / t)  # built in place into ub + margin - rhs
-                bound *= t * (1.0 + COMPAT_MARGIN)
-                bound -= t * L(Dmax / t)
-                bound -= rhs
-                scan = ~(bound < max(-rhs.diagonal().min(), worst))
-                del bound
-            else:
-                scan = np.ones(A.shape, dtype=bool)
-            ys, xs = np.nonzero(scan)
-            if ys.size:
-                lhs = np.empty(ys.size)
-                for k, G in pair_differences(A, ys, xs):
-                    G.max(axis=1, out=lhs[k : k + len(G)])
-                slack = lhs - rhs[ys, xs]  # row-major over the scanned pairs: the first maximum, or NaN, wins
-                k = int(np.argmax(slack))
-                if not slack[k] <= worst:
-                    worst = float(slack[k])
-                    y, x = int(ys[k]), int(xs[k])
-                    witness = (x, y, int(np.argmax(A[y] - A[x])), float(t))
-            del A, rhs, scan  # before the next frame is built
-        report.compatibility_worst, report.compatibility_witness = worst, witness
-
-    return report, frames()
+    worst, witness = -math.inf, None
+    for ti, t in enumerate(t_list):
+        LW = L(D / t)
+        rhs = L(E / t)  # 2 K sqrt(L(E / t)) below, in place
+        negative = np.any(rhs < 0)
+        if not negative:
+            np.sqrt(rhs, out=rhs)
+            rhs *= 2.0 * K
+        if visit is not None:
+            visit(ti, LW, rhs)
+        if negative and not math.isnan(worst):  # sqrt undefined: an axiom failure at this t
+            worst, witness = math.inf, None
+        if negative or math.isnan(worst):  # no later slack replaces the first NaN
+            continue
+        A = t * LW
+        del LW
+        if L.nondecreasing_convex:
+            bound = L((E + Dmax) / t)  # built in place into ub + margin - rhs
+            bound *= t * (1.0 + COMPAT_MARGIN)
+            bound -= t * L(Dmax / t)
+            bound -= rhs
+            scan = ~(bound < max(-rhs.diagonal().min(), worst))
+            del bound
+        else:
+            scan = np.ones(A.shape, dtype=bool)
+        ys, xs = np.nonzero(scan)
+        if ys.size:
+            lhs = np.empty(ys.size)
+            for k, G in pair_differences(A, ys, xs):
+                G.max(axis=1, out=lhs[k : k + len(G)])
+            slack = lhs - rhs[ys, xs]  # row-major over the scanned pairs: the first maximum, or NaN, wins
+            k = int(np.argmax(slack))
+            if not slack[k] <= worst:
+                worst = float(slack[k])
+                y, x = int(ys[k]), int(xs[k])
+                witness = (x, y, int(np.argmax(A[y] - A[x])), float(t))
+        del A, rhs, scan  # before the next time's tables are built
+    return AxiomReport(convex_worst, worst, witness, scaling_worst)
 
 
 @dataclass

@@ -158,11 +158,13 @@ def run_check(scenario: Scenario, outdir) -> tuple[ReportBundle, list[Verdict], 
     note = f"{flagged} nodes had no neighbors in radius"
     verdicts.append(Verdict.from_slack("hj_residual_grid", slack, HJ_TOLERANCE, loc, note=note))
     ils = global_ILS(section)
-    if lipschitz:  # hj_residuals gives no Lipschitz form without a finite nonzero ILS
+    if lipschitz:  # hj_residuals gives no Lipschitz form unless ILS is finite and ILS^2 nonzero
         slack, loc = worst_case(lipschitz, hj_labels)
         verdicts.append(Verdict.from_slack("hj_residual_lipschitz_grid", slack, HJ_TOLERANCE, loc))
     else:
         note = "ILS estimate is 0" if ils == 0.0 else "ILS estimate not finite"
+        if 0.0 < ils < math.inf:
+            note = f"ILS estimate {ils:.3e} squares to 0"
         verdicts.append(Verdict("hj_residual_lipschitz_grid", "SKIPPED", None, None, note=note))
 
     # reports

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .geometry import PRUNE_MARGIN
-from .lagrangian import AxiomReport, Lagrangian, axiom_walk, certification_grid, model_quadratic
+from .lagrangian import AxiomReport, Lagrangian, certification_grid, check_axioms, model_quadratic
 from .section import FLOAT_MAX, SLACK_TOLERANCE, Section, as_floats, bound_K, checked_index, g_field, global_ILS
 
 Array = np.ndarray
@@ -62,22 +62,6 @@ def _speeds(D: Array, argmins: Array) -> tuple[Array, Array]:
     return np.where(argmins, D, np.inf).min(axis=-1), np.where(argmins, D, -np.inf).max(axis=-1)
 
 
-def _neighbor_slopes(u: Array, den: Array, near: Array, nodes=None) -> Array:
-    """slope[k]: sup over the base points p with near[p, k], the neighbors of
-    the k-th node y = nodes[k] (default: y = k), of the positive part of
-    u[y] - u[p] divided by den[p, y].  Only the neighbor pairs are read.  A
-    positive rise over a zero denominator is inf; a node without neighbors
-    has slope 0."""
-    p, k = np.nonzero(near)
-    y = k if nodes is None else nodes[k]
-    rise = u[y] - u[p]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = np.where(rise <= 0.0, 0.0, rise / den[p, y])
-    slope = np.zeros(near.shape[1])
-    np.maximum.at(slope, k, quotient)
-    return slope
-
-
 class HJArrays(NamedTuple):
     """One form of the Hamilton-Jacobi residuals at one time, as arrays over y."""
 
@@ -87,12 +71,25 @@ class HJArrays(NamedTuple):
     n_neighbors: Array
 
 
-def _hj_setup(section: Section, t: float, radius: float, nodes=None, u=None) -> tuple[Array, Array, Array]:
-    """(near, u, fd) of the model evolution at time t: near[p, k] holds when
-    p is a neighbor of the k-th node, u is read at the nodes and their
-    neighbors, and fd[k] is the forward time difference at the k-th node.
-    nodes=None means every base point, read through slices.  A given u must
-    be the model evolution at t over every base point."""
+def hj_residuals(section: Section, t: float, radius: float, nodes=None, u=None) -> tuple[HJArrays, HJArrays | None]:
+    """Hamilton-Jacobi residuals of the model evolution at time t, in the
+    plain and the Lipschitz form, at the base points `nodes` (default: every
+    base point); the arrays follow the order of `nodes`.  Neighbors are the
+    base points at distance in (0, radius].  A given u must be the model
+    evolution at t over every base point.
+
+    Only the branch rows of the nodes and of their neighbors are built, and
+    the slopes read only the neighbor pairs, so the values at a node do not
+    depend on which other nodes are asked for.  The slope at node y is the
+    sup over its neighbors p of the positive part of u[y] - u[p] over a
+    distance; fd is the forward time difference of u at y.
+
+    The plain form divides by the distance between section values and uses the
+    prefactor 2; the Lipschitz form divides by the section-to-fiber distance
+    and uses 2 / ILS^2, and is None unless the global ILS estimate is finite
+    and its square nonzero.
+    """
+    nodes = None if nodes is None else np.array([checked_index(y, section.n_base) for y in nodes], dtype=int)
     h = FD_STEP_SCALE * float(t) if 0 < t <= FLOAT_MAX else 0.0
     if not (h > 0 and math.isfinite(float(t) + h)):  # Python floats: t + h overflows to inf without a warning
         raise PreconditionError(f"need a forward-difference step h > 0 with t + h finite, got t={t!r}")
@@ -109,37 +106,21 @@ def _hj_setup(section: Section, t: float, radius: float, nodes=None, u=None) -> 
         u = np.empty(section.n_base)  # read at the rows only
         u[rows] = _branches(section, L, t, rows).min(axis=1)
     fd = (_branches(section, L, t + h, cols).min(axis=1) - u[cols]) / h
-    return near, u, fd
+    p, k = np.nonzero(near)  # the neighbor pairs (p, k-th node), shared by both forms
+    y = k if nodes is None else nodes[k]
+    rise = u[y] - u[p]
+    n_neighbors = near.sum(axis=0)
 
+    def form(den: Array, prefactor: float) -> HJArrays:
+        with np.errstate(divide="ignore", invalid="ignore"):  # a positive rise over a zero distance is inf
+            quotient = np.where(rise <= 0.0, 0.0, rise / den[p, y])
+        slope = np.zeros(near.shape[1])  # 0 at a node without neighbors
+        np.maximum.at(slope, k, quotient)
+        return HJArrays(fd + prefactor * slope * slope, fd, slope, n_neighbors)
 
-def _hj_form(u: Array, fd: Array, den: Array, near: Array, prefactor: float, nodes=None) -> HJArrays:
-    """One form of the residuals from `_hj_setup`'s arrays."""
-    slope = _neighbor_slopes(u, den, near, nodes)
-    return HJArrays(fd + prefactor * slope * slope, fd, slope, near.sum(axis=0))
-
-
-def hj_residuals(section: Section, t: float, radius: float, nodes=None) -> tuple[HJArrays, HJArrays | None]:
-    """Hamilton-Jacobi residuals of the model evolution at time t, in the
-    plain and the Lipschitz form, at the base points `nodes` (default: every
-    base point); the arrays follow the order of `nodes`.  Neighbors are the
-    base points at distance in (0, radius].
-
-    Only the branch rows of the nodes and of their neighbors are built, and
-    the slopes read only the neighbor pairs, so the values at a node do not
-    depend on which other nodes are asked for.
-
-    The plain form divides by the distance between section values and uses the
-    prefactor 2; the Lipschitz form divides by the section-to-fiber distance
-    and uses 2 / ILS^2, and is None unless the global ILS estimate is finite
-    and nonzero.
-    """
-    nodes = None if nodes is None else np.array([checked_index(y, section.n_base) for y in nodes], dtype=int)
-    near, u, fd = _hj_setup(section, t, radius, nodes)
     ils = global_ILS(section)
-    lipschitz = None
-    if math.isfinite(ils) and ils != 0.0:
-        lipschitz = _hj_form(u, fd, section.fiber_distances(), near, 2.0 / (ils * ils), nodes)
-    return _hj_form(u, fd, section.value_distances(), near, 2.0, nodes), lipschitz
+    lipschitz = form(section.fiber_distances(), 2.0 / (ils * ils)) if math.isfinite(ils) and ils * ils != 0.0 else None
+    return form(section.value_distances(), 2.0), lipschitz
 
 
 def hj_residual(section: Section, y: int, t: float, radius: float) -> HJArrays:
@@ -281,36 +262,39 @@ def worst_case(cases, labels: list[str]) -> tuple[float, str | None]:
     return worst, loc
 
 
-def _cross_time_worst(times: Array, u: Array, rhs_tables, labels: list[str]) -> tuple[float, str | None]:
-    """`worst_case` of the cross-time gaps u[t][y] - (rhs_t[x, y] + u[s][x])
-    over the pairs of sorted grid times s < t, in the (s, t) order of the
-    pair loop, with one rhs table per time from the iterator `rhs_tables`.
-    Rounding is monotone, so at each t the largest gap over s is the gap at
-    the running minimum of u over the strictly earlier times; a repeated
-    time forms no pair.  The location comes from evaluating, while rhs_t is
-    at hand, the pairs (s, t) in s order up to the first one that attains a
-    new worst, or that ties it at a smaller s."""
-    worst, loc, first_s = -math.inf, None, 0
-    umin, known = None, 0  # the minimum of u over its first `known` rows
-    for ti in range(times.size):
-        rhs = next(rhs_tables)  # not enumerate, whose reused tuple would hold it while the next is built
+class _CrossTimeWorst:
+    """Item d's reducer: once `add` has read every grid time's rhs table in
+    time order, (worst, loc) is the `worst_case` of the cross-time gaps
+    u[t][y] - (rhs_t[x, y] + u[s][x]) over the pairs of sorted grid times
+    s < t, in the (s, t) order of the pair loop.  Rounding is monotone, so
+    at each t the largest gap over s is the gap at the running minimum of u
+    over the strictly earlier times; a repeated time forms no pair.  The
+    location comes from evaluating, while rhs_t is at hand, the pairs (s, t)
+    in s order up to the first one that attains a new worst, or that ties it
+    at a smaller s."""
+
+    def __init__(self, times: Array, u: Array, labels: list[str]):
+        self.times, self.u, self.labels = times, u, labels
+        self.worst, self.loc, self.first_s = -math.inf, None, 0
+        self.umin, self.known = None, 0  # the minimum of u over its first `known` rows
+
+    def add(self, ti: int, rhs: Array) -> None:
+        times, u = self.times, self.u
         earlier = int(np.searchsorted(times, times[ti]))  # times strictly before times[ti]
-        for row in u[known:earlier]:
-            umin = row if umin is None else np.minimum(umin, row)  # NaN propagates
-        known = earlier
-        w = float((u[ti][None, :] - (rhs + umin[:, None])).max()) if earlier else -math.inf
-        worse = w > worst or math.isnan(w) and not math.isnan(worst)  # NaN is the worst
-        tie = w == worst or math.isnan(w) and math.isnan(worst)
+        for row in u[self.known : earlier]:
+            self.umin = row if self.umin is None else np.minimum(self.umin, row)  # NaN propagates
+        self.known = earlier
+        w = float((u[ti][None, :] - (rhs + self.umin[:, None])).max()) if earlier else -math.inf
+        worse = w > self.worst or math.isnan(w) and not math.isnan(self.worst)  # NaN is the worst
+        tie = w == self.worst or math.isnan(w) and math.isnan(self.worst)
         # the pairs that can move the location: every s for a new worst, the s before the location's for a tie
-        for si in range(earlier if worse else first_s if tie else 0):
+        for si in range(earlier if worse else self.first_s if tie else 0):
             pair = worst_case(
-                [(u[ti][None, :] - (rhs + u[si][:, None]), "xy", f"s={times[si]:g},t={times[ti]:g}")], labels
+                [(u[ti][None, :] - (rhs + u[si][:, None]), "xy", f"s={times[si]:g},t={times[ti]:g}")], self.labels
             )
             if pair[0] == w or math.isnan(pair[0]) and math.isnan(w):
-                (worst, loc), first_s = pair, si
+                (self.worst, self.loc), self.first_s = pair, si
                 break
-        del rhs  # the next table is built when the loop asks for it: keep one alive at a time
-    return worst, loc
 
 
 def proposition_suite(
@@ -345,7 +329,6 @@ def proposition_suite(
     g, D = g_field(section), section.fiber_distances()
     K = bound_K(section)
     ils = global_ILS(section)
-    axioms, frames = axiom_walk(L, section, times)
 
     items: list[Verdict] = []
 
@@ -385,31 +368,29 @@ def proposition_suite(
         note=f"final argmin fiber distance {worst_final:.3e}",
     )
 
-    # at each sorted time, the axiom walk's frame (L(D / t), rhs = 2 K sqrt(L(E / t))) serves items c, d and e:
+    # at each sorted time, `check_axioms`' tables L(D / t) and rhs = 2 K sqrt(L(E / t)) serve items c, d and e:
     # (c) |u(x,t) - u(y,t)| <= rhs[x, y] and (d) u(y,t) <= rhs[x, y] + u(x,s) for s < t; (e) |u - g| <= C t with
     # C = max(|L(0)|, max |H|), where for speeds w >= 0 the computed L*(xi) = max over w of (xi w - L(w)) is
     # nondecreasing in xi (products and differences round monotonically): max |L*| is at xi = 0 or xi = ILS
     spatial, boundary = [], []  # items c and e: one case per time
+    cross = _CrossTimeWorst(times, u, lab)
 
-    def rhs_tables():
-        for t, ut in zip(times, u):
-            LW, rhs = next(frames)
-            if math.isfinite(ils):  # W = D / t lives only in the comprehension
-                ends = [np.abs((xi * W - LW).max(axis=1)) for W in [D / t] for xi in (0.0, ils)]
-                C = np.fmax(abs(L0), np.maximum(*ends))
-                boundary.append((np.abs(ut - g) - C * t, "y", f"t={t:g}"))
-            spatial.append(worst_case([(np.abs(ut[:, None] - ut[None, :]) - rhs, "xy", f"t={t:g}")], lab))
-            yield rhs
-            del LW, rhs  # before the walk builds t L(D / t) in their place for this time's scan
+    def visit(ti: int, LW: Array, rhs: Array):
+        t, ut = times[ti], u[ti]
+        if math.isfinite(ils):  # W = D / t lives only in the comprehension
+            ends = [np.abs((xi * W - LW).max(axis=1)) for W in [D / t] for xi in (0.0, ils)]
+            C = np.fmax(abs(L0), np.maximum(*ends))
+            boundary.append((np.abs(ut - g) - C * t, "y", f"t={t:g}"))
+        spatial.append(worst_case([(np.abs(ut[:, None] - ut[None, :]) - rhs, "xy", f"t={t:g}")], lab))
+        cross.add(ti, rhs)
 
-    cross = _cross_time_worst(times, u, rhs_tables(), lab)  # reads every table, so the walk sees every time
-    next(frames, None)  # the scan of the last time
+    axioms = check_axioms(L, section, times, visit)
     if not axioms.passed:
         skip("c_spatial_estimate", "penalty axioms failed on this scenario")
         skip("d_cross_time_estimate", "penalty axioms failed on this scenario")
     else:
         record("c_spatial_estimate", *worst_case(((np.float64(w), "", loc) for w, loc in spatial), lab))
-        record("d_cross_time_estimate", *cross)
+        record("d_cross_time_estimate", cross.worst, cross.loc)
     if not math.isfinite(ils):
         skip("e_boundary_rate", "global ILS estimate is infinite")
     else:
@@ -433,10 +414,11 @@ def proposition_suite(
         record("h_speed_bound", *worst_case(gaps, lab))
 
     # (i) global time-Lipschitz bound |u(t) - u(s)| <= K^2 (s - t) / (2 t s)
-    gaps = []
-    for ti, si in pairs:
-        t, s = times[ti], times[si]
-        gaps.append((np.abs(model_u[ti] - model_u[si]) - K * K * (s - t) / (2.0 * t * s), "y", f"t={t:g},s={s:g}"))
+    gaps = (
+        (np.abs(model_u[ti] - model_u[si]) - K * K * (s - t) / (2.0 * t * s), "y", f"t={t:g},s={s:g}")
+        for ti, si in pairs
+        for t, s in [(times[ti], times[si])]
+    )
     record("i_time_lipschitz", *worst_case(gaps, lab))
 
     return items, axioms
@@ -478,8 +460,7 @@ def evolution_table(
     if hj_radius is not None and L.is_model_quadratic:
         for ti, t in enumerate(times):
             # L evolves like the model penalty, so u at t is the table's own row
-            near, _, fd = _hj_setup(section, float(t), hj_radius, u=u[ti])
-            plain = _hj_form(u[ti], fd, section.value_distances(), near, 2.0)
+            plain = hj_residuals(section, float(t), hj_radius, u=u[ti])[0]
             resid[ti], flags[ti] = plain.residual, plain.n_neighbors == 0
     if not (np.all(np.isfinite(u))):
         raise PreconditionError("evolution produced non-finite values; input data must be bounded")

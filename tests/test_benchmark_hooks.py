@@ -44,7 +44,10 @@ def test_tracer_installs_records_and_uninstalls(tracing, tmp_path):
         "scenario.load",
         "geometry.validate_space",
         "geometry.base_distance_matrix",
+        "lagrangian.check_axioms",
+        "semigroup.evolution_table",
         "semigroup.evolve_all",
+        "semigroup.proposition_suite",
         "semigroup.slope_estimate_check",
         "runner.run_check",
         "variational.minimize_interior",

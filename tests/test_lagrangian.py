@@ -439,3 +439,31 @@ def test_a_nan_compatibility_slack_fails_the_axiom(tmp_path):
     verdict = {v.check: v for v in run_check(scenario, tmp_path)[1]}["axiom_compatibility"]
     assert verdict.status == "FAIL" and math.isnan(verdict.worst_slack)
     assert verdict.location == "x=r05,y=r03,z=r05,t=1.58711"
+
+
+@pytest.mark.parametrize("penalty", ["model", "power 4", "negative scale", "NaN, then a negative time"])
+def test_check_axioms_visits_the_tables_of_each_time_in_list_order(penalty):
+    # visit(ti, L(D / t), rhs) once per time of the list, a repeated time and failing times included, with
+    # rhs = 2 K sqrt(L(E / t)), or L(E / t) where it is negative; the bytes tell NaN and -0.0 apart
+    scenario = random_scenario(13)
+    sec = scenario.section()
+    times = np.concatenate([scenario.grids.times, scenario.grids.times[1:2]])
+    L = {
+        "model": model_quadratic(),
+        "power 4": power_lagrangian(4.0),
+        "negative scale": power_lagrangian(2.0, -1.0),
+        "NaN, then a negative time": Lagrangian(fn=nan_beyond_the_grid(sec, scenario.grids.times, spike=True)),
+    }[penalty]
+    D, E, K = sec.fiber_distances(), sec.value_distances(), bound_K(sec)
+    seen = []
+    report = check_axioms(L, sec, times, lambda ti, LW, rhs: seen.append((ti, LW.copy(), rhs.copy())))
+    assert [ti for ti, _, _ in seen] == list(range(times.size))
+    negative = 0
+    for (ti, LW, rhs), t in zip(seen, times):
+        LE = L(E / t)
+        negative += bool(np.any(LE < 0))
+        want = LE if np.any(LE < 0) else 2.0 * K * np.sqrt(LE)
+        assert LW.tobytes() == L(D / t).tobytes() and rhs.tobytes() == want.tobytes(), t
+    assert negative == {"negative scale": times.size, "NaN, then a negative time": 1}.get(penalty, 0)
+    assert repr(report) == repr(check_axioms(L, sec, times))
+    assert math.isnan(report.compatibility_worst) == (penalty == "NaN, then a negative time")

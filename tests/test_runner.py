@@ -275,7 +275,9 @@ def test_check_and_evolve_default_the_hj_radius_to_the_largest_slope_radius(tmp_
 
 def test_lipschitz_grid_is_skipped_without_a_finite_nonzero_ils(tmp_path):
     # f(b0) on the fiber of b1 makes the ILS infinite (and the geometry
-    # invalid); a single base point has ILS 0
+    # invalid); a single base point has ILS 0; values 3e-162 apart, each 100
+    # off its fiber, give an ILS whose square underflows to 0, where the
+    # Lipschitz prefactor 2 / ILS^2 raised ZeroDivisionError
     degenerate = scenario_to_dict(two_point_scenario())
     degenerate["kappa"], degenerate["base"] = 1, [{"id": "b0", "point": [0.0]}, {"id": "b1", "point": [1.0]}]
     degenerate["fibers"] = {"b0": {"type": "points", "data": [[0.0]]}, "b1": {"type": "points", "data": [[0.0], [5.0]]}}
@@ -284,9 +286,14 @@ def test_lipschitz_grid_is_skipped_without_a_finite_nonzero_ils(tmp_path):
     single["base"], single["fibers"], single["section"] = (
         single["base"][:1], {"b0": single["fibers"]["b0"]}, {"b0": single["section"]["b0"]}
     )
-    for k, doc in enumerate((degenerate, single)):
+    tiny = scenario_to_dict(two_point_scenario())
+    tiny["kappa"], tiny["base"] = 1, [{"id": "b0", "point": [0.0]}, {"id": "b1", "point": [1.0]}]
+    tiny["fibers"] = {"b0": {"type": "points", "data": [[-100.0]]}, "b1": {"type": "points", "data": [[100.0]]}}
+    tiny["section"] = {"b0": [0.0], "b1": [3e-162]}
+    tiny["grids"]["tolerances"]["tau_sec"] = 150.0
+    for k, doc in enumerate((degenerate, single, tiny)):
         _, verdicts, _ = run_check(scenario_from_dict(doc), tmp_path / str(k))
         v = _verdict(verdicts, "hj_residual_lipschitz_grid")
-        note = ("ILS estimate not finite", "ILS estimate is 0")[k]
+        note = ("ILS estimate not finite", "ILS estimate is 0", "ILS estimate 3.143e-164 squares to 0")[k]
         assert (v.status, v.worst_slack, v.location, v.note) == ("SKIPPED", None, None, note)
         assert _verdict(verdicts, "hj_residual_grid").status != "SKIPPED"

@@ -15,8 +15,7 @@ from fiberflow.semigroup import (
     FD_STEP_SCALE,
     TRACE_LEVELS,
     Verdict,
-    _cross_time_worst,
-    _neighbor_slopes,
+    _CrossTimeWorst,
     _quasi_excess_worst,
     _speeds,
     evolution_table,
@@ -399,15 +398,20 @@ def test_hj_residuals_at_a_node_without_neighbors_among_nodes_with_them():
 
 
 def test_neighbor_slope_zero_denominator_is_inf():
-    u = np.array([0.0, 1.0, 1.0])
-    den = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    base_dist = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    near = (base_dist > 0) & (base_dist <= 1.0)
-    slopes = _neighbor_slopes(u, den, near)
-    # y=1 rises over p=0 with zero denominator; y=2 rises over p=0 by 1 over 2;
-    # y=0 rises over no neighbor, and the 1 - 1 rise between y=1 and y=2 is skipped
-    assert slopes.tolist() == [0.0, math.inf, 0.5]
-    assert [(s, 2) for s in slopes] == reference_slopes(u, den, base_dist, 1.0)
+    # the slope rules of hj_residuals, read on a given u: base points 0..3 are each other's
+    # neighbors at radius 3.5 and 10 is isolated; values 0, 0, 2, 2 give E[0, 1] = E[2, 3] = 0
+    space = FiberedSpace(
+        base_points=np.array([[0.0], [1.0], [2.0], [3.0], [10.0]]),
+        fibers=tuple(PointSet(np.array([[x], [x + 20.0]])) for x in (0.0, 1.0, 2.0, 3.0, 10.0)),
+    )
+    sec = Section(space=space, values=np.array([[0.0], [0.0], [2.0], [2.0], [10.0]]))
+    u = np.array([0.0, 1.0, 1.0, 1.0, 5.0])
+    plain = hj_residuals(sec, 1.0, 3.5, u=u)[0]
+    # y=1 rises over p=0 with zero denominator; y=2 and y=3 rise over p=0 by 1 over 2, and the 1 - 1
+    # rise between them, over a zero denominator, is skipped; y=0 rises over no neighbor; y=4 has none
+    assert plain.slope.tolist() == [0.0, math.inf, 0.5, 0.5, 0.0]
+    want = reference_slopes(u, sec.value_distances(), space.base_distance_matrix(), 3.5)
+    assert list(zip(plain.slope.tolist(), plain.n_neighbors.tolist())) == want
 
 
 def test_hj_lipschitz_matches_plain_on_singleton(singleton):
@@ -642,7 +646,10 @@ def test_cross_time_reduction_equals_the_pair_loop():
             u[rng.integers(T), rng.integers(m)] = math.nan
         labels = [str(k) for k in range(m)]
         want = pair_loop_cross_time(times, u, rhs, labels)
-        got = _cross_time_worst(times, u, iter(rhs), labels)
+        reducer = _CrossTimeWorst(times, u, labels)
+        for ti, table in enumerate(rhs):
+            reducer.add(ti, table)
+        got = reducer.worst, reducer.loc
         assert _same_bits(got[0], want[0]) and got[1] == want[1], (times, u)
         seen["positive"] += want[0] > 0
         seen["repeated time"] += np.unique(times).size < T
